@@ -64,6 +64,7 @@ from .spectral import (
     amplitudes_continuous,
     amplitudes_periodic,
     cumulative_probability,
+    half_step_amplitudes,
     moment_observable,
     parseval_total,
     probabilities,

@@ -71,14 +71,6 @@ def kernel_t(p: int, n: int) -> float:
     return 1.0 / p if n % p == 0 else 0.0
 
 
-def tilde(n: int, p: int | None = None) -> int:
-    """Folded index distance within one period; |n| when p is infinite."""
-    if p is None:
-        return abs(n)
-    m = abs(n) % p
-    return m if 2 * m <= p + 1 else p + 1 - m
-
-
 def _check_window(p: int, n: int | None, N: int | None) -> None:
     if n is not None and not 1 <= n <= p:
         raise ValueError(f"n must lie in 1..{p} (got {n})")

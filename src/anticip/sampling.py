@@ -23,6 +23,8 @@ from .spectral import (
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     continuous_kernel,
+    folded_index,
+    half_step_amplitudes,
 )
 
 CHUNK = 256  # trials per RNG stream; fixed so partitioning never moves a draw
@@ -371,19 +373,23 @@ class EstimateReport:
         )
 
     def max_abs_z(self) -> float:
-        worst = 0.0
-        for r in self.rows:
-            for z in (r.z_mean, r.z_var):
-                if z is not None:
-                    worst = max(worst, abs(z))
-        return worst
+        """Largest |z| over the rows; NaN when any z-score is NaN, so a
+        `<= limit` gate fails on it."""
+        zs = [abs(z) for r in self.rows for z in (r.z_mean, r.z_var) if z is not None]
+        return float(np.max(zs, initial=0.0))
 
 
-def _resolve_threads(threads: int | None) -> int:
+def resolve_threads(threads: int | None) -> int:
+    """Worker count: `threads` when given, else ANTICIP_THREADS, else 1."""
     if threads is not None:
         return max(1, int(threads))
     env = os.environ.get(THREADS_ENV, "")
-    return max(1, int(env)) if env.strip() else 1
+    if not env.strip():
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ValueError(f"{THREADS_ENV} must be an integer (got {env!r})") from None
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -392,12 +398,6 @@ def _chunk_sizes(trials: int) -> list[int]:
     if rest:
         sizes.append(rest)
     return sizes
-
-
-def _fold_indices(p: int) -> np.ndarray:
-    n = np.arange(1, p + 1)
-    m = n % p
-    return np.where(2 * m <= p + 1, m, p + 1 - m)
 
 
 def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
@@ -412,29 +412,48 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
     def call(c: int):
         return worker(c, rng_mod.stream(seed, c), sizes[c])
 
-    n_threads = _resolve_threads(threads)
+    n_threads = resolve_threads(threads)
     if n_threads == 1 or len(ordinals) <= 1:
         return [call(c) for c in ordinals]
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         return list(pool.map(call, ordinals))
 
 
+def _half_spectrum(y: np.ndarray) -> np.ndarray:
+    """p_n for n = 1..ceil(p/2) of each row; p_{p+1-n} = p_n gives the rest."""
+    half = half_step_amplitudes(y)
+    pn = half.real**2
+    pn += half.imag**2
+    return pn
+
+
+def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
+    """p_N = p_tot - 2 * sum_{n<=N} p_n: the near window n = 1..N and its
+    mirror p+1-N..p, disjoint because N < p/2."""
+    return ptot - 2.0 * pn[:, :N].sum(axis=1)
+
+
+def _half_moment_weights(p: int, r: float) -> np.ndarray:
+    """tilde(n)^r + tilde(p+1-n)^r for n = 1..ceil(p/2), so that a moment is
+    the half spectrum times these weights; the middle index of odd p counts
+    once."""
+    n = np.arange(1, (p + 1) // 2 + 1)
+    w = folded_index(n, p).astype(float) ** r
+    w[: p // 2] += folded_index(p + 1 - n[: p // 2], p).astype(float) ** r
+    return w
+
+
 def _periodic_trial_stats(config: MonteCarloConfig, y: np.ndarray) -> dict:
     p = config.period
-    k = np.arange(p)
-    chirp = np.exp(1j * np.pi * k / p)
-    pn = np.abs(np.roll(np.fft.fft(y * chirp, axis=1) / p, -1, axis=1)) ** 2
+    pn = _half_spectrum(y)
     ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
     out = {("p_tot", None): ptot}
     for n in config.n_list:
-        out[("p_n", float(n))] = pn[:, n - 1]
+        out[("p_n", float(n))] = pn[:, min(n, p + 1 - n) - 1]
     for N in config.N_list:
-        near = pn[:, :N].sum(axis=1) + pn[:, p - N :].sum(axis=1) if N else 0.0
-        out[("p_N", float(N))] = ptot - near
-    if config.r_list:
-        folded = _fold_indices(p).astype(float)
-        for r in config.r_list:
-            out[("moment", float(r))] = pn @ (folded**r)
+        out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
+    for r in config.r_list:
+        out[("moment", float(r))] = pn @ _half_moment_weights(p, r)
     return out
 
 
@@ -581,15 +600,11 @@ def tail_exceedance(
     """Fraction of trials whose tail probability p_N exceeds delta."""
     if not 0 <= N < p / 2:
         raise ValueError(f"N must lie in 0..<{p / 2}")
-    k = np.arange(p)
-    chirp = np.exp(1j * np.pi * k / p)
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
         y = dist.sample(rng, (n_trials, p))
-        pn = np.abs(np.roll(np.fft.fft(y * chirp, axis=1) / p, -1, axis=1)) ** 2
-        ptot = (y * y).mean(axis=1)
-        near = pn[:, :N].sum(axis=1) + pn[:, p - N :].sum(axis=1) if N else 0.0
-        return int(((ptot - near) > delta).sum())
+        tail = _tail_probability(_half_spectrum(y), (y * y).mean(axis=1), N)
+        return int((tail > delta).sum())
 
     counts = _run_chunked(worker, trials, seed, threads, None)
     return sum(counts) / trials

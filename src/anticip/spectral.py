@@ -10,10 +10,11 @@ Half-step amplitudes use half-integer frequencies:
     periodic:    alpha_n = p^-1 sum_k yhat_k exp(-2*pi*i*(n-1/2)*k/p)
     continuous:  alpha_n = (2*pi)^-1 integral yhat(kappa) exp(-i*(n-1/2)*kappa) dkappa
 
-The periodic transform is a plain DFT after the chirp premultiplication
-yhat_k -> yhat_k * exp(i*pi*k/p); the continuous one integrates each cell
-with its closed-form antiderivative, so neither path carries quadrature
-error.
+For real yhat the periodic amplitudes are conjugate-symmetric,
+alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed,
+all from one half-length real-input transform (`half_step_amplitudes`). The
+continuous transform integrates each cell with its closed-form
+antiderivative, so neither path carries quadrature error.
 """
 from __future__ import annotations
 
@@ -134,20 +135,46 @@ class MomentResult(NamedTuple):
     diverged: bool
 
 
+def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
+    """alpha_1..alpha_ceil(p/2) of each real row of y, shape (..., p).
+
+    Even p = 2h packs the two halves of a row into one complex sequence,
+    z_j = (yhat_j - i*yhat_{j+h}) * exp(-i*pi*j/p) / p, whose length-h DFT
+    at m is alpha_{2m+1}; the even indices follow from the conjugate
+    symmetry, alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}). Odd p takes the odd
+    bins of a length-2p real FFT. Every row is transformed on its own, so a
+    batched call returns each row's single-row result bit for bit.
+    """
+    y = np.asarray(y, dtype=float)
+    p = y.shape[-1]
+    if p % 2:
+        return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
+    h = p // 2
+    z = y[..., h:] * -1j
+    z += y[..., :h]
+    z *= np.exp(-1j * np.pi * np.arange(h) / p) / p
+    odd = np.fft.fft(z)  # alpha_1, alpha_3, ..., alpha_{p-1}
+    q = (h + 1) // 2
+    half = z  # z is spent: its memory takes the result
+    half[..., 0::2] = odd[..., :q]
+    np.conjugate(odd[..., q:][..., ::-1], out=half[..., 1::2])
+    return half
+
+
 def amplitudes_periodic(
     sd: SpectralDifferencePeriodic, mode: str = "fast-transform"
 ) -> AmplitudeSeries:
     """Amplitudes for n = 1..p.
 
-    `fast-transform` premultiplies by the half-step chirp and runs one DFT;
-    `exact-sum` is the O(p^2) direct summation oracle. The two agree to
-    rounding (the DFT index n = 0 output is alpha_p by exact periodicity).
+    `fast-transform` computes alpha_1..alpha_ceil(p/2) with
+    `half_step_amplitudes` and mirrors them, alpha_{p+1-n} = conj(alpha_n),
+    so the symmetry holds exactly; `exact-sum` is the O(p^2) direct
+    summation oracle. The two agree to rounding.
     """
     p = sd.period
     if mode == "fast-transform":
-        k = np.arange(p)
-        chirped = sd.values * np.exp(1j * np.pi * k / p)
-        amps = np.roll(np.fft.fft(chirped) / p, -1)
+        half = half_step_amplitudes(sd.values)
+        amps = np.concatenate([half, half[: p // 2][::-1].conj()])
     elif mode == "exact-sum":
         k = np.arange(p)
         amps = np.empty(p, dtype=complex)
@@ -211,16 +238,22 @@ def truncation_window(sd: SpectralDifferenceContinuous, tail_tol: float = 1e-6) 
     return int(np.ceil(0.5 + 2.0 * peak / (np.pi**2 * tail_tol)))
 
 
+def folded_index(n, p: int) -> np.ndarray:
+    """Folded index distance tilde(n) of each n: |n| mod p reflected into
+    0..ceil(p/2)."""
+    m = np.abs(np.asarray(n)) % p
+    return np.where(2 * m <= p + 1, m, p + 1 - m)
+
+
 def tilde_index(n: int, period: int | None = None) -> int:
-    """Folded index distance: |n| mod p reflected into 0..ceil(p/2); |n| when
-    the period is infinite (None)."""
+    """Folded index distance of one n (see `folded_index`); |n| when the
+    period is infinite (None)."""
     if period is None:
         return abs(int(n))
     p = int(period)
     if p < 1:
         raise ValueError("period must be positive")
-    m = abs(int(n)) % p
-    return m if 2 * m <= p + 1 else p + 1 - m
+    return int(folded_index(int(n), p))
 
 
 def cumulative_probability(probs: ProbabilitySeries, N: int) -> float:
@@ -252,7 +285,7 @@ def moment_observable(probs: ProbabilitySeries, r: float) -> MomentResult:
     if r < 0:
         raise ValueError("moment order must be nonnegative")
     if probs.period is not None:
-        folded = np.array([tilde_index(int(n), probs.period) for n in probs.indices])
+        folded = folded_index(probs.indices, probs.period)
         terms = folded.astype(float) ** r * probs.values
         return MomentResult(float(terms.sum()), False)
 

@@ -108,6 +108,17 @@ class TestSample:
         res = run_cli("sample", "--period", "8", "--N", "4")
         assert res.exit_code == 2
 
+    def test_bad_thread_env_exits_2(self):
+        res = CliRunner(env={"ANTICIP_THREADS": "abc"}).invoke(
+            main, ["sample", "--period", "8", "--trials", "10"])
+        assert res.exit_code == 2
+        assert "ANTICIP_THREADS" in res.output
+
+    def test_nan_z_score_exits_1(self, monkeypatch):
+        monkeypatch.setattr("anticip.sampling.EstimateReport.max_abs_z", lambda self: float("nan"))
+        assert run_cli("sample", "--period", "8", "--trials", "100").exit_code == 1
+        assert run_cli("sweep", "--periods", "8,16", "--trials", "100").exit_code == 1
+
     def test_epsilon_needs_periodic_mode(self):
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")
         assert res.exit_code == 2

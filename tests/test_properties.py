@@ -15,6 +15,7 @@ from anticip import (
     amplitudes_continuous,
     amplitudes_periodic,
     cumulative_probability,
+    half_step_amplitudes,
     parseval_total,
     probabilities,
     tilde_index,
@@ -48,6 +49,25 @@ def test_transform_modes_agree(values):
     fast = amplitudes_periodic(sd, "fast-transform").values
     exact = amplitudes_periodic(sd, "exact-sum").values
     assert np.max(np.abs(fast - exact)) <= 1e-12
+
+
+@given(values=periodic_values)
+def test_half_step_amplitudes_match_exact_sum_and_mirror(values):
+    sd = SpectralDifferencePeriodic(values)
+    half = half_step_amplitudes(sd.values)
+    exact = amplitudes_periodic(sd, "exact-sum").values
+    assert half.shape == ((sd.period + 1) // 2,)
+    assert np.max(np.abs(half - exact[: half.size])) <= 1e-12
+    full = amplitudes_periodic(sd).values
+    assert np.array_equal(full[::-1], full.conj())  # alpha_{p+1-n} = conj(alpha_n)
+
+
+@given(rows=st.integers(min_value=2, max_value=48).flatmap(
+    lambda p: st.lists(st.lists(component, min_size=p, max_size=p), min_size=1, max_size=6)))
+def test_half_step_amplitudes_batched_rows_bit_identical(rows):
+    batch = half_step_amplitudes(np.array(rows))
+    for row, out in zip(rows, batch):
+        assert half_step_amplitudes(np.array(row)).tobytes() == out.tobytes()
 
 
 @given(values=periodic_values)

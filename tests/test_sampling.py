@@ -6,9 +6,12 @@ import numpy as np
 import pytest
 
 from anticip import (
+    EstimateReport,
     MomentAccumulator,
     MonteCarloConfig,
     SamplingDistribution,
+    SpectralDifferencePeriodic,
+    amplitudes_periodic,
     build_orthogonal_measure,
     merge_accumulators,
     near_zero_statistics,
@@ -18,8 +21,10 @@ from anticip import (
     spectral_difference_from_measure,
     stream,
     tail_exceedance,
+    tilde_index,
     two_shift_law,
 )
+from anticip.sampling import StatRow, resolve_threads
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -172,6 +177,45 @@ class TestEngine:
         from_env = run_monte_carlo(cfg)
         assert base.row("p_tot").acc.mean == from_env.row("p_tot").acc.mean
         assert base.row("p_tot").acc.m2 == from_env.row("p_tot").acc.m2
+
+    def test_bad_thread_env_variable_is_named(self, monkeypatch):
+        monkeypatch.setenv("ANTICIP_THREADS", "abc")
+        with pytest.raises(ValueError, match="ANTICIP_THREADS"):
+            resolve_threads(None)
+        assert resolve_threads(2) == 2
+
+    @pytest.mark.parametrize("p", [7, 8])
+    def test_statistics_match_exact_sum_recomputation(self, p):
+        seed, trials = 13, 3
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=p,
+                               n_list=tuple(range(1, p + 1)),
+                               N_list=tuple(range((p + 1) // 2)), r_list=(0.0, 1.0, 2.5))
+        rep = run_monte_carlo(cfg)
+        y = UNIFORM.sample(stream(seed, 0), (trials, p))
+        pn = np.array([np.abs(amplitudes_periodic(SpectralDifferencePeriodic(row), "exact-sum").values) ** 2
+                       for row in y])
+        ptot = (y * y).mean(axis=1)
+        folded = np.array([tilde_index(n, p) for n in range(1, p + 1)], dtype=float)
+        expected = {("p_n", float(n)): pn[:, n - 1] for n in cfg.n_list}
+        expected.update({("p_N", float(N)): ptot - pn[:, :N].sum(axis=1) - pn[:, p - N:].sum(axis=1)
+                         for N in cfg.N_list})
+        expected.update({("moment", r): pn @ folded**r for r in cfg.r_list})
+        for (stat, index), values in expected.items():
+            acc = rep.row(stat, index).acc
+            assert acc.count == trials
+            assert abs(acc.mean - values.mean()) <= 1e-12
+            assert abs(acc.variance - values.var(ddof=1)) <= 1e-12
+
+    def test_nan_z_score_fails_the_gate(self):
+        ok = StatRow("p_tot", None, MomentAccumulator(count=10, mean=0.3, m2=0.1),
+                     pred_mean=0.3, pred_var=None, exact_pred=True)
+        bad = StatRow("p_n", 1.0, MomentAccumulator(count=10, mean=0.5, m2=1.0),
+                      pred_mean=math.nan, exact_pred=True)
+        assert math.isnan(bad.z_mean)
+        for rows in ([ok, bad], [bad, ok]):
+            rep = EstimateReport("periodic", 8, "uniform", 0, 10, rows)
+            assert not rep.max_abs_z() <= 5.0
+        assert EstimateReport("periodic", 8, "uniform", 0, 10, [ok]).max_abs_z() == 0.0
 
     def test_std_error_definition(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=500, seed=2, period=8)

@@ -192,6 +192,15 @@ class TestMomentObservable:
         assert res.value == pytest.approx(pr.p_tot, rel=1e-12)
         assert not res.diverged
 
+    def test_periodic_fold_matches_per_element_tilde(self):
+        rng = np.random.default_rng(9)
+        for p in range(2, 34):
+            pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(rng.uniform(-1, 1, p))))
+            folded = np.array([tilde_index(int(n), p) for n in pr.indices]).astype(float)
+            for r in (0.0, 1.0, 2.5):
+                expected = float((folded**r * pr.values).sum())
+                assert moment_observable(pr, r).value == expected
+
     def test_log_growth_constant_model(self):
         # <tilde n> grows like (2/pi^2) ln p for the constant difference;
         # the centered residual is flat across doublings
