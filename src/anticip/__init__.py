@@ -21,11 +21,9 @@ from .bounds import (
     two_shift_law,
 )
 from .closed_form import (
-    KernelValues,
     LeadingOrder,
     MomentTuple,
     abs_s_squared,
-    continuous_expectations,
     continuous_expected_pN,
     continuous_expected_pn,
     continuous_expected_ptot,
@@ -34,7 +32,6 @@ from .closed_form import (
     expected_pn,
     expected_pn_sq,
     expected_ptot,
-    kernels,
     lemma_unit_sum,
     var_pN,
     var_pn,
@@ -45,7 +42,6 @@ from .sampling import (
     EstimateReport,
     MomentAccumulator,
     MonteCarloConfig,
-    NearZeroReport,
     SamplingDistribution,
     merge_accumulators,
     near_zero_statistics,
@@ -58,7 +54,6 @@ from .spectral import (
     AmplitudeSeries,
     MomentResult,
     ProbabilitySeries,
-    ReductionError,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,

@@ -42,6 +42,8 @@ class DiscreteMeasure:
         wts = _frozen(self.weights)
         if pts.ndim != 1 or pts.shape != wts.shape or pts.size == 0:
             raise ValueError("points and weights must be matching 1-d sequences")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(wts))):
+            raise ValueError("points and weights must be finite")
         if np.any(np.diff(pts) <= 0):
             raise ValueError("points must be strictly ascending and distinct")
         if np.any(wts < 0):
@@ -83,7 +85,13 @@ def autocorrelation(measure: DiscreteMeasure, t):
     return flat.reshape(t_arr.shape)
 
 
-def _check_uniform_reduction(measure: DiscreteMeasure, p: int, tol: float) -> None:
+def grid_indices(measure: DiscreteMeasure, p: int, tol: float) -> np.ndarray:
+    """Integer index j of each point lambda = 2*pi*j/p on the grid.
+
+    Raises OrthogonalityError unless the measure folds uniformly onto
+    {2*pi*k/p}: every point within tol of the grid and every residue class
+    j mod p carrying mass 1/p within tol.
+    """
     step = 2.0 * np.pi / p
     grid = np.rint(measure.points / step)
     off = np.abs(measure.points - grid * step)
@@ -92,14 +100,15 @@ def _check_uniform_reduction(measure: DiscreteMeasure, p: int, tol: float) -> No
         raise OrthogonalityError(
             f"point {measure.points[j]!r} is {off[j]:.3e} away from the 2*pi/{p} grid"
         )
-    classes = grid.astype(int) % p
-    mass = np.bincount(classes, weights=measure.weights, minlength=p)
+    flat = grid.astype(int)
+    mass = np.bincount(flat % p, weights=measure.weights, minlength=p)
     dev = np.abs(mass - 1.0 / p)
     if float(dev.max()) > tol:
         k = int(dev.argmax())
         raise OrthogonalityError(
             f"residue class {k} carries mass {mass[k]!r}, expected {1.0 / p!r}"
         )
+    return flat
 
 
 @dataclass(frozen=True)
@@ -147,7 +156,7 @@ def check_bounds(
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    _check_uniform_reduction(measure, p, tol)
+    grid_indices(measure, p, tol)
     lam0, mam = median_minimizer(measure)
 
     t = np.arange(0.0, t_max + 0.5 * t_step, t_step)

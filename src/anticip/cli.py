@@ -15,7 +15,6 @@ from .models import ModelSpec, closed_form_pn, make_model
 from .sampling import (
     MonteCarloConfig,
     SamplingDistribution,
-    near_zero_statistics,
     parse_distribution,
     resolve_threads,
     run_monte_carlo,
@@ -163,7 +162,13 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
     sys.exit(EXIT_OK if worst <= 1e-10 else EXIT_CHECK_FAILED)
 
 
-def _sample_rows(report, extra: dict | None = None) -> list[dict]:
+# near-zero rows keep these keys first in their JSON objects
+_NEAR_ZERO_LEAD = ("mode", "size", "trials", "seed", "note")
+
+
+def _sample_rows(report, q: float | None = None) -> list[dict]:
+    """One row per statistic; a near-zero count row is followed by the
+    chi-square fit of the report's histogram to Binomial(size, q)."""
     rows = []
     for r in report.rows:
         row = {
@@ -182,9 +187,15 @@ def _sample_rows(report, extra: dict | None = None) -> list[dict]:
             "z_var": r.z_var,
             "note": r.note,
         }
-        if extra:
-            row.update(extra)
-        rows.append(row)
+        if r.statistic != "near_zero_count":
+            rows.append(row)
+            continue
+        row = {key: row[key] for key in _NEAR_ZERO_LEAD} | row
+        stat, dof = report.chi_square(q)
+        rows += [row, dict(row, statistic="near_zero_chi_square", mean=stat,
+                           variance=None, std_error=None, pred_mean=float(dof),
+                           z_mean=None, pred_var=None, z_var=None,
+                           note=f"{r.note} dof={dof}")]
     return rows
 
 
@@ -193,24 +204,7 @@ SAMPLE_HEADER = ["mode", "size", "statistic", "index", "trials", "seed", "mean",
                  "z_var", "note"]
 
 
-def _near_zero_rows(rep) -> list[dict]:
-    base = {"mode": "periodic", "size": rep.period, "trials": rep.trials,
-            "seed": rep.seed, "note": f"epsilon={rep.epsilon:g} q={rep.q:.17g}"}
-    count_row = dict(base, statistic="near_zero_count", index=rep.epsilon,
-                     mean=rep.acc.mean, variance=rep.acc.variance,
-                     std_error=rep.acc.std_error, pred_mean=rep.pred_mean,
-                     z_mean=rep.z_mean, pred_var=rep.pred_var, z_var=rep.z_var)
-    chi_row = dict(base, statistic="near_zero_chi_square", index=rep.epsilon,
-                   mean=rep.chi_square, variance=None, std_error=None,
-                   pred_mean=float(rep.chi_square_dof), z_mean=None,
-                   pred_var=None, z_var=None,
-                   note=base["note"] + f" dof={rep.chi_square_dof}")
-    return [count_row, chi_row]
-
-
 def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads):
-    if epsilon is not None and period is None:
-        raise click.UsageError("near-zero counts need --period (periodic mode)")
     try:
         dist = parse_distribution(dist_text)
         cfg = MonteCarloConfig(
@@ -221,16 +215,13 @@ def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, thr
     except (ValueError, OSError, KeyError) as exc:
         raise click.UsageError(str(exc)) from exc
     report = run_monte_carlo(cfg, threads=threads)
-    rows = _sample_rows(report)
-    if epsilon is not None and period is not None:
-        nz = near_zero_statistics(dist, period, epsilon, trials, seed, threads=threads)
-        rows.extend(_near_zero_rows(nz))
+    q = None if epsilon is None else dist.mass_within(epsilon)
+    rows = _sample_rows(report, q)
     config = {"command": "sample", "mode": report.mode, "size": report.size,
               "dist": dist.label, "trials": trials, "seed": seed,
               "n": list(cfg.n_list), "N": list(cfg.N_list), "r": list(cfg.r_list),
               "epsilon": epsilon}
-    worst = report.max_abs_z()
-    return rows, config, worst
+    return rows, config, report.max_abs_z()
 
 
 @main.command()

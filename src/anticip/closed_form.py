@@ -71,48 +71,22 @@ def kernel_t(p: int, n: int) -> float:
     return 1.0 / p if n % p == 0 else 0.0
 
 
-def _check_window(p: int, n: int | None, N: int | None) -> None:
-    if n is not None and not 1 <= n <= p:
-        raise ValueError(f"n must lie in 1..{p} (got {n})")
-    if N is not None and not 0 <= N < p / 2:
+def _check_window(p: int, N: int) -> None:
+    if not 0 <= N < p / 2:
         raise ValueError(f"N must lie in 0..{(p - 1) // 2} for period {p} (got {N})")
 
 
 def kernel_u(p: int, N: int) -> float:
     """U_N over the tail window n = N+1 .. p-N; U_0 = 1 (unit kernel mass)."""
-    _check_window(p, None, N)
+    _check_window(p, N)
     n = np.arange(N + 1, p - N + 1)
     return float(abs_s_squared(p, n).sum())
 
 
 def pi_tail(p: int, N: int) -> float:
     """pi_N = 1 - 2*N/p (N already folded in the admitted range)."""
-    _check_window(p, None, N)
+    _check_window(p, N)
     return 1.0 - 2.0 * N / p
-
-
-def pi_prime(p: int, n: int) -> float:
-    return 1.0 - n / p
-
-
-@dataclass(frozen=True)
-class KernelValues:
-    s_n: complex
-    t_n: float
-    u_n: float
-    pi_n: float
-    pi_prime_n: float
-
-
-def kernels(p: int, n: int, N: int) -> KernelValues:
-    _check_window(p, n, N)
-    return KernelValues(
-        s_n=kernel_s(p, n),
-        t_n=kernel_t(p, n),
-        u_n=kernel_u(p, N),
-        pi_n=pi_tail(p, N),
-        pi_prime_n=pi_prime(p, n),
-    )
 
 
 def expected_pn(p: int, n: int, m: MomentTuple) -> float:
@@ -217,47 +191,6 @@ def continuous_expected_pN(N: int, m: MomentTuple) -> float:
     sigma^2 from above as N grows.
     """
     return m.m2 - m.m1**2 * near_window_kernel(N)
-
-
-def finite_cell_expected_pn(cells: int, n: int, m: MomentTuple) -> float:
-    """Finite-M prediction with cells playing the role of residue classes."""
-    return expected_pn(cells, ((n - 1) % cells) + 1, m)
-
-
-def finite_cell_var_pn(cells: int, n: int, m: MomentTuple) -> float:
-    return var_pn(cells, ((n - 1) % cells) + 1, m)
-
-
-def finite_cell_expected_pN(cells: int, N: int, m: MomentTuple) -> float:
-    return expected_pN(cells, N, m)
-
-
-def finite_cell_var_pN(cells: int, N: int, m: MomentTuple) -> float:
-    return var_pN(cells, N, m)
-
-
-def continuous_expectations(
-    m: MomentTuple,
-    n: int | None = None,
-    N: int | None = None,
-    cells: int | None = None,
-) -> dict:
-    """Continuum expectations for one index, with the finite-cell prediction
-    (cells as classes) alongside when a cell count is given."""
-    if (n is None) == (N is None):
-        raise ValueError("exactly one of n and N must be given")
-    out: dict = {"p_tot": continuous_expected_ptot(m)}
-    if n is not None:
-        out["p_n"] = continuous_expected_pn(n, m)
-        if cells is not None:
-            out["p_n_cells"] = finite_cell_expected_pn(cells, n, m)
-            out["var_p_n_cells"] = finite_cell_var_pn(cells, n, m)
-    else:
-        out["p_N"] = continuous_expected_pN(N, m)
-        if cells is not None:
-            out["p_N_cells"] = finite_cell_expected_pN(cells, N, m)
-            out["var_p_N_cells"] = finite_cell_var_pN(cells, N, m)
-    return out
 
 
 def lemma_unit_sum(p: int) -> float:

@@ -3,9 +3,12 @@
 Components yhat_k are drawn i.i.d. from a law on [-1, 1]. Trials are grouped
 into fixed-size chunks; chunk c draws from the counter-based stream
 (seed, c), so the set of drawn values depends only on the seed and never on
-how chunks are partitioned across workers. Per-statistic accumulators track
-central moments up to order four and merge associatively, which makes
-chunked, threaded and single-pass runs agree to rounding.
+how chunks are partitioned across workers. One pass over the chunks computes
+every configured statistic from the same draws: p_n, p_N, p_tot, the
+folded-index moments and, when epsilon is set, the near-zero count with its
+histogram. Per-statistic accumulators track central moments up to order four
+and merge associatively, which makes chunked, threaded and single-pass runs
+agree to rounding.
 """
 from __future__ import annotations
 
@@ -93,6 +96,8 @@ class SamplingDistribution:
         ms = np.asarray(masses, dtype=float)
         if pts.ndim != 1 or pts.shape != ms.shape or pts.size == 0:
             raise ValueError("table needs matching 1-d points and masses")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(ms))):
+            raise ValueError("table points and masses must be finite")
         if float(np.abs(pts).max()) > 1.0:
             raise ValueError("table support must lie within [-1, 1]")
         if np.any(ms < 0) or abs(float(ms.sum()) - 1.0) > 1e-9:
@@ -251,7 +256,8 @@ def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccu
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """What to estimate: p_n for n in n_list, p_N for N in N_list, p_tot
-    always, and windowed tilde(n)^r for r in r_list."""
+    always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
+    near-zero count #{k : |yhat_k| < epsilon} when epsilon is set."""
 
     dist: SamplingDistribution
     trials: int
@@ -285,8 +291,11 @@ class MonteCarloConfig:
         for r in self.r_list:
             if r < 0:
                 raise ValueError("moment orders must be nonnegative")
-        if self.epsilon is not None and not 0.0 < self.epsilon < 1.0:
-            raise ValueError("epsilon must lie in (0, 1)")
+        if self.epsilon is not None:
+            if self.period is None:
+                raise ValueError("near-zero counts need a period (periodic mode)")
+            if not 0.0 < self.epsilon < 1.0:
+                raise ValueError("epsilon must lie in (0, 1)")
 
     @property
     def mode(self) -> str:
@@ -335,12 +344,16 @@ class StatRow:
 
 @dataclass
 class EstimateReport:
+    """Rows of one run; `histogram[c]` counts the trials with c near-zero
+    components when the configuration sets epsilon."""
+
     mode: str
     size: int
     dist_label: str
     seed: int
     trials: int
     rows: list[StatRow]
+    histogram: np.ndarray | None = None
 
     def row(self, statistic: str, index: float | None = None) -> StatRow:
         for r in self.rows:
@@ -370,7 +383,14 @@ class EstimateReport:
             seed=self.seed,
             trials=self.trials + other.trials,
             rows=rows,
+            histogram=None if self.histogram is None else self.histogram + other.histogram,
         )
+
+    def chi_square(self, q: float) -> tuple[float, int]:
+        """Pearson statistic of the near-zero histogram against
+        Binomial(size, q), with its degrees of freedom."""
+        expected = self.trials * _binomial_pmf(self.size, q)
+        return _chi_square(self.histogram.astype(float), expected)
 
     def max_abs_z(self) -> float:
         """Largest |z| over the rows; NaN when any z-score is NaN, so a
@@ -454,6 +474,8 @@ def _periodic_trial_stats(config: MonteCarloConfig, y: np.ndarray) -> dict:
         out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
     for r in config.r_list:
         out[("moment", float(r))] = pn @ _half_moment_weights(p, r)
+    if config.epsilon is not None:
+        out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
     return out
 
 
@@ -499,25 +521,20 @@ def _predictions(config: MonteCarloConfig) -> dict:
         for r in config.r_list:
             lead = cf.expected_moment_observable(p, r, m)
             preds[("moment", float(r))] = (lead.value, None, f"leading order, error {lead.error_order}", False)
+        if config.epsilon is not None:
+            q = config.dist.mass_within(config.epsilon)
+            note = f"epsilon={config.epsilon:g} q={q:.17g}"
+            preds[("near_zero_count", float(config.epsilon))] = (p * q, p * q * (1.0 - q), note, True)
     else:
         M = config.cells
         preds[("p_tot", None)] = (cf.continuous_expected_ptot(m), cf.var_pN(M, 0, m), None, True)
         note = "finite-cell mapping, O(M^-2) bias"
         for n in config.n_list:
-            preds[("p_n", float(n))] = (
-                cf.finite_cell_expected_pn(M, n, m),
-                cf.finite_cell_var_pn(M, n, m),
-                note,
-                False,
-            )
+            cell = (n - 1) % M + 1  # cells play the role of residue classes
+            preds[("p_n", float(n))] = (cf.expected_pn(M, cell, m), cf.var_pn(M, cell, m), note, False)
         for N in config.N_list:
             if N < M / 2:
-                preds[("p_N", float(N))] = (
-                    cf.finite_cell_expected_pN(M, N, m),
-                    cf.finite_cell_var_pN(M, N, m),
-                    note,
-                    False,
-                )
+                preds[("p_N", float(N))] = (cf.expected_pN(M, N, m), cf.var_pN(M, N, m), note, False)
             else:
                 preds[("p_N", float(N))] = (None, None, None, False)
         for r in config.r_list:
@@ -536,7 +553,9 @@ def run_monte_carlo(
     `chunk_range` restricts the run to chunk ordinals [lo, hi); partial
     reports over disjoint ranges merge back to the single-pass report.
     """
-    keys = list(_predictions(config).keys())
+    preds = _predictions(config)
+    keys = list(preds)
+    near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
     window = kernel = None
     if config.mode == "continuous":
         window = _continuous_window(config)
@@ -553,15 +572,18 @@ def run_monte_carlo(
             acc = MomentAccumulator()
             acc.add_batch(np.broadcast_to(stats[key], (n_trials,)))
             accs[key] = acc
-        return accs
+        hist = None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1)
+        return accs, hist
 
-    chunk_accs = _run_chunked(worker, config.trials, config.seed, threads, chunk_range)
+    chunk_results = _run_chunked(worker, config.trials, config.seed, threads, chunk_range)
     totals = {key: MomentAccumulator() for key in keys}
-    for accs in chunk_accs:
+    histogram = None if near_zero is None else np.zeros(config.size + 1, dtype=np.int64)
+    for accs, hist in chunk_results:
         for key in keys:
             totals[key] = merge_accumulators(totals[key], accs[key])
+        if histogram is not None:
+            histogram += hist
 
-    preds = _predictions(config)
     rows = []
     for key in keys:
         mean_pred, var_pred, note, exact = preds[key]
@@ -576,14 +598,14 @@ def run_monte_carlo(
                 exact_pred=exact,
             )
         )
-    trials_done = sum(acc[keys[0]].count for acc in chunk_accs) if chunk_accs else 0
     return EstimateReport(
         mode=config.mode,
         size=config.size,
         dist_label=config.dist.label,
         seed=config.seed,
-        trials=trials_done,
+        trials=totals[keys[0]].count,
         rows=rows,
+        histogram=histogram,
     )
 
 
@@ -608,45 +630,6 @@ def tail_exceedance(
 
     counts = _run_chunked(worker, trials, seed, threads, None)
     return sum(counts) / trials
-
-
-@dataclass
-class NearZeroReport:
-    """Count of near-zero components per trial versus its Binomial law."""
-
-    period: int
-    epsilon: float
-    q: float
-    trials: int
-    seed: int
-    histogram: np.ndarray
-    acc: MomentAccumulator
-    chi_square: float
-    chi_square_dof: int
-
-    @property
-    def pred_mean(self) -> float:
-        return self.period * self.q
-
-    @property
-    def pred_var(self) -> float:
-        return self.period * self.q * (1.0 - self.q)
-
-    @property
-    def z_mean(self) -> float:
-        se = self.acc.std_error
-        diff = self.acc.mean - self.pred_mean
-        if se == 0.0:
-            return 0.0 if abs(diff) <= _EXACT_SLACK else math.inf
-        return diff / se
-
-    @property
-    def z_var(self) -> float:
-        se = self.acc.variance_std_error
-        diff = self.acc.variance - self.pred_var
-        if se == 0.0:
-            return 0.0 if abs(diff) <= _EXACT_SLACK else math.inf
-        return diff / se
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:
@@ -702,39 +685,9 @@ def near_zero_statistics(
     seed: int,
     *,
     threads: int | None = None,
-) -> NearZeroReport:
+) -> EstimateReport:
     """Distribution of #{k : |yhat_k| < epsilon}, checked against
-    Binomial(p, q) with q = P(|yhat| < epsilon)."""
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError("epsilon must lie in (0, 1)")
-    if p < 2:
-        raise ValueError("period must be at least 2")
-
-    def worker(c: int, rng: np.random.Generator, n_trials: int):
-        y = dist.sample(rng, (n_trials, p))
-        counts = (np.abs(y) < epsilon).sum(axis=1)
-        acc = MomentAccumulator()
-        acc.add_batch(counts.astype(float))
-        return np.bincount(counts, minlength=p + 1), acc
-
-    results = _run_chunked(worker, trials, seed, threads, None)
-    hist = np.zeros(p + 1, dtype=np.int64)
-    acc = MomentAccumulator()
-    for h, a in results:
-        hist += h
-        acc = merge_accumulators(acc, a)
-
-    q = dist.mass_within(epsilon)
-    expected = trials * _binomial_pmf(p, q)
-    stat, dof = _chi_square(hist.astype(float), expected)
-    return NearZeroReport(
-        period=p,
-        epsilon=epsilon,
-        q=q,
-        trials=trials,
-        seed=seed,
-        histogram=hist,
-        acc=acc,
-        chi_square=stat,
-        chi_square_dof=dof,
-    )
+    Binomial(p, q) with q = P(|yhat| < epsilon): the `near_zero_count` row
+    and histogram of a run that sets only epsilon."""
+    config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, epsilon=epsilon)
+    return run_monte_carlo(config, threads=threads)

@@ -23,15 +23,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import DiscreteMeasure
+from .bounds import DiscreteMeasure, grid_indices
 
 _BOUND_SLACK = 1e-12
 
 AMPLITUDE_MODES = ("fast-transform", "exact-sum")
-
-
-class ReductionError(ValueError):
-    """Measure does not fold to the uniform law required by orthogonality."""
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -41,8 +37,8 @@ def _frozen(values, dtype) -> np.ndarray:
 
 
 def _check_unit_band(arr: np.ndarray) -> None:
-    if arr.size and float(np.abs(arr).max()) > 1.0 + _BOUND_SLACK:
-        raise ValueError("normalized spectral difference must lie in [-1, 1]")
+    if not np.all(np.abs(arr) <= 1.0 + _BOUND_SLACK):
+        raise ValueError("normalized spectral difference must be finite and lie in [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -314,37 +310,19 @@ def spectral_difference_from_measure(
     """Fold a measure modulo 4*pi into the per-class normalized difference.
 
     Points must sit on the grid 2*pi*(n + k/p) and every residue class must
-    carry total mass 1/p within tol (the uniform-reduction constraint); the
+    carry total mass 1/p within tol (the uniform-reduction constraint,
+    checked by `bounds.grid_indices`, which raises OrthogonalityError); the
     class difference is then p * (even-shift mass - odd-shift mass).
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    step = 2.0 * np.pi / p
-    grid = np.rint(measure.points / step)
-    off = np.abs(measure.points - grid * step)
-    if off.size and float(off.max()) > tol:
-        j = int(off.argmax())
-        raise ReductionError(
-            f"point {measure.points[j]!r} is {off[j]:.3e} away from the 2*pi/{p} grid"
-        )
-    flat = grid.astype(int)
+    flat = grid_indices(measure, p, tol)
     classes = flat % p
-    shifts = (flat - classes) // p
-
-    even = np.zeros(p)
-    odd = np.zeros(p)
-    even_sel = shifts % 2 == 0
-    np.add.at(even, classes[even_sel], measure.weights[even_sel])
-    np.add.at(odd, classes[~even_sel], measure.weights[~even_sel])
-
-    class_mass = even + odd
-    dev = np.abs(class_mass - 1.0 / p)
-    if float(dev.max()) > tol:
-        k = int(dev.argmax())
-        raise ReductionError(
-            f"reduction modulo 2*pi is non-uniform: residue class {k} carries "
-            f"mass {class_mass[k]!r}, expected {1.0 / p!r}"
-        )
+    odd = flat // p % 2 == 1
+    w = measure.weights
+    # even- and odd-shift masses are summed apart; one signed sum rounds differently
+    even_mass = np.bincount(classes[~odd], weights=w[~odd], minlength=p)
+    odd_mass = np.bincount(classes[odd], weights=w[odd], minlength=p)
     # class masses were verified to tol, so any unit-band overshoot is fuzz
-    yhat = np.clip(p * (even - odd), -1.0, 1.0)
+    yhat = np.clip(p * (even_mass - odd_mass), -1.0, 1.0)
     return SpectralDifferencePeriodic(yhat)

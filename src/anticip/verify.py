@@ -268,11 +268,12 @@ def frequency_bounds(seed: int = 1) -> CriterionResult:
 
 def near_zero_binomial(seed: int = 3) -> CriterionResult:
     """Near-zero component counts follow Binomial(p, q)."""
-    rep = near_zero_statistics(SamplingDistribution.uniform(), 100, 0.1, 10_000, seed)
+    row = near_zero_statistics(SamplingDistribution.uniform(), 100, 0.1, 10_000,
+                               seed).row("near_zero_count", 0.1)
     lines = [
-        _within_se("count mean vs p*q", rep.acc.mean, rep.pred_mean, rep.acc.std_error, 4),
-        _within_se("count variance vs p*q*(1-q)", rep.acc.variance, rep.pred_var,
-                   rep.acc.variance_std_error, 5),
+        _within_se("count mean vs p*q", row.acc.mean, row.pred_mean, row.acc.std_error, 4),
+        _within_se("count variance vs p*q*(1-q)", row.acc.variance, row.pred_var,
+                   row.acc.variance_std_error, 5),
     ]
     return CriterionResult("C10", "near-zero count binomial statistic", lines)
 

@@ -30,6 +30,14 @@ def test_measure_validation():
         DiscreteMeasure([0.0, 1.0], [1.5, -0.5])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_measure_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure([0.0, 1.0], [bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        DiscreteMeasure([0.0, bad], [0.5, 0.5])
+
+
 def test_abs_moment_examples():
     assert abs_moment(DiscreteMeasure([0.0], [1.0]), 0.0) == 0.0
     m = DiscreteMeasure([0.0, PI], [0.5, 0.5])

@@ -74,10 +74,11 @@ class TestSample:
 
     def test_threads_do_not_change_output(self):
         base = ("sample", "--period", "32", "--trials", "2000", "--seed", "5",
-                "--n", "1,16")
+                "--n", "1,16", "--epsilon", "0.2")
         a = run_cli(*base)
         b = run_cli(*base, "--threads", "4")
         assert a.output == b.output
+        assert "near_zero_chi_square" in a.output
 
     def test_two_point_variance_pairing(self):
         res = run_cli("sample", "--period", "16", "--dist", "two-point:1",
@@ -97,6 +98,16 @@ class TestSample:
         assert "near_zero_count" in stats and "near_zero_chi_square" in stats
         row = next(r for r in data["results"] if r["statistic"] == "near_zero_count")
         assert row["pred_mean"] == pytest.approx(10.0)
+
+    def test_near_zero_json_key_order(self):
+        res = run_cli("sample", "--period", "16", "--trials", "300", "--n", "1",
+                      "--epsilon", "0.2", "--format", "json")
+        keys = ["mode", "size", "trials", "seed", "note", "statistic", "index", "mean",
+                "variance", "std_error", "pred_mean", "z_mean", "pred_var", "z_var"]
+        rows = json.loads(res.output)["results"]
+        assert [r["statistic"] for r in rows] == ["p_tot", "p_n", "near_zero_count",
+                                                  "near_zero_chi_square"]
+        assert [list(r) for r in rows[2:]] == [keys, keys]
 
     def test_bad_dist_exits_2(self):
         res = run_cli("sample", "--period", "8", "--dist", "gauss")
@@ -118,6 +129,37 @@ class TestSample:
         monkeypatch.setattr("anticip.sampling.EstimateReport.max_abs_z", lambda self: float("nan"))
         assert run_cli("sample", "--period", "8", "--trials", "100").exit_code == 1
         assert run_cli("sweep", "--periods", "8,16", "--trials", "100").exit_code == 1
+
+    def test_epsilon_draws_each_trial_once(self, monkeypatch):
+        from anticip.sampling import SamplingDistribution
+
+        rows = []
+        original = SamplingDistribution.sample
+
+        def counting(self, rng, shape):
+            out = original(self, rng, shape)
+            rows.append(out.shape[0] if out.ndim == 2 else 1)
+            return out
+
+        monkeypatch.setattr(SamplingDistribution, "sample", counting)
+        res = run_cli("sample", "--period", "64", "--trials", "1000", "--epsilon", "0.1")
+        assert res.exit_code == 0
+        assert sum(rows) == 1000
+
+    def test_near_zero_z_score_is_gated(self, monkeypatch):
+        # a wrong q moves only the near-zero predictions; their z-scores fail the gate
+        monkeypatch.setattr("anticip.sampling.SamplingDistribution.mass_within",
+                            lambda self, eps: 0.5)
+        res = run_cli("sample", "--period", "64", "--trials", "1000", "--epsilon", "0.1")
+        assert res.exit_code == 1
+
+    def test_non_finite_table_law_exits_2(self, tmp_path):
+        table = tmp_path / "law.json"
+        table.write_text('{"points": [0.0, 1.0], "masses": [NaN, 0.5]}')
+        res = run_cli("sample", "--period", "8", "--trials", "100",
+                      "--dist", f"table:{table}")
+        assert res.exit_code == 2
+        assert "finite" in res.output
 
     def test_epsilon_needs_periodic_mode(self):
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")

@@ -17,7 +17,6 @@ from anticip import (
     expected_pn,
     expected_pn_sq,
     expected_ptot,
-    kernels,
     lemma_unit_sum,
     var_pN,
     var_pn,
@@ -73,14 +72,10 @@ def test_kernel_u_range_and_monotonic():
 
 
 def test_kernels_bundle_and_ranges():
-    kv = kernels(8, 3, 2)
-    assert abs(kv.s_n) ** 2 == pytest.approx(abs_s_squared(8, 3), rel=1e-14)
-    assert kv.pi_n == pytest.approx(0.5)
-    assert kv.pi_prime_n == pytest.approx(1 - 3 / 8)
+    assert abs(kernel_s(8, 3)) ** 2 == pytest.approx(abs_s_squared(8, 3), rel=1e-14)
+    assert pi_tail(8, 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
-        kernels(8, 0, 2)
-    with pytest.raises(ValueError):
-        kernels(8, 1, 4)
+        kernel_u(8, 4)
 
 
 def test_expected_pn_examples():
@@ -181,18 +176,3 @@ def test_pi_tail_range():
     assert pi_tail(8, 2) == 0.5
     with pytest.raises(ValueError):
         pi_tail(8, 4)
-
-
-def test_continuous_expectations_umbrella():
-    from anticip import continuous_expectations
-
-    vals = continuous_expectations(BIASED, n=1, cells=64)
-    assert vals["p_tot"] == pytest.approx(BIASED.m2)
-    assert vals["p_n"] == pytest.approx(continuous_expected_pn(1, BIASED))
-    assert vals["p_n_cells"] == pytest.approx(expected_pn(64, 1, BIASED))
-    vals = continuous_expectations(UNIFORM, N=4, cells=16)
-    assert vals["p_N_cells"] == pytest.approx(expected_pN(16, 4, UNIFORM))
-    with pytest.raises(ValueError):
-        continuous_expectations(UNIFORM)
-    with pytest.raises(ValueError):
-        continuous_expectations(UNIFORM, n=1, N=2)

@@ -90,6 +90,13 @@ class TestDistributions:
         with pytest.raises(ValueError):
             SamplingDistribution.table([0.0, 1.0], [0.5, 0.5], symmetric=True)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_table_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SamplingDistribution.table([0.0, 1.0], [bad, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            SamplingDistribution.table([bad, 1.0], [0.5, 0.5])
+
     def test_mass_within(self):
         assert UNIFORM.mass_within(0.1) == pytest.approx(0.1)
         assert SamplingDistribution.two_point(1.0).mass_within(0.5) == 0.0
@@ -158,17 +165,27 @@ class TestEngine:
             assert a.acc.m2 == b.acc.m2
 
     def test_partition_merge_and_threads(self):
-        cfg = MonteCarloConfig(dist=UNIFORM, trials=2048, seed=4, period=32,
-                               n_list=(1,), N_list=(0, 8))
-        whole = run_monte_carlo(cfg)
-        merged = run_monte_carlo(cfg, chunk_range=(0, 3)).merge(
-            run_monte_carlo(cfg, chunk_range=(3, 8)))
-        threaded = run_monte_carlo(cfg, threads=3)
-        assert merged.trials == whole.trials == threaded.trials == 2048
-        for a, b, c in zip(whole.rows, merged.rows, threaded.rows):
-            assert math.isclose(a.acc.mean, b.acc.mean, rel_tol=1e-12, abs_tol=1e-12)
-            assert math.isclose(a.acc.variance, b.acc.variance, rel_tol=1e-12, abs_tol=1e-12)
-            assert a.acc.mean == c.acc.mean and a.acc.m2 == c.acc.m2
+        for epsilon in (None, 0.2):
+            cfg = MonteCarloConfig(dist=UNIFORM, trials=2048, seed=4, period=32,
+                                   n_list=(1,), N_list=(0, 8), epsilon=epsilon)
+            whole = run_monte_carlo(cfg)
+            merged = run_monte_carlo(cfg, chunk_range=(0, 3)).merge(
+                run_monte_carlo(cfg, chunk_range=(3, 8)))
+            threaded = run_monte_carlo(cfg, threads=3)
+            assert merged.trials == whole.trials == threaded.trials == 2048
+            for a, b, c in zip(whole.rows, merged.rows, threaded.rows):
+                assert math.isclose(a.acc.mean, b.acc.mean, rel_tol=1e-12, abs_tol=1e-12)
+                assert math.isclose(a.acc.variance, b.acc.variance, rel_tol=1e-12, abs_tol=1e-12)
+                assert a.acc.mean == c.acc.mean and a.acc.m2 == c.acc.m2
+            if epsilon is None:
+                assert whole.histogram is merged.histogram is threaded.histogram is None
+                continue
+            # the count row is among the rows compared above
+            assert whole.rows[-1].key == ("near_zero_count", 0.2)
+            assert whole.histogram.sum() == 2048
+            assert np.array_equal(whole.histogram, merged.histogram)
+            assert np.array_equal(whole.histogram, threaded.histogram)
+            assert whole.chi_square(0.2) == merged.chi_square(0.2) == threaded.chi_square(0.2)
 
     def test_thread_env_variable(self, monkeypatch):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=1024, seed=6, period=16)
@@ -286,23 +303,27 @@ class TestEngine:
 class TestNearZero:
     def test_uniform_counts(self):
         rep = near_zero_statistics(UNIFORM, 100, 0.1, 5000, 0)
-        assert rep.q == pytest.approx(0.1)
-        assert abs(rep.acc.mean - 10.0) <= 4 * rep.acc.std_error
-        assert abs(rep.acc.variance - 9.0) <= 5 * rep.acc.variance_std_error
+        row = rep.row("near_zero_count", 0.1)
+        assert row.pred_mean == pytest.approx(10.0) and row.pred_var == pytest.approx(9.0)
+        assert row.note == "epsilon=0.1 q=0.10000000000000001"
+        assert abs(row.acc.mean - 10.0) <= 4 * row.acc.std_error
+        assert abs(row.acc.variance - 9.0) <= 5 * row.acc.variance_std_error
         assert rep.histogram.sum() == 5000
-        assert rep.chi_square_dof > 0
+        chi_square, dof = rep.chi_square(0.1)
+        assert dof > 0
         # loose sanity on the fit statistic
-        assert rep.chi_square <= rep.chi_square_dof + 6 * math.sqrt(2 * rep.chi_square_dof)
+        assert chi_square <= dof + 6 * math.sqrt(2 * dof)
 
     def test_two_point_counts_zero(self):
         rep = near_zero_statistics(SamplingDistribution.two_point(1.0), 20, 0.5, 500, 0)
-        assert rep.acc.mean == 0.0
+        row = rep.row("near_zero_count", 0.5)
+        assert row.acc.mean == 0.0
         assert rep.histogram[0] == 500
-        assert rep.z_mean == 0.0
+        assert row.z_mean == 0.0
 
     def test_epsilon_near_one_captures_all(self):
         rep = near_zero_statistics(UNIFORM, 20, 1.0 - 1e-12, 500, 7)
-        assert rep.acc.mean == 20.0
+        assert rep.row("near_zero_count", 1.0 - 1e-12).acc.mean == 20.0
         assert rep.histogram[20] == 500
 
     def test_epsilon_validation(self):
@@ -310,6 +331,20 @@ class TestNearZero:
             near_zero_statistics(UNIFORM, 10, 0.0, 10, 0)
         with pytest.raises(ValueError):
             near_zero_statistics(UNIFORM, 10, 1.0, 10, 0)
+        with pytest.raises(ValueError, match="period"):
+            MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=10, epsilon=0.1)
+
+    def test_counts_come_from_the_engine_draws(self):
+        seed, trials, p, eps = 2, 200, 8, 0.3
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=p,
+                               n_list=(1,), epsilon=eps)
+        rep = run_monte_carlo(cfg)
+        assert [r.statistic for r in rep.rows] == ["p_tot", "p_n", "near_zero_count"]
+        y = UNIFORM.sample(stream(seed, 0), (trials, p))
+        counts = (np.abs(y) < eps).sum(axis=1)
+        assert np.array_equal(rep.histogram, np.bincount(counts, minlength=p + 1))
+        assert rep.row("near_zero_count", eps).acc.mean == pytest.approx(counts.mean(), abs=1e-12)
+        assert rep.row("p_tot").acc.mean == pytest.approx((y * y).mean(), abs=1e-12)
 
 
 def test_measure_route_matches_direct_sampling():

@@ -5,7 +5,7 @@ import pytest
 
 from anticip import (
     DiscreteMeasure,
-    ReductionError,
+    OrthogonalityError,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,
@@ -26,6 +26,13 @@ class TestTypes:
     def test_periodic_requires_unit_band(self):
         with pytest.raises(ValueError):
             SpectralDifferencePeriodic([1.5, 0.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_components_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDifferencePeriodic([bad, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            SpectralDifferenceContinuous([0.0, bad])
 
     def test_periodic_requires_period_two(self):
         with pytest.raises(ValueError):
@@ -245,10 +252,10 @@ class TestFromMeasure:
 
     def test_non_uniform_reduction_rejected(self):
         m = DiscreteMeasure([0.0, PI], [0.75, 0.25])
-        with pytest.raises(ReductionError, match="residue class"):
+        with pytest.raises(OrthogonalityError, match="residue class"):
             spectral_difference_from_measure(m, 2)
 
     def test_off_grid_rejected(self):
         m = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(ReductionError, match="grid"):
+        with pytest.raises(OrthogonalityError, match="grid"):
             spectral_difference_from_measure(m, 2)
