@@ -26,7 +26,7 @@ from .spectral import (
     tilde_index,
     truncation_window,
 )
-from .verify import SUITES, run_suite
+from .verify import SUITES, run_suite, suite_seeds
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -77,7 +77,8 @@ out_option = click.option(
     "--out", default="-", show_default=True, help="Output path, or - for stdout."
 )
 seed_option = click.option(
-    "--seed", type=int, default=0, show_default=True, help="Base RNG seed."
+    "--seed", type=click.IntRange(0, (1 << 64) - 1), default=0, show_default=True,
+    help="Base RNG seed, in [0, 2^64).",
 )
 
 
@@ -283,6 +284,10 @@ def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):
 @out_option
 def verify(suite, seed, fmt, out):
     """Run a verification suite; one PASS/FAIL row per criterion."""
+    try:
+        suite_seeds(suite, seed)
+    except ValueError as exc:  # a criterion's offset seed left [0, 2^64)
+        raise click.UsageError(f"--seed {seed}: {exc}") from exc
     results = run_suite(suite, seed)
     rows = []
     for res in results:

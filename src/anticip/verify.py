@@ -13,6 +13,7 @@ import numpy as np
 
 from . import closed_form as cf
 from . import bounds as fb
+from . import rng as rng_mod
 from .models import ModelSpec, make_model, closed_form_pn
 from .sampling import (
     MonteCarloConfig,
@@ -232,8 +233,6 @@ def tail_variance_decay(seed: int = 9) -> CriterionResult:
 
 def frequency_bounds(seed: int = 1) -> CriterionResult:
     """Overlap inequality on the grid plus the pi/2 frequency floor."""
-    from . import rng as rng_mod
-
     dist = SamplingDistribution.uniform()
     lines = []
     for p in (2, 4, 8):
@@ -350,13 +349,15 @@ SUITES = {
 }
 
 
-def run_suite(suite: str, seed: int = 0) -> list[CriterionResult]:
-    """Run a named suite; `seed` offsets every criterion's base seed."""
+def suite_seeds(suite: str, seed: int = 0) -> dict[str, int]:
+    """Seed of each criterion of a named suite: its base seed offset by
+    `seed`, which must stay in [0, 2^64) (ValueError otherwise)."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; expected one of {tuple(SUITES)}")
-    results = []
-    for cid in SUITES[suite]:
-        fn = CRITERIA[cid]
-        base = fn.__defaults__[0] if fn.__defaults__ else 0
-        results.append(fn(base + seed))
-    return results
+    bases = {cid: (CRITERIA[cid].__defaults__ or (0,))[0] for cid in SUITES[suite]}
+    return {cid: rng_mod.check_seed(base + seed, f"seed of {cid}") for cid, base in bases.items()}
+
+
+def run_suite(suite: str, seed: int = 0) -> list[CriterionResult]:
+    """Run a named suite; `seed` offsets every criterion's base seed."""
+    return [CRITERIA[cid](s) for cid, s in suite_seeds(suite, seed).items()]

@@ -233,6 +233,40 @@ class TestBound:
         assert res.exit_code == 2
 
 
+class TestSeedRange:
+    TOP = (1 << 64) - 1  # seeds are Philox key words, [0, 2^64), never wrapped
+
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    @pytest.mark.parametrize("command", [
+        ("sample", "--period", "8", "--trials", "10"),
+        ("sweep", "--periods", "8", "--trials", "10"),
+        ("verify", "--suite", "bounds"),
+        ("bound", "--period", "4", "--count", "2"),
+    ])
+    def test_out_of_range_seed_exits_2(self, command, seed):
+        res = run_cli(*command, "--seed", str(seed))
+        assert res.exit_code == 2
+        assert "--seed" in res.output
+
+    def test_both_ends_of_the_range_run(self):
+        rows = {}
+        for seed in (0, self.TOP):
+            res = run_cli("bound", "--period", "4", "--count", "2", "--seed", str(seed),
+                          "--format", "json")
+            assert res.exit_code == 0
+            rows[seed] = json.loads(res.output)["results"]
+            assert rows[seed][0]["seed"] == seed
+        assert rows[0][1]["lambda0"] != rows[self.TOP][1]["lambda0"]
+
+    def test_verify_offset_seed_must_stay_in_range(self):
+        # C9 (the bounds suite) runs on its base seed 1 plus --seed
+        res = run_cli("verify", "--suite", "bounds", "--seed", str(self.TOP - 1))
+        assert res.exit_code == 0
+        res = run_cli("verify", "--suite", "bounds", "--seed", str(self.TOP))
+        assert res.exit_code == 2
+        assert "seed of C9" in res.output
+
+
 class TestGolden:
     def test_model_golden(self, tmp_path):
         out = tmp_path / "model.csv"

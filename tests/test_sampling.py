@@ -58,6 +58,14 @@ class TestDistributions:
         c = UNIFORM.sample(stream(42, 6), 64)
         assert not np.array_equal(a, c)
 
+    def test_seed_outside_64_bits_rejected(self):
+        # a seed masked to 64 bits would make -1 draw what 2^64 - 1 draws
+        for seed in (-1, 1 << 64):
+            with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\^64\)"):
+                stream(seed, 0)
+        top = UNIFORM.sample(stream((1 << 64) - 1, 0), 8)
+        assert not np.array_equal(top, UNIFORM.sample(stream(0, 0), 8))
+
     def test_component_independence(self):
         # lag-1 sample correlation across components vanishes at SE scale
         draws = UNIFORM.sample(stream(12, 0), (5000, 16))
@@ -186,6 +194,20 @@ class TestEngine:
             assert np.array_equal(whole.histogram, merged.histogram)
             assert np.array_equal(whole.histogram, threaded.histogram)
             assert whole.chi_square(0.2) == merged.chi_square(0.2) == threaded.chi_square(0.2)
+
+    def test_chunks_are_folded_as_they_arrive(self):
+        from anticip.sampling import _run_chunked
+
+        calls = []
+        def worker(c, rng, n):
+            calls.append(c)
+            return c, n
+
+        results = _run_chunked(worker, 3 * 256 + 5, 0, 1, None)
+        assert next(results) == (0, 256) and calls == [0]
+        assert list(results) == [(1, 256), (2, 256), (3, 5)]
+        threaded = _run_chunked(worker, 3 * 256 + 5, 0, 2, (1, 4))
+        assert list(threaded) == [(1, 256), (2, 256), (3, 5)]
 
     def test_thread_env_variable(self, monkeypatch):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=1024, seed=6, period=16)
@@ -333,6 +355,20 @@ class TestNearZero:
             near_zero_statistics(UNIFORM, 10, 1.0, 10, 0)
         with pytest.raises(ValueError, match="period"):
             MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=10, epsilon=0.1)
+
+    def test_near_zero_alone_needs_no_transform(self, monkeypatch):
+        import anticip.sampling as sampling
+
+        def refuse(y):
+            raise AssertionError("half-step transform computed")
+
+        monkeypatch.setattr(sampling, "half_step_amplitudes", refuse)
+        rep = near_zero_statistics(UNIFORM, 16, 0.2, 300, 1)
+        assert rep.histogram.sum() == 300
+        for spectral in ({"n_list": (1,)}, {"N_list": (0,)}, {"r_list": (1.0,)}):
+            cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, period=16, **spectral)
+            with pytest.raises(AssertionError, match="transform computed"):
+                run_monte_carlo(cfg)
 
     def test_counts_come_from_the_engine_draws(self):
         seed, trials, p, eps = 2, 200, 8, 0.3

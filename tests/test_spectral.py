@@ -1,5 +1,7 @@
 """Spectral differences, half-step amplitudes and derived probabilities."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -70,7 +72,20 @@ class TestAmplitudesPeriodic:
             sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, p))
             fast = amplitudes_periodic(sd, "fast-transform")
             exact = amplitudes_periodic(sd, "exact-sum")
-            assert np.max(np.abs(fast.values - exact.values)) <= 1e-12
+            assert np.max(np.abs(fast.values - exact.values)) <= 1e-15
+
+    def test_exact_sum_matches_reduced_angle_fsum(self):
+        # alpha_n = p^-1 sum_k yhat_k exp(-i*pi*j/p), j = (2n-1)k mod 2p reduced
+        # in Python integers and each part summed exactly by math.fsum
+        rng = np.random.default_rng(3)
+        for p in range(2, 34):
+            y = [float(v) for v in rng.uniform(-1, 1, p)]
+            exact = amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values
+            for n in range(1, p + 1):
+                angles = [math.pi * ((2 * n - 1) * k % (2 * p)) / p for k in range(p)]
+                re = math.fsum(v * math.cos(a) for v, a in zip(y, angles)) / p
+                im = -math.fsum(v * math.sin(a) for v, a in zip(y, angles)) / p
+                assert abs(exact[n - 1] - complex(re, im)) <= 1e-15, (p, n)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
