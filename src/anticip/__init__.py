@@ -47,7 +47,6 @@ from .sampling import (
     near_zero_statistics,
     parse_distribution,
     run_monte_carlo,
-    sample_spectral_difference,
     tail_exceedance,
 )
 from .spectral import (

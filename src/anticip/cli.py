@@ -236,7 +236,7 @@ def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, thr
 @click.option("--N", "Ns", default=None, help="Comma-separated tail cut-offs.")
 @click.option("--r", "rs", default=None, help="Comma-separated moment orders.")
 @click.option("--epsilon", type=float, default=None, help="Near-zero count threshold.")
-@click.option("--threads", type=int, default=None,
+@click.option("--threads", type=click.IntRange(min=1), default=None,
               help="Worker threads; defaults to ANTICIP_THREADS or 1. Never changes results.")
 @format_option
 @out_option
@@ -256,7 +256,7 @@ def sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads,
 @click.option("--n", "ns", default=None, help="Comma-separated step indices.")
 @click.option("--N", "Ns", default=None, help="Comma-separated tail cut-offs.")
 @click.option("--r", "rs", default=None, help="Comma-separated moment orders.")
-@click.option("--threads", type=int, default=None)
+@click.option("--threads", type=click.IntRange(min=1), default=None)
 @format_option
 @out_option
 def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):

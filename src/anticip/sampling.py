@@ -6,9 +6,10 @@ into fixed-size chunks; chunk c draws from the counter-based stream
 how chunks are partitioned across workers. One pass over the chunks computes
 every configured statistic from the same draws: p_n, p_N, p_tot, the
 folded-index moments and, when epsilon is set, the near-zero count with its
-histogram. Per-statistic accumulators track central moments up to order four
-and merge associatively, which makes chunked, threaded and single-pass runs
-agree to rounding.
+histogram. Each chunk's statistics are stacked into one array and reduced in
+one pass to count, mean and central moments up to order four; the per-chunk
+accumulators merge associatively, which makes chunked, threaded and
+single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
@@ -23,8 +24,6 @@ from . import rng as rng_mod
 from . import closed_form as cf
 from .closed_form import MomentTuple
 from .spectral import (
-    SpectralDifferenceContinuous,
-    SpectralDifferencePeriodic,
     continuous_kernel,
     folded_index,
     half_step_amplitudes,
@@ -120,7 +119,11 @@ class SamplingDistribution:
         if self.family == "uniform":
             return rng.uniform(-1.0, 1.0, shape)
         u = rng.random(shape)
-        idx = np.minimum(np.searchsorted(self._cum, u, side="right"), self.points.size - 1)
+        # index = #{j < last : cum[j] <= u}, so u past a cum[-1] rounded below 1
+        # still lands on the last atom
+        idx = np.zeros(u.shape, dtype=np.intp)
+        for c in self._cum[:-1]:
+            idx += u >= c
         return self.points[idx]
 
     def mass_within(self, epsilon: float) -> float:
@@ -153,23 +156,6 @@ def parse_distribution(text: str) -> SamplingDistribution:
     raise ValueError(f"unknown distribution {text!r}")
 
 
-def sample_spectral_difference(
-    dist: SamplingDistribution,
-    rng: np.random.Generator,
-    *,
-    period: int | None = None,
-    cells: int | None = None,
-):
-    """One i.i.d. spectral difference of the requested size."""
-    if (period is None) == (cells is None):
-        raise ValueError("exactly one of period and cells must be given")
-    size = period if period is not None else cells
-    vals = dist.sample(rng, size)
-    if period is not None:
-        return SpectralDifferencePeriodic(vals)
-    return SpectralDifferenceContinuous(vals)
-
-
 # -- streaming accumulation --------------------------------------------------
 
 @dataclass
@@ -183,25 +169,11 @@ class MomentAccumulator:
     m4: float = 0.0
 
     def add_batch(self, x: np.ndarray) -> None:
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float).ravel()
         if x.size == 0:
             return
-        if np.all(x == x[0]):
-            # constant batches carry exactly zero central moments; computing
-            # them through the rounded batch mean would leave ~eps^2 residue
-            other = MomentAccumulator(count=x.size, mean=float(x[0]))
-        else:
-            bmean = float(x.mean())
-            d = x - bmean
-            d2 = d * d
-            other = MomentAccumulator(
-                count=x.size,
-                mean=bmean,
-                m2=float(d2.sum()),
-                m3=float((d2 * d).sum()),
-                m4=float((d2 * d2).sum()),
-            )
-        merged = merge_accumulators(self, other)
+        mean, m2, m3, m4 = _batch_moments(x[np.newaxis]).tolist()[0]
+        merged = merge_accumulators(self, MomentAccumulator(x.size, mean, m2, m3, m4))
         self.count, self.mean = merged.count, merged.mean
         self.m2, self.m3, self.m4 = merged.m2, merged.m3, merged.m4
 
@@ -223,6 +195,26 @@ class MomentAccumulator:
         mu4 = self.m4 / n
         s2 = self.variance
         return math.sqrt(max(mu4 - s2 * s2 * (n - 3) / (n - 1), 0.0) / n)
+
+
+def _batch_moments(x: np.ndarray) -> np.ndarray:
+    """Mean and central sums M2, M3, M4 of each row of a 2-d array, as an
+    (n_rows, 4) array. Every sum is a pairwise sum along a contiguous row, so
+    a row gives the same bits alone or stacked with others."""
+    mean = x.mean(axis=1)
+    d = x - mean[:, np.newaxis]
+    d2 = d * d
+    m2 = d2.sum(axis=1)
+    d *= d2
+    m3 = d.sum(axis=1)
+    d2 *= d2
+    out = np.stack((mean, m2, m3, d2.sum(axis=1)), axis=1)
+    # constant rows carry exactly zero central moments; computing them through
+    # the rounded row mean would leave ~eps^2 residue
+    const = (x == x[:, :1]).all(axis=1)
+    out[const] = 0.0
+    out[const, 0] = x[const, 0]
+    return out
 
 
 def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
@@ -402,14 +394,18 @@ class EstimateReport:
 def resolve_threads(threads: int | None) -> int:
     """Worker count: `threads` when given, else ANTICIP_THREADS, else 1."""
     if threads is not None:
-        return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV, "")
-    if not env.strip():
-        return 1
-    try:
-        return max(1, int(env))
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be an integer (got {env!r})") from None
+        n, source = int(threads), "threads"
+    else:
+        env = os.environ.get(THREADS_ENV, "")
+        if not env.strip():
+            return 1
+        try:
+            n, source = int(env), THREADS_ENV
+        except ValueError:
+            raise ValueError(f"{THREADS_ENV} must be an integer (got {env!r})") from None
+    if n < 1:
+        raise ValueError(f"{source} must be at least 1 (got {n})")
+    return n
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -568,19 +564,16 @@ def run_monte_carlo(
             stats = _periodic_trial_stats(config, y)
         else:
             stats = _continuous_trial_stats(config, y, window, kernel)
-        accs = {}
-        for key in keys:
-            acc = MomentAccumulator()
-            acc.add_batch(np.broadcast_to(stats[key], (n_trials,)))
-            accs[key] = acc
+        block = np.array([stats[key] for key in keys], dtype=float)  # one row per key
+        accs = [MomentAccumulator(n_trials, *moments) for moments in _batch_moments(block).tolist()]
         hist = None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1)
         return accs, hist
 
     totals = {key: MomentAccumulator() for key in keys}
     histogram = None if near_zero is None else np.zeros(config.size + 1, dtype=np.int64)
     for accs, hist in _run_chunked(worker, config.trials, config.seed, threads, chunk_range):
-        for key in keys:
-            totals[key] = merge_accumulators(totals[key], accs[key])
+        for key, acc in zip(keys, accs):
+            totals[key] = merge_accumulators(totals[key], acc)
         if histogram is not None:
             histogram += hist
 

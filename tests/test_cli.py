@@ -125,6 +125,19 @@ class TestSample:
         assert res.exit_code == 2
         assert "ANTICIP_THREADS" in res.output
 
+    @pytest.mark.parametrize("command", [("sample", "--period", "8"), ("sweep", "--periods", "8")])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_thread_count_below_one_exits_2(self, command, threads):
+        res = run_cli(*command, "--trials", "10", "--threads", threads)
+        assert res.exit_code == 2
+        assert "--threads" in res.output
+
+    @pytest.mark.parametrize("command", [("sample", "--period", "8"), ("sweep", "--periods", "8")])
+    def test_thread_env_below_one_exits_2(self, command):
+        res = CliRunner(env={"ANTICIP_THREADS": "-2"}).invoke(main, [*command, "--trials", "10"])
+        assert res.exit_code == 2
+        assert "ANTICIP_THREADS must be at least 1" in res.output
+
     def test_nan_z_score_exits_1(self, monkeypatch):
         monkeypatch.setattr("anticip.sampling.EstimateReport.max_abs_z", lambda self: float("nan"))
         assert run_cli("sample", "--period", "8", "--trials", "100").exit_code == 1

@@ -1,15 +1,16 @@
-"""Property-based checks of the transform identities."""
+"""Property-based checks of the transform identities and the moment reduction."""
 
 import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ModuleNotFoundError:  # pragma: no cover
     pytest.skip("hypothesis is required for property-based tests", allow_module_level=True)
 
 from anticip import (
+    MomentAccumulator,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,
@@ -20,6 +21,7 @@ from anticip import (
     probabilities,
     tilde_index,
 )
+from anticip.sampling import _batch_moments
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 periodic_values = st.lists(component, min_size=2, max_size=48)
@@ -105,3 +107,41 @@ def test_tilde_properties(n, p):
     if n >= 0:  # the fold applies |n| before the residue, so only n >= 0 wraps
         assert folded == tilde_index(n + p, p)
     assert tilde_index(n) == abs(n)
+
+
+moment_value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def _moment_row(n):
+    return st.one_of(
+        moment_value.map(lambda v: [v] * n),  # constant row
+        st.lists(moment_value, min_size=n, max_size=n),
+        st.lists(st.one_of(moment_value, st.just(float("nan"))), min_size=n, max_size=n),
+    )
+
+
+def _scalar_moments(x):
+    """The one-statistic-at-a-time reduction the batched kernel replaced."""
+    if np.all(x == x[0]):
+        return float(x[0]), 0.0, 0.0, 0.0
+    mean = float(x.mean())
+    d = x - mean
+    d2 = d * d
+    return mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum())
+
+
+@given(rows=st.integers(min_value=1, max_value=300).flatmap(
+    lambda n: st.lists(_moment_row(n), min_size=1, max_size=5)))
+@example(rows=[[0.25]])
+@example(rows=[[float("nan")], [-0.0]])
+@example(rows=[[0.1] * 256, [0.1, 0.2] * 128, [float("nan")] + [1.0] * 255])
+def test_batch_moments_rows_equal_single_row_reductions(rows):
+    x = np.array(rows, dtype=float)
+    out = _batch_moments(x)
+    assert out.shape == (len(rows), 4)
+    for row, got in zip(x, out):
+        acc = MomentAccumulator()
+        acc.add_batch(row)
+        assert acc.count == row.size
+        assert got.tobytes() == np.array([acc.mean, acc.m2, acc.m3, acc.m4]).tobytes()
+        assert got.tobytes() == np.array(_scalar_moments(row)).tobytes()

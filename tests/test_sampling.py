@@ -10,6 +10,7 @@ from anticip import (
     MomentAccumulator,
     MonteCarloConfig,
     SamplingDistribution,
+    SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_periodic,
     build_orthogonal_measure,
@@ -17,14 +18,21 @@ from anticip import (
     near_zero_statistics,
     parseval_total,
     run_monte_carlo,
-    sample_spectral_difference,
     spectral_difference_from_measure,
     stream,
     tail_exceedance,
     tilde_index,
     two_shift_law,
 )
-from anticip.sampling import StatRow, resolve_threads
+from anticip.sampling import (
+    StatRow,
+    _chunk_sizes,
+    _continuous_trial_stats,
+    _continuous_window,
+    _periodic_trial_stats,
+    resolve_threads,
+)
+from anticip.spectral import continuous_kernel
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -110,13 +118,40 @@ class TestDistributions:
         assert SamplingDistribution.two_point(1.0).mass_within(0.5) == 0.0
         assert SamplingDistribution.two_point(0.2).mass_within(0.5) == 1.0
 
-    def test_sample_spectral_difference(self):
-        sd = sample_spectral_difference(UNIFORM, stream(1, 0), period=16)
+    def test_draws_make_spectral_differences(self):
+        sd = SpectralDifferencePeriodic(UNIFORM.sample(stream(1, 0), 16))
         assert sd.period == 16
-        sdc = sample_spectral_difference(UNIFORM, stream(1, 0), cells=8)
+        sdc = SpectralDifferenceContinuous(UNIFORM.sample(stream(1, 0), 8))
         assert sdc.cells == 8
-        with pytest.raises(ValueError):
-            sample_spectral_difference(UNIFORM, stream(1, 0))
+        assert np.array_equal(sd.values[:8], sdc.values)
+
+    def test_table_draws_match_searchsorted(self):
+        class FixedUniforms:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return self.u.reshape(shape)
+
+        tenths = SamplingDistribution.table(np.linspace(-0.9, 0.9, 10), [0.1] * 10)
+        assert tenths._cum[-1] < 1.0  # the cumulative mass rounds below 1
+        laws = [
+            SamplingDistribution.two_point(0.5),
+            tenths,
+            SamplingDistribution.table([-1.0, -0.3, 0.0, 0.5, 1.0], [0.1, 0.2, 0.3, 0.15, 0.25]),
+            SamplingDistribution.table([0.0, 0.5, 1.0], [0.5, 0.0, 0.5]),  # repeated cum
+            SamplingDistribution.table([0.0, 0.5], [0.0, 1.0]),  # cum[0] = 0
+        ]
+        for law in laws:
+            cum = law._cum
+            # at each cumulative mass, just above it, and past a cum[-1] below 1
+            edges = np.concatenate([[0.0], cum, np.nextafter(cum, 2.0), [np.nextafter(1.0, 0.0)]])
+            edges = edges[edges < 1.0]
+            streamed = stream(3, 1).random((300, 17))
+            for u, draws in ((edges, law.sample(FixedUniforms(edges), edges.shape)),
+                             (streamed, law.sample(stream(3, 1), (300, 17)))):
+                idx = np.minimum(np.searchsorted(cum, u, side="right"), law.points.size - 1)
+                assert np.array_equal(draws, law.points[idx])
 
 
 class TestAccumulator:
@@ -222,6 +257,56 @@ class TestEngine:
         with pytest.raises(ValueError, match="ANTICIP_THREADS"):
             resolve_threads(None)
         assert resolve_threads(2) == 2
+
+    @pytest.mark.parametrize("bad", [0, -3])
+    def test_thread_count_below_one_rejected(self, monkeypatch, bad):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            resolve_threads(bad)
+        monkeypatch.setenv("ANTICIP_THREADS", str(bad))
+        with pytest.raises(ValueError, match="ANTICIP_THREADS must be at least 1"):
+            resolve_threads(None)
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, period=8)
+        with pytest.raises(ValueError, match="ANTICIP_THREADS"):
+            run_monte_carlo(cfg)
+
+    @pytest.mark.parametrize("cfg", [
+        MonteCarloConfig(dist=UNIFORM, trials=3 * 256 + 17, seed=5, period=64, n_list=(1, 7, 32),
+                         N_list=(0, 4), r_list=(1.0, 2.0), epsilon=0.1),
+        MonteCarloConfig(dist=SamplingDistribution.two_point(1.0), trials=600, seed=1, period=16,
+                         n_list=(1,), N_list=(0, 3), r_list=(1.0,), epsilon=0.5),
+        MonteCarloConfig(dist=UNIFORM, trials=300, seed=2, cells=24, n_list=(1, 3),
+                         N_list=(0, 2), r_list=(1.0,)),
+    ], ids=["p64-partial-chunk", "two-point-constant-rows", "continuous"])
+    def test_rows_equal_per_statistic_reduction(self, cfg):
+        # one add_batch per statistic per chunk, folded in ordinal order
+        rep = run_monte_carlo(cfg)
+        keys = [row.key for row in rep.rows]
+        totals = {key: MomentAccumulator() for key in keys}
+        histogram = np.zeros(cfg.size + 1, dtype=np.int64)
+        if cfg.mode == "continuous":
+            window = _continuous_window(cfg)
+            kernel = continuous_kernel(cfg.cells, window)
+        for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
+            y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
+            if cfg.mode == "periodic":
+                stats = _periodic_trial_stats(cfg, y)
+            else:
+                stats = _continuous_trial_stats(cfg, y, window, kernel)
+            for key in keys:
+                chunk = MomentAccumulator()
+                chunk.add_batch(stats[key])
+                totals[key] = merge_accumulators(totals[key], chunk)
+            if cfg.epsilon is not None:
+                histogram += np.bincount(stats[keys[-1]], minlength=cfg.size + 1)
+        for row in rep.rows:
+            a, b = row.acc, totals[row.key]
+            assert (a.count, a.mean, a.m2, a.m3, a.m4) == (b.count, b.mean, b.m2, b.m3, b.m4)
+        if cfg.epsilon is None:
+            assert rep.histogram is None
+        else:
+            assert np.array_equal(rep.histogram, histogram)
+        if cfg.dist.family == "two-point":
+            assert rep.row("p_tot").acc.m2 == 0.0  # the constant-row rule
 
     @pytest.mark.parametrize("p", [7, 8])
     def test_statistics_match_exact_sum_recomputation(self, p):
