@@ -60,7 +60,6 @@ from .spectral import (
     cumulative_probability,
     half_step_amplitudes,
     moment_observable,
-    parseval_total,
     probabilities,
     spectral_difference_from_measure,
     tilde_index,

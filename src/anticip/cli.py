@@ -309,7 +309,7 @@ def verify(suite, seed, fmt, out):
 
 @main.command()
 @click.option("--period", type=int, required=True, help="Orthogonal-evolution period.")
-@click.option("--count", type=int, default=100, show_default=True,
+@click.option("--count", type=click.IntRange(min=1), default=100, show_default=True,
               help="Number of random measures (plus the evenly-spread one).")
 @seed_option
 @format_option

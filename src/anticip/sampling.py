@@ -1,20 +1,22 @@
 """Random spectral differences and streaming Monte Carlo estimation.
 
 Components yhat_k are drawn i.i.d. from a law on [-1, 1]. Trials are grouped
-into fixed-size chunks; chunk c draws from the counter-based stream
-(seed, c), so the set of drawn values depends only on the seed and never on
-how chunks are partitioned across workers. One pass over the chunks computes
-every configured statistic from the same draws: p_n, p_N, p_tot, the
-folded-index moments and, when epsilon is set, the near-zero count with its
-histogram. Each chunk's statistics are stacked into one array and reduced in
-one pass to count, mean and central moments up to order four; the per-chunk
-accumulators merge associatively, which makes chunked, threaded and
+into fixed-size chunks; chunk c draws from the counter-based stream (seed, c),
+so the drawn values depend only on the seed, never on how chunks are
+partitioned across workers or where in memory they land. One pass over the
+chunks computes every configured statistic from the same draws: p_n, p_N,
+p_tot, the folded-index moments and, when epsilon is set, the near-zero count
+with its histogram. Each worker thread allocates its chunk buffers (draws,
+transform, power spectrum) once per run. A chunk's statistics are stacked and
+reduced in one pass to count, mean and central moments up to order four; the
+per-chunk accumulators merge associatively, which makes chunked, threaded and
 single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -27,6 +29,8 @@ from .spectral import (
     continuous_kernel,
     folded_index,
     half_step_amplitudes,
+    half_step_twiddle,
+    odd_half_step_bins,
 )
 
 CHUNK = 256  # trials per RNG stream; fixed so partitioning never moves a draw
@@ -115,16 +119,17 @@ class SamplingDistribution:
             _cum=np.cumsum(ms),
         )
 
-    def sample(self, rng: np.random.Generator, shape) -> np.ndarray:
-        if self.family == "uniform":
-            return rng.uniform(-1.0, 1.0, shape)
-        u = rng.random(shape)
+    def sample(self, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
+        """Draws of the given shape, written into `out` when it is given."""
+        y = rng.random(shape) if out is None else rng.random(out=out)
+        if self.family == "uniform":  # -1 + 2u is exact: rng.uniform(-1, 1)'s bits
+            return np.subtract(np.multiply(y, 2.0, out=y), 1.0, out=y)
         # index = #{j < last : cum[j] <= u}, so u past a cum[-1] rounded below 1
         # still lands on the last atom
-        idx = np.zeros(u.shape, dtype=np.intp)
+        idx = np.zeros(y.shape, dtype=np.intp)
         for c in self._cum[:-1]:
-            idx += u >= c
-        return self.points[idx]
+            idx += y >= c
+        return np.take(self.points, idx, out=out, mode="clip")  # idx in range: "clip" skips a copy
 
     def mass_within(self, epsilon: float) -> float:
         """P(|yhat| < epsilon), analytic per family."""
@@ -218,10 +223,8 @@ def _batch_moments(x: np.ndarray) -> np.ndarray:
 
 
 def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    if a.count == 0:
-        return MomentAccumulator(b.count, b.mean, b.m2, b.m3, b.m4)
-    if b.count == 0:
-        return MomentAccumulator(a.count, a.mean, a.m2, a.m3, a.m4)
+    if a.count == 0 or b.count == 0:
+        return replace(b if a.count == 0 else a)  # a copy of the nonempty side
     na, nb = a.count, b.count
     n = na + nb
     d = b.mean - a.mean
@@ -281,8 +284,8 @@ class MonteCarloConfig:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
         for r in self.r_list:
-            if r < 0:
-                raise ValueError("moment orders must be nonnegative")
+            if not (math.isfinite(r) and r >= 0):
+                raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
         if self.epsilon is not None:
             if self.period is None:
                 raise ValueError("near-zero counts need a period (periodic mode)")
@@ -355,28 +358,14 @@ class EstimateReport:
 
     def merge(self, other: "EstimateReport") -> "EstimateReport":
         """Combine two disjoint trial partitions of the same configuration."""
-        if (self.mode, self.size, self.dist_label, self.seed) != (
-            other.mode,
-            other.size,
-            other.dist_label,
-            other.seed,
-        ):
+        if any(getattr(self, k) != getattr(other, k) for k in ("mode", "size", "dist_label", "seed")):
             raise ValueError("reports to merge must share their configuration")
         if [r.key for r in self.rows] != [r.key for r in other.rows]:
             raise ValueError("reports to merge must carry the same statistics")
-        rows = [
-            replace(a, acc=merge_accumulators(a.acc, b.acc))
-            for a, b in zip(self.rows, other.rows)
-        ]
-        return EstimateReport(
-            mode=self.mode,
-            size=self.size,
-            dist_label=self.dist_label,
-            seed=self.seed,
-            trials=self.trials + other.trials,
-            rows=rows,
-            histogram=None if self.histogram is None else self.histogram + other.histogram,
-        )
+        rows = [replace(a, acc=merge_accumulators(a.acc, b.acc))
+                for a, b in zip(self.rows, other.rows)]
+        histogram = None if self.histogram is None else self.histogram + other.histogram
+        return replace(self, trials=self.trials + other.trials, rows=rows, histogram=histogram)
 
     def chi_square(self, q: float) -> tuple[float, int]:
         """Pearson statistic of the near-zero histogram against
@@ -436,12 +425,37 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
         yield from pool.map(call, ordinals)
 
 
-def _half_spectrum(y: np.ndarray) -> np.ndarray:
-    """p_n for n = 1..ceil(p/2) of each row; p_{p+1-n} = p_n gives the rest."""
-    half = half_step_amplitudes(y)
-    pn = half.real**2
-    pn += half.imag**2
-    return pn
+def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum: bool):
+    """`chunk(rng, n_trials)` draws one chunk of a periodic run and returns y,
+    p_tot and p_n for n = 1..ceil(p/2) (None unless `spectrum`). Even p works
+    in the calling thread's buffers, which its next chunk overwrites: `y`, the
+    draws; `z` (complex, the bytes of y), y*y, then the packed sequence and its
+    in-place FFT; `po` and `pn`, p_n in FFT and n order. Odd p buffers only y."""
+    rows, h, q, local = min(CHUNK, trials), p // 2, (p // 2 + 1) // 2, threading.local()
+    twiddle = half_step_twiddle(p)
+
+    def chunk(rng: np.random.Generator, n: int):
+        if not hasattr(local, "y"):  # odd p leaves z, po and pn unused
+            local.y, local.z = np.empty((rows, p)), np.empty((rows, h), dtype=complex)
+            local.po, local.pn = np.empty((rows, h)), np.empty((rows, h))
+        y = dist.sample(rng, (n, p), out=local.y[:n])
+        sq = None if p % 2 else local.z.view(float)[:n]  # odd p: y*y allocates, as its FFT does
+        ptot = np.multiply(y, y, out=sq).mean(axis=1)  # Parseval: exact, no transform error
+        if not spectrum:
+            return y, ptot, None
+        if p % 2:  # odd p keeps the allocating real-FFT path
+            amps, po = half_step_amplitudes(y), None
+        else:
+            amps, po = odd_half_step_bins(y, local.z[:n], twiddle), local.po[:n]
+        po = np.multiply(amps.real, amps.real, out=po)
+        amps.imag *= amps.imag  # conjugation flips no square
+        po += amps.imag
+        pn = po if p % 2 else local.pn[:n]
+        if not p % 2:  # p_{2m+2} = p_{2(h-1-m)+1}
+            pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]
+        return y, ptot, pn
+
+    return chunk
 
 
 def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
@@ -460,17 +474,15 @@ def _half_moment_weights(p: int, r: float) -> np.ndarray:
     return w
 
 
-def _periodic_trial_stats(config: MonteCarloConfig, y: np.ndarray) -> dict:
+def _periodic_trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict) -> dict:
     p = config.period
-    pn = _half_spectrum(y) if config.n_list or config.N_list or config.r_list else None
-    ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
     out = {("p_tot", None): ptot}
     for n in config.n_list:
         out[("p_n", float(n))] = pn[:, min(n, p + 1 - n) - 1]
     for N in config.N_list:
         out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
     for r in config.r_list:
-        out[("moment", float(r))] = pn @ _half_moment_weights(p, r)
+        out[("moment", float(r))] = pn @ weights[r]
     if config.epsilon is not None:
         out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
     return out
@@ -553,16 +565,19 @@ def run_monte_carlo(
     preds = _predictions(config)
     keys = list(preds)
     near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
-    window = kernel = None
     if config.mode == "continuous":
         window = _continuous_window(config)
         kernel = continuous_kernel(config.cells, window)
+    else:
+        spectrum = bool(config.n_list or config.N_list or config.r_list)  # else no transform
+        chunk = _periodic_chunks(config.dist, config.period, config.trials, spectrum)
+        weights = {r: _half_moment_weights(config.period, r) for r in config.r_list}
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
-        y = config.dist.sample(rng, (n_trials, config.size))
         if config.mode == "periodic":
-            stats = _periodic_trial_stats(config, y)
+            stats = _periodic_trial_stats(config, *chunk(rng, n_trials), weights)
         else:
+            y = config.dist.sample(rng, (n_trials, config.size))
             stats = _continuous_trial_stats(config, y, window, kernel)
         block = np.array([stats[key] for key in keys], dtype=float)  # one row per key
         accs = [MomentAccumulator(n_trials, *moments) for moments in _batch_moments(block).tolist()]
@@ -579,15 +594,9 @@ def run_monte_carlo(
 
     # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
     rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
-    return EstimateReport(
-        mode=config.mode,
-        size=config.size,
-        dist_label=config.dist.label,
-        seed=config.seed,
-        trials=totals[keys[0]].count,
-        rows=rows,
-        histogram=histogram,
-    )
+    return EstimateReport(mode=config.mode, size=config.size, dist_label=config.dist.label,
+                          seed=config.seed, trials=totals[keys[0]].count, rows=rows,
+                          histogram=histogram)
 
 
 def tail_exceedance(
@@ -604,22 +613,19 @@ def tail_exceedance(
     if not 0 <= N < p / 2:
         raise ValueError(f"N must lie in 0..<{p / 2}")
 
+    chunk = _periodic_chunks(dist, p, trials, spectrum=True)
+
     def worker(c: int, rng: np.random.Generator, n_trials: int):
-        y = dist.sample(rng, (n_trials, p))
-        tail = _tail_probability(_half_spectrum(y), (y * y).mean(axis=1), N)
-        return int((tail > delta).sum())
+        _, ptot, pn = chunk(rng, n_trials)
+        return int((_tail_probability(pn, ptot, N) > delta).sum())
 
     return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:
-    if q <= 0.0:
+    if q <= 0.0 or q >= 1.0:  # all mass on 0 or on p near-zero components
         out = np.zeros(p + 1)
-        out[0] = 1.0
-        return out
-    if q >= 1.0:
-        out = np.zeros(p + 1)
-        out[p] = 1.0
+        out[0 if q <= 0.0 else p] = 1.0
         return out
     k = np.arange(p + 1)
     logc = (

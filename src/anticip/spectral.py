@@ -133,27 +133,43 @@ class MomentResult(NamedTuple):
     diverged: bool
 
 
+def half_step_twiddle(p: int) -> np.ndarray:
+    """exp(-i*pi*j/p) / p for j < p/2, the twiddle of `odd_half_step_bins`."""
+    return np.exp(-1j * np.pi * np.arange(p // 2) / p) / p
+
+
+def odd_half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+    """alpha_1, alpha_3, ..., alpha_{p-1} of each real row of y, even p = 2h.
+
+    Packs the two halves of a row into one complex sequence,
+    z_j = (yhat_j - i*yhat_{j+h}) * twiddle_j, in the complex array z of
+    shape (..., h), and returns its length-h DFT, computed in place in z.
+    """
+    h = y.shape[-1] // 2
+    # the same bits, signed zeros included, as y[..., h:] * -1j + y[..., :h]
+    np.add(y[..., :h], 0.0, out=z.real)
+    np.subtract(0.0, y[..., h:], out=z.imag)
+    z *= twiddle
+    return np.fft.fft(z, out=z)
+
+
 def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
     """alpha_1..alpha_ceil(p/2) of each real row of y, shape (..., p).
 
-    Even p = 2h packs the two halves of a row into one complex sequence,
-    z_j = (yhat_j - i*yhat_{j+h}) * exp(-i*pi*j/p) / p, whose length-h DFT
-    at m is alpha_{2m+1}; the even indices follow from the conjugate
-    symmetry, alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}). Odd p takes the odd
-    bins of a length-2p real FFT. Every row is transformed on its own, so a
-    batched call returns each row's single-row result bit for bit.
+    Even p = 2h takes alpha_{2m+1} from `odd_half_step_bins`; the even
+    indices follow from the conjugate symmetry,
+    alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}). Odd p takes the odd bins of a
+    length-2p real FFT. Every row is transformed on its own, so a batched
+    call returns each row's single-row result bit for bit.
     """
     y = np.asarray(y, dtype=float)
     p = y.shape[-1]
     if p % 2:
         return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
     h = p // 2
-    z = y[..., h:] * -1j
-    z += y[..., :h]
-    z *= np.exp(-1j * np.pi * np.arange(h) / p) / p
-    odd = np.fft.fft(z)  # alpha_1, alpha_3, ..., alpha_{p-1}
+    odd = odd_half_step_bins(y, np.empty(y.shape[:-1] + (h,), complex), half_step_twiddle(p))
     q = (h + 1) // 2
-    half = z  # z is spent: its memory takes the result
+    half = np.empty_like(odd)
     half[..., 0::2] = odd[..., :q]
     np.conjugate(odd[..., q:][..., ::-1], out=half[..., 1::2])
     return half
@@ -220,11 +236,6 @@ def probabilities(amps: AmplitudeSeries) -> ProbabilitySeries:
         p_tot=float(vals.sum()),
         period=amps.period,
     )
-
-
-def parseval_total(sd) -> float:
-    """Total half-step probability from the difference alone: mean(yhat^2)."""
-    return float(np.mean(sd.values**2))
 
 
 def truncation_window(sd: SpectralDifferenceContinuous, tail_tol: float = 1e-6) -> int:

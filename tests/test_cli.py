@@ -149,8 +149,8 @@ class TestSample:
         rows = []
         original = SamplingDistribution.sample
 
-        def counting(self, rng, shape):
-            out = original(self, rng, shape)
+        def counting(self, rng, shape, out=None):
+            out = original(self, rng, shape, out=out)
             rows.append(out.shape[0] if out.ndim == 2 else 1)
             return out
 
@@ -191,6 +191,17 @@ class TestSample:
         assert res.exit_code == 0
         data = json.loads(res.output)
         assert data["config"]["mode"] == "continuous"
+
+
+@pytest.mark.parametrize("r", ["nan", "inf", "-inf", "1,nan"])
+@pytest.mark.parametrize("command", [
+    ("sample", "--period", "8", "--trials", "10"),
+    ("sweep", "--periods", "8,16", "--trials", "10"),
+])
+def test_non_finite_moment_order_exits_2(command, r):
+    res = run_cli(*command, "--r", r)
+    assert res.exit_code == 2
+    assert "moment orders must be finite and nonnegative" in res.output
 
 
 class TestSweep:
@@ -244,6 +255,12 @@ class TestBound:
     def test_bad_period_exits_2(self):
         res = run_cli("bound", "--period", "1")
         assert res.exit_code == 2
+
+    @pytest.mark.parametrize("count", ["-1", "0"])
+    def test_count_below_one_exits_2(self, count):
+        res = run_cli("bound", "--period", "4", "--count", count)
+        assert res.exit_code == 2
+        assert "--count" in res.output
 
 
 class TestSeedRange:

@@ -1,6 +1,8 @@
 """Sampling distributions, streaming accumulators and the Monte Carlo engine."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,9 +16,9 @@ from anticip import (
     SpectralDifferencePeriodic,
     amplitudes_periodic,
     build_orthogonal_measure,
+    half_step_amplitudes,
     merge_accumulators,
     near_zero_statistics,
-    parseval_total,
     run_monte_carlo,
     spectral_difference_from_measure,
     stream,
@@ -29,7 +31,11 @@ from anticip.sampling import (
     _chunk_sizes,
     _continuous_trial_stats,
     _continuous_window,
+    _batch_moments,
+    _half_moment_weights,
+    _periodic_chunks,
     _periodic_trial_stats,
+    _predictions,
     resolve_threads,
 )
 from anticip.spectral import continuous_kernel
@@ -154,6 +160,27 @@ class TestDistributions:
                 assert np.array_equal(draws, law.points[idx])
 
 
+    @pytest.mark.parametrize("dist", [
+        UNIFORM,
+        SamplingDistribution.two_point(0.0),
+        SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3]),
+    ], ids=lambda d: d.label)
+    def test_draws_into_out_are_the_allocated_draws(self, dist):
+        for shape in ((256, 64), (17, 5), (3,)):
+            fresh = dist.sample(stream(9, 2), shape)
+            buf = np.full(shape, np.nan)
+            assert dist.sample(stream(9, 2), shape, out=buf) is buf
+            assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64))
+            # the formulas the draws were first written with
+            if dist.family == "uniform":
+                first = stream(9, 2).uniform(-1.0, 1.0, shape)
+            else:
+                u = stream(9, 2).random(shape)
+                first = dist.points[np.minimum(np.searchsorted(dist._cum, u, side="right"),
+                                               dist.points.size - 1)]
+            assert np.array_equal(fresh.view(np.uint64), first.view(np.uint64))
+
+
 class TestAccumulator:
     def test_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -198,6 +225,12 @@ class TestEngine:
             MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, period=8, N_list=(4,))
         with pytest.raises(ValueError):
             MonteCarloConfig(dist=UNIFORM, trials=0, seed=0, period=8)
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
+    @pytest.mark.parametrize("mode", [{"period": 8}, {"cells": 8}])
+    def test_moment_orders_must_be_finite_and_nonnegative(self, r, mode):
+        with pytest.raises(ValueError, match="moment orders must be finite and nonnegative"):
+            MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, r_list=(1.0, r), **mode)
 
     def test_determinism(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=2000, seed=11, period=16,
@@ -288,8 +321,11 @@ class TestEngine:
             kernel = continuous_kernel(cfg.cells, window)
         for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
             y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
-            if cfg.mode == "periodic":
-                stats = _periodic_trial_stats(cfg, y)
+            if cfg.mode == "periodic":  # the allocating transform, squared
+                half = half_step_amplitudes(y)
+                weights = {r: _half_moment_weights(cfg.period, r) for r in cfg.r_list}
+                stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
+                                              half.real**2 + half.imag**2, weights)
             else:
                 stats = _continuous_trial_stats(cfg, y, window, kernel)
             for key in keys:
@@ -444,10 +480,11 @@ class TestNearZero:
     def test_near_zero_alone_needs_no_transform(self, monkeypatch):
         import anticip.sampling as sampling
 
-        def refuse(y):
+        def refuse(*args):
             raise AssertionError("half-step transform computed")
 
         monkeypatch.setattr(sampling, "half_step_amplitudes", refuse)
+        monkeypatch.setattr(sampling, "odd_half_step_bins", refuse)  # the even-p engine path
         rep = near_zero_statistics(UNIFORM, 16, 0.2, 300, 1)
         assert rep.histogram.sum() == 300
         for spectral in ({"n_list": (1,)}, {"N_list": (0,)}, {"r_list": (1.0,)}):
@@ -476,10 +513,116 @@ def test_measure_route_matches_direct_sampling():
     totals = []
     for _ in range(trials):
         m = build_orthogonal_measure(p, two_shift_law(UNIFORM), gen)
-        totals.append(parseval_total(spectral_difference_from_measure(m, p)))
+        totals.append(float(np.mean(spectral_difference_from_measure(m, p).values**2)))
     totals = np.asarray(totals)
 
     cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=22, period=p)
     direct = run_monte_carlo(cfg).row("p_tot")
     se = math.sqrt(totals.var(ddof=1) / trials + direct.acc.std_error**2)
     assert abs(totals.mean() - direct.acc.mean) <= 4 * se
+
+
+def _bits(acc: MomentAccumulator) -> np.ndarray:
+    return np.array([acc.mean, acc.m2, acc.m3, acc.m4]).view(np.uint64)
+
+
+class TestChunkBuffers:
+    """The engine's buffered chunk pipeline gives the bits of the allocating
+    path: `half_step_amplitudes`, squared, and (y*y).mean(axis=1)."""
+
+    TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
+
+    @staticmethod
+    def _config(dist, p, trials):
+        return MonteCarloConfig(dist=dist, trials=trials, seed=p + 7, period=p,
+                                n_list=tuple(sorted({1, min(2, p), (p + 1) // 2, p})),
+                                N_list=tuple(sorted({0, (p - 1) // 2})), r_list=(1.0, 2.0),
+                                epsilon=0.3)
+
+    @staticmethod
+    def _allocating(cfg, chunks):
+        """Accumulators and histogram of the given chunk ordinals, each chunk's
+        statistics from freshly allocated arrays, folded in ordinal order."""
+        keys = [*_predictions(cfg)]
+        weights = {r: _half_moment_weights(cfg.period, r) for r in cfg.r_list}
+        totals = {key: MomentAccumulator() for key in keys}
+        histogram = np.zeros(cfg.period + 1, dtype=np.int64)
+        sizes = _chunk_sizes(cfg.trials)
+        for c in chunks:
+            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
+            half = half_step_amplitudes(y)
+            stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
+                                          half.real**2 + half.imag**2, weights)
+            block = np.array([stats[key] for key in keys], dtype=float)
+            for key, moments in zip(keys, _batch_moments(block).tolist()):
+                totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
+            histogram += np.bincount(stats[keys[-1]], minlength=cfg.period + 1)
+        return totals, histogram
+
+    def _assert_bits(self, rep, cfg, chunks):
+        totals, histogram = self._allocating(cfg, chunks)
+        assert [row.key for row in rep.rows] == [*totals]
+        for row in rep.rows:
+            assert row.acc.count == totals[row.key].count
+            assert np.array_equal(_bits(row.acc), _bits(totals[row.key])), row.key
+        assert np.array_equal(rep.histogram, histogram)
+
+    @pytest.mark.parametrize("p, trials", [
+        (2, 513), (3, 300), (4, 257), (5, 300), (6, 300), (8, 600), (33, 300), (64, 3 * 256 + 17),
+        (4096, 300),
+    ])
+    @pytest.mark.parametrize("dist", [UNIFORM, SamplingDistribution.two_point(0.0), TABLE],
+                             ids=lambda d: d.label)
+    def test_engine_rows_equal_the_allocating_path(self, p, trials, dist):
+        cfg = self._config(dist, p, trials)
+        chunks = range(len(_chunk_sizes(trials)))
+        self._assert_bits(run_monte_carlo(cfg), cfg, chunks)
+        self._assert_bits(run_monte_carlo(cfg, threads=2), cfg, chunks)
+        self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks))), cfg, chunks[1:])
+
+    @pytest.mark.parametrize("dist, p, N, delta, trials, seed, threads, exceeded", [
+        (UNIFORM, 64, 4, 0.3, 1000, 0, None, 421),
+        (UNIFORM, 33, 3, 0.3, 700, 1, None, 214),
+        (UNIFORM, 4096, 1024, 0.16, 300, 2, None, 280),
+        (TABLE, 16, 2, 0.2, 600, 3, 2, 273),
+        (SamplingDistribution.two_point(0.5), 8, 1, 0.2, 513, 4, None, 274),
+        (UNIFORM, 2, 0, 0.2, 257, 5, 2, 176),
+    ])
+    def test_tail_exceedance_fractions_are_unchanged(self, dist, p, N, delta, trials, seed,
+                                                     threads, exceeded):
+        # counts recorded from the allocating pipeline for these seeds
+        assert tail_exceedance(dist, p, N, delta, trials, seed, threads=threads) == exceeded / trials
+
+    @pytest.mark.parametrize("p", [8, 9])
+    def test_chunks_reuse_their_thread_buffers(self, p):
+        chunk = _periodic_chunks(UNIFORM, p, 3 * 256, spectrum=True)
+        y0, ptot0, pn0 = chunk(stream(0, 0), 256)
+        first = (y0.copy(), ptot0.copy(), pn0.copy())
+        y1, ptot1, pn1 = chunk(stream(0, 1), 256)
+        assert np.shares_memory(y0, y1)
+        assert np.shares_memory(pn0, pn1) == (p % 2 == 0)  # odd p: p_n from its allocating FFT
+        assert not np.shares_memory(ptot0, ptot1)  # reduced statistics are fresh arrays
+        assert not np.array_equal(first[0], y1)  # the second chunk overwrote the first
+        other = []
+        worker = threading.Thread(target=lambda: other.extend(chunk(stream(0, 0), 256)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert not any(np.shares_memory(a, b) for a, b in zip(other, (y1, ptot1, pn1)))
+        for a, b in zip(other, first):  # another thread, its own buffers, the same bits
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    def test_threads_keep_the_bits_under_frequent_switches(self):
+        # more workers than cores, switching every microsecond: a buffer shared
+        # between threads would mix one chunk's draws into another's statistics
+        cfg = self._config(UNIFORM, 64, 40 * 256 + 3)
+        base = run_monte_carlo(cfg)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run_monte_carlo(cfg, threads=4)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(base.rows, threaded.rows):
+            assert np.array_equal(_bits(a.acc), _bits(b.acc)), a.key
+        assert np.array_equal(base.histogram, threaded.histogram)

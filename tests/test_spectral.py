@@ -13,8 +13,8 @@ from anticip import (
     amplitudes_continuous,
     amplitudes_periodic,
     cumulative_probability,
+    half_step_amplitudes,
     moment_observable,
-    parseval_total,
     probabilities,
     spectral_difference_from_measure,
     tilde_index,
@@ -91,6 +91,36 @@ class TestAmplitudesPeriodic:
         with pytest.raises(ValueError):
             amplitudes_periodic(SpectralDifferencePeriodic([1.0, 0.0]), "magic")
 
+    @staticmethod
+    def _packed_formula(y):
+        # the packing as first written: y_hi * -1j + y_lo, twiddled, one
+        # allocating FFT, then the conjugate mirror into the spent input
+        p = y.shape[-1]
+        if p % 2:
+            return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
+        h = p // 2
+        z = y[..., h:] * -1j
+        z += y[..., :h]
+        z *= np.exp(-1j * np.pi * np.arange(h) / p) / p
+        odd = np.fft.fft(z)
+        q = (h + 1) // 2
+        z[..., 0::2] = odd[..., :q]
+        np.conjugate(odd[..., q:][..., ::-1], out=z[..., 1::2])
+        return z
+
+    @pytest.mark.parametrize("p", [*range(2, 19), 33, 64, 4095, 4096])
+    def test_half_step_bits_match_the_packed_formula(self, p):
+        rng = np.random.default_rng(p)
+        y = rng.uniform(-1, 1, (5, p))
+        y[0] = 0.0
+        y[1] = -0.0
+        y[2, ::2] = -0.0  # signed zeros among nonzero components
+        y[3, 1::3] = 0.0
+        for rows in (y, y[4]):  # batched and one 1-d row
+            got = half_step_amplitudes(rows)
+            assert got.shape == rows.shape[:-1] + ((p + 1) // 2,)
+            assert np.array_equal(got.view(np.uint64), self._packed_formula(rows).view(np.uint64))
+
     def test_periodicity_exact(self):
         rng = np.random.default_rng(2)
         amps = amplitudes_periodic(SpectralDifferencePeriodic(rng.uniform(-1, 1, 12)))
@@ -135,20 +165,20 @@ class TestParseval:
         for p in (2, 7, 64, 513):
             sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, p))
             pr = probabilities(amplitudes_periodic(sd))
-            assert pr.p_tot == pytest.approx(parseval_total(sd), rel=1e-12)
+            assert pr.p_tot == pytest.approx(float(np.mean(sd.values**2)), rel=1e-12)
 
     def test_continuous_truncation_with_tail_bound(self):
         # constant difference: the default-window tail estimate is tight
         sd = SpectralDifferenceContinuous([0.8, 0.8])
         n_max = truncation_window(sd, tail_tol=1e-6)
         pr = probabilities(amplitudes_continuous(sd, 1 - n_max, n_max))
-        gap = parseval_total(sd) - pr.p_tot
+        gap = float(np.mean(sd.values**2)) - pr.p_tot
         assert -1e-12 <= gap <= 1e-6
 
     def test_continuous_convergence_generic(self):
         rng = np.random.default_rng(5)
         sd = SpectralDifferenceContinuous(rng.uniform(-1, 1, 8))
-        total = parseval_total(sd)
+        total = float(np.mean(sd.values**2))
         gaps = []
         for half in (64, 256, 1024):
             pr = probabilities(amplitudes_continuous(sd, 1 - half, half))
