@@ -223,8 +223,10 @@ def _batch_moments(x: np.ndarray) -> np.ndarray:
 
 
 def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccumulator:
-    if a.count == 0 or b.count == 0:
-        return replace(b if a.count == 0 else a)  # a copy of the nonempty side
+    if a.count == 0:
+        return MomentAccumulator(b.count, b.mean, b.m2, b.m3, b.m4)
+    if b.count == 0:
+        return MomentAccumulator(a.count, a.mean, a.m2, a.m3, a.m4)
     na, nb = a.count, b.count
     n = na + nb
     d = b.mean - a.mean
@@ -358,14 +360,28 @@ class EstimateReport:
 
     def merge(self, other: "EstimateReport") -> "EstimateReport":
         """Combine two disjoint trial partitions of the same configuration."""
-        if any(getattr(self, k) != getattr(other, k) for k in ("mode", "size", "dist_label", "seed")):
+        if (self.mode, self.size, self.dist_label, self.seed) != (
+            other.mode,
+            other.size,
+            other.dist_label,
+            other.seed,
+        ):
             raise ValueError("reports to merge must share their configuration")
         if [r.key for r in self.rows] != [r.key for r in other.rows]:
             raise ValueError("reports to merge must carry the same statistics")
-        rows = [replace(a, acc=merge_accumulators(a.acc, b.acc))
-                for a, b in zip(self.rows, other.rows)]
-        histogram = None if self.histogram is None else self.histogram + other.histogram
-        return replace(self, trials=self.trials + other.trials, rows=rows, histogram=histogram)
+        rows = [
+            replace(a, acc=merge_accumulators(a.acc, b.acc))
+            for a, b in zip(self.rows, other.rows)
+        ]
+        return EstimateReport(
+            mode=self.mode,
+            size=self.size,
+            dist_label=self.dist_label,
+            seed=self.seed,
+            trials=self.trials + other.trials,
+            rows=rows,
+            histogram=None if self.histogram is None else self.histogram + other.histogram,
+        )
 
     def chi_square(self, q: float) -> tuple[float, int]:
         """Pearson statistic of the near-zero histogram against
@@ -430,32 +446,46 @@ def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum: 
     p_tot and p_n for n = 1..ceil(p/2) (None unless `spectrum`). Even p works
     in the calling thread's buffers, which its next chunk overwrites: `y`, the
     draws; `z` (complex, the bytes of y), y*y, then the packed sequence and its
-    in-place FFT; `po` and `pn`, p_n in FFT and n order. Odd p buffers only y."""
-    rows, h, q, local = min(CHUNK, trials), p // 2, (p // 2 + 1) // 2, threading.local()
-    twiddle = half_step_twiddle(p)
+    in-place FFT; `po` and `pn`, p_n in FFT and n order. Odd p buffers only y:
+    its y*y and real FFT allocate."""
+    rows, h, local = min(CHUNK, trials), p // 2, threading.local()
 
-    def chunk(rng: np.random.Generator, n: int):
-        if not hasattr(local, "y"):  # odd p leaves z, po and pn unused
-            local.y, local.z = np.empty((rows, p)), np.empty((rows, h), dtype=complex)
-            local.po, local.pn = np.empty((rows, h)), np.empty((rows, h))
-        y = dist.sample(rng, (n, p), out=local.y[:n])
-        sq = None if p % 2 else local.z.view(float)[:n]  # odd p: y*y allocates, as its FFT does
-        ptot = np.multiply(y, y, out=sq).mean(axis=1)  # Parseval: exact, no transform error
+    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
+        if not hasattr(local, "y"):
+            local.y = np.empty((rows, p))
+        return dist.sample(rng, (n, p), out=local.y[:n])
+
+    def odd_chunk(rng: np.random.Generator, n: int):
+        y = draw(rng, n)
+        ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
         if not spectrum:
             return y, ptot, None
-        if p % 2:  # odd p keeps the allocating real-FFT path
-            amps, po = half_step_amplitudes(y), None
-        else:
-            amps, po = odd_half_step_bins(y, local.z[:n], twiddle), local.po[:n]
-        po = np.multiply(amps.real, amps.real, out=po)
-        amps.imag *= amps.imag  # conjugation flips no square
-        po += amps.imag
-        pn = po if p % 2 else local.pn[:n]
-        if not p % 2:  # p_{2m+2} = p_{2(h-1-m)+1}
-            pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]
+        amps = half_step_amplitudes(y)
+        pn = amps.real**2
+        pn += amps.imag**2
         return y, ptot, pn
 
-    return chunk
+    if p % 2:
+        return odd_chunk
+    q, twiddle = (h + 1) // 2, half_step_twiddle(p)
+
+    def even_chunk(rng: np.random.Generator, n: int):
+        y = draw(rng, n)
+        if not hasattr(local, "z"):
+            local.z = np.empty((rows, h), dtype=complex)
+            local.po, local.pn = np.empty((rows, h)), np.empty((rows, h))
+        z, po, pn = local.z[:n], local.po[:n], local.pn[:n]
+        ptot = np.multiply(y, y, out=z.view(float)).mean(axis=1)  # the same pairwise row mean
+        if not spectrum:
+            return y, ptot, None
+        amps = odd_half_step_bins(y, z, twiddle)
+        np.multiply(amps.real, amps.real, out=po)
+        amps.imag *= amps.imag  # conjugation flips no square
+        po += amps.imag
+        pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
+        return y, ptot, pn
+
+    return even_chunk
 
 
 def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
@@ -594,9 +624,15 @@ def run_monte_carlo(
 
     # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
     rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
-    return EstimateReport(mode=config.mode, size=config.size, dist_label=config.dist.label,
-                          seed=config.seed, trials=totals[keys[0]].count, rows=rows,
-                          histogram=histogram)
+    return EstimateReport(
+        mode=config.mode,
+        size=config.size,
+        dist_label=config.dist.label,
+        seed=config.seed,
+        trials=totals[keys[0]].count,
+        rows=rows,
+        histogram=histogram,
+    )
 
 
 def tail_exceedance(
@@ -623,9 +659,13 @@ def tail_exceedance(
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:
-    if q <= 0.0 or q >= 1.0:  # all mass on 0 or on p near-zero components
+    if q <= 0.0:
         out = np.zeros(p + 1)
-        out[0 if q <= 0.0 else p] = 1.0
+        out[0] = 1.0
+        return out
+    if q >= 1.0:
+        out = np.zeros(p + 1)
+        out[p] = 1.0
         return out
     k = np.arange(p + 1)
     logc = (
