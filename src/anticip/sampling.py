@@ -6,11 +6,13 @@ so the drawn values depend only on the seed, never on how chunks are
 partitioned across workers or where in memory they land. One pass over the
 chunks computes every configured statistic from the same draws: p_n, p_N,
 p_tot, the folded-index moments and, when epsilon is set, the near-zero count
-with its histogram. Each worker thread allocates its chunk buffers (draws,
-transform, power spectrum) once per run. A chunk's statistics are stacked and
-reduced in one pass to count, mean and central moments up to order four; the
-per-chunk accumulators merge associatively, which makes chunked, threaded and
-single-pass runs agree to rounding.
+with its histogram. The configuration alone picks the transform from the half
+bins read, {1..max N} | {min(n, p+1-n)}: none without bins or moments; the FFT
+for any moment or over 32 bins; else one real product with their phase matrix.
+Each worker thread allocates its chunk buffers once per run. A chunk's
+statistics are stacked and reduced in one pass to count, mean and central
+moments up to order four; the per-chunk accumulators merge associatively,
+which makes chunked, threaded and single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
@@ -29,7 +31,8 @@ from .spectral import (
     continuous_kernel,
     folded_index,
     half_step_amplitudes,
-    half_step_twiddle,
+    half_step_phase_matrix,
+    half_step_roots,
     odd_half_step_bins,
 )
 
@@ -441,25 +444,51 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
         yield from pool.map(call, ordinals)
 
 
-def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum: bool):
+# Most half bins taken from the phase matrix, not the FFT: per 256-row chunk, one
+# BLAS thread, 2-vCPU x86-64, it was 1.3x faster at K = 32 for p = 64, 1.7-2.6x
+# for p = 256..4096, and broke even near K = 64.
+_MATRIX_BINS = 32
+
+
+def _spectrum_bins(p: int, n_list=(), N_list=(), r_list=()):
+    """The sorted half bins {1..max N} | {min(n, p+1-n)} the statistics read, or
+    True (the FFT's whole half spectrum) for a moment or over `_MATRIX_BINS` bins."""
+    bins = sorted({*range(1, max(N_list, default=0) + 1), *(min(n, p + 1 - n) for n in n_list)})
+    return True if r_list or len(bins) > _MATRIX_BINS else bins
+
+
+def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum):
     """`chunk(rng, n_trials)` draws one chunk of a periodic run and returns y,
-    p_tot and p_n for n = 1..ceil(p/2) (None unless `spectrum`). Even p works
-    in the calling thread's buffers, which its next chunk overwrites: `y`, the
-    draws; `z` (complex, the bytes of y), y*y, then the packed sequence and its
-    in-place FFT; `po` and `pn`, p_n in FFT and n order. Odd p buffers only y:
-    its y*y and real FFT allocate."""
+    p_tot and p_n: for n = 1..ceil(p/2) by FFT when `spectrum` is True, else for
+    the listed half bins, in order, by y @ `half_step_phase_matrix` (no bins, no
+    transform). All but the odd-p FFT work in the calling thread's buffers, which
+    its next chunk overwrites; the even-p FFT keeps y*y in the bytes of `z`."""
     rows, h, local = min(CHUNK, trials), p // 2, threading.local()
 
-    def draw(rng: np.random.Generator, n: int) -> np.ndarray:
-        if not hasattr(local, "y"):
-            local.y = np.empty((rows, p))
-        return dist.sample(rng, (n, p), out=local.y[:n])
+    def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
+        if not hasattr(local, name):
+            setattr(local, name, np.empty((rows, width), dtype))
+        return getattr(local, name)[:n]
+
+    if spectrum is not True:
+        K = len(spectrum)
+        W = half_step_phase_matrix(p, spectrum) if K else None
+
+        def matrix_chunk(rng: np.random.Generator, n: int):
+            y = dist.sample(rng, (n, p), out=buf("y", n, p))
+            a, pn = buf("a", n, 2 * K), buf("pn", n, K)
+            ptot = np.multiply(y, y, out=buf("sq", n, p)).mean(axis=1)  # the same pairwise row mean
+            if K:
+                re, im = np.matmul(y, W, out=a)[:, :K], a[:, K:]
+                np.multiply(re, re, out=pn)
+                pn += np.multiply(im, im, out=im)
+            return y, ptot, pn
+
+        return matrix_chunk
 
     def odd_chunk(rng: np.random.Generator, n: int):
-        y = draw(rng, n)
+        y = dist.sample(rng, (n, p), out=buf("y", n, p))
         ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
-        if not spectrum:
-            return y, ptot, None
         amps = half_step_amplitudes(y)
         pn = amps.real**2
         pn += amps.imag**2
@@ -467,17 +496,12 @@ def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum: 
 
     if p % 2:
         return odd_chunk
-    q, twiddle = (h + 1) // 2, half_step_twiddle(p)
+    q, twiddle = (h + 1) // 2, half_step_roots(p, h) / p
 
     def even_chunk(rng: np.random.Generator, n: int):
-        y = draw(rng, n)
-        if not hasattr(local, "z"):
-            local.z = np.empty((rows, h), dtype=complex)
-            local.po, local.pn = np.empty((rows, h)), np.empty((rows, h))
-        z, po, pn = local.z[:n], local.po[:n], local.pn[:n]
+        y = dist.sample(rng, (n, p), out=buf("y", n, p))
+        z, po, pn = buf("z", n, h, complex), buf("po", n, h), buf("pn", n, h)
         ptot = np.multiply(y, y, out=z.view(float)).mean(axis=1)  # the same pairwise row mean
-        if not spectrum:
-            return y, ptot, None
         amps = odd_half_step_bins(y, z, twiddle)
         np.multiply(amps.real, amps.real, out=po)
         amps.imag *= amps.imag  # conjugation flips no square
@@ -504,11 +528,13 @@ def _half_moment_weights(p: int, r: float) -> np.ndarray:
     return w
 
 
-def _periodic_trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict) -> dict:
+def _periodic_trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins=True) -> dict:
+    """Per-trial statistics; pn's columns are the half `bins`, True: 1..ceil(p/2)."""
     p = config.period
     out = {("p_tot", None): ptot}
     for n in config.n_list:
-        out[("p_n", float(n))] = pn[:, min(n, p + 1 - n) - 1]
+        b = min(n, p + 1 - n)
+        out[("p_n", float(n))] = pn[:, b - 1 if bins is True else bins.index(b)]
     for N in config.N_list:
         out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
     for r in config.r_list:
@@ -599,13 +625,13 @@ def run_monte_carlo(
         window = _continuous_window(config)
         kernel = continuous_kernel(config.cells, window)
     else:
-        spectrum = bool(config.n_list or config.N_list or config.r_list)  # else no transform
+        spectrum = _spectrum_bins(config.period, config.n_list, config.N_list, config.r_list)
         chunk = _periodic_chunks(config.dist, config.period, config.trials, spectrum)
         weights = {r: _half_moment_weights(config.period, r) for r in config.r_list}
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
         if config.mode == "periodic":
-            stats = _periodic_trial_stats(config, *chunk(rng, n_trials), weights)
+            stats = _periodic_trial_stats(config, *chunk(rng, n_trials), weights, spectrum)
         else:
             y = config.dist.sample(rng, (n_trials, config.size))
             stats = _continuous_trial_stats(config, y, window, kernel)
@@ -648,8 +674,12 @@ def tail_exceedance(
     """Fraction of trials whose tail probability p_N exceeds delta."""
     if not 0 <= N < p / 2:
         raise ValueError(f"N must lie in 0..<{p / 2}")
+    if not math.isfinite(delta):
+        raise ValueError(f"delta must be finite (got {delta})")
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1 (got {trials})")
 
-    chunk = _periodic_chunks(dist, p, trials, spectrum=True)
+    chunk = _periodic_chunks(dist, p, trials, _spectrum_bins(p, N_list=(N,)))
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
         _, ptot, pn = chunk(rng, n_trials)

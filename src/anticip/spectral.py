@@ -11,11 +11,12 @@ Half-step amplitudes use half-integer frequencies:
     continuous:  alpha_n = (2*pi)^-1 integral yhat(kappa) exp(-i*(n-1/2)*kappa) dkappa
 
 For real yhat the periodic amplitudes are conjugate-symmetric,
-alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed,
-all from one half-length real-input transform (`half_step_amplitudes`). The
-O(p^2) `exact-sum` oracle reads exp(-i*pi*(2n-1)*k/p) from one table of the
-2p-th roots of unity at the exact integer index (2n-1)*k mod 2p. The
-continuous transform integrates each cell with its closed-form
+alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed:
+all from one half-length real-input transform (`half_step_amplitudes`), or a
+few of them from one real matrix product with `half_step_phase_matrix`. That
+matrix and the O(p^2) `exact-sum` oracle read exp(-i*pi*(2n-1)*k/p) from one
+table of the 2p-th roots of unity at the exact integer index (2n-1)*k mod 2p.
+The continuous transform integrates each cell with its closed-form
 antiderivative, so neither path carries quadrature error.
 """
 from __future__ import annotations
@@ -133,17 +134,18 @@ class MomentResult(NamedTuple):
     diverged: bool
 
 
-def half_step_twiddle(p: int) -> np.ndarray:
-    """exp(-i*pi*j/p) / p for j < p/2, the twiddle of `odd_half_step_bins`."""
-    return np.exp(-1j * np.pi * np.arange(p // 2) / p) / p
+def half_step_roots(p: int, count: int | None = None) -> np.ndarray:
+    """exp(-i*pi*j/p) for j < count, by default all 2p of them, where the phase
+    of (2n-1)*k sits at j = (2n-1)*k mod 2p; `count` = p/2 gives the FFT twiddle."""
+    return np.exp(-1j * np.pi * np.arange(2 * p if count is None else count) / p)
 
 
 def odd_half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
     """alpha_1, alpha_3, ..., alpha_{p-1} of each real row of y, even p = 2h.
 
     Packs the two halves of a row into one complex sequence,
-    z_j = (yhat_j - i*yhat_{j+h}) * twiddle_j, in the complex array z of
-    shape (..., h), and returns its length-h DFT, computed in place in z.
+    z_j = (yhat_j - i*yhat_{j+h}) * exp(-i*pi*j/p) / p (`twiddle`), in the
+    complex array z of shape (..., h), and returns its in-place length-h DFT.
     """
     h = y.shape[-1] // 2
     # the same bits, signed zeros included, as y[..., h:] * -1j + y[..., :h]
@@ -167,12 +169,21 @@ def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
     if p % 2:
         return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
     h = p // 2
-    odd = odd_half_step_bins(y, np.empty(y.shape[:-1] + (h,), complex), half_step_twiddle(p))
+    odd = odd_half_step_bins(y, np.empty(y.shape[:-1] + (h,), complex), half_step_roots(p, h) / p)
     q = (h + 1) // 2
     half = np.empty_like(odd)
     half[..., 0::2] = odd[..., :q]
     np.conjugate(odd[..., q:][..., ::-1], out=half[..., 1::2])
     return half
+
+
+def half_step_phase_matrix(p: int, bins) -> np.ndarray:
+    """Real (p, 2K) W with y @ W = [Re alpha_n | Im alpha_n] for the K half bins
+    n_j in `bins`: W[k, j] + i*W[k, K+j] = exp(-i*pi*(2n_j-1)*k/p) / p, each
+    read from `half_step_roots` at the exact index (2n_j-1)*k mod 2p."""
+    odd = 2 * np.asarray(bins, dtype=np.int64) - 1
+    phase = half_step_roots(p)[np.outer(np.arange(p), odd) % (2 * p)] / p
+    return np.concatenate((phase.real, phase.imag), axis=1)
 
 
 def amplitudes_periodic(
@@ -193,7 +204,7 @@ def amplitudes_periodic(
         amps = np.concatenate([half, half[: p // 2][::-1].conj()])
     elif mode == "exact-sum":
         two_p, block, k = 2 * p, 8, np.arange(p)
-        roots = np.exp(-1j * np.pi * np.arange(two_p) / p)
+        roots = half_step_roots(p)
         idx = np.outer(2 * np.arange(1, block + 1) - 1, k) % two_p  # rows n = 1..block
         u, step = idx.view(np.uint64), (2 * block * k % two_p).astype(np.uint64)
         amps = np.empty(p, dtype=complex)

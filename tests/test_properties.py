@@ -1,5 +1,7 @@
 """Property-based checks of the transform identities and the moment reduction."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,7 @@ from anticip import (
     tilde_index,
 )
 from anticip.sampling import _batch_moments
+from anticip.spectral import half_step_phase_matrix
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 periodic_values = st.lists(component, min_size=2, max_size=48)
@@ -69,6 +72,26 @@ def test_half_step_amplitudes_batched_rows_bit_identical(rows):
     batch = half_step_amplitudes(np.array(rows))
     for row, out in zip(rows, batch):
         assert half_step_amplitudes(np.array(row)).tobytes() == out.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(min_value=2, max_value=64).flatmap(lambda p: st.tuples(
+    st.lists(component, min_size=p, max_size=p),
+    st.lists(st.integers(1, p), min_size=1, max_size=p, unique=True))))
+@example(case=([(-1) ** k * k / 64 for k in range(64)], list(range(1, 33))))
+@example(case=([k / 33 for k in range(33)], [17, 1, 2, 3, 4]))
+def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
+    values, bins = case
+    p, K, y = len(values), len(bins), np.array(values)
+    a = y @ half_step_phase_matrix(p, bins)
+    pn = a[:K] ** 2 + a[K:] ** 2
+    exact = np.abs(amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values) ** 2
+    assert np.max(np.abs(pn - exact[np.array(bins) - 1])) <= 1e-15
+    for n, got in zip(bins, pn):  # each phase reduced in Python integers, each part summed exactly
+        angles = [math.pi * ((2 * n - 1) * k % (2 * p)) / p for k in range(p)]
+        re = math.fsum(v * math.cos(t) for v, t in zip(values, angles)) / p
+        im = math.fsum(v * math.sin(t) for v, t in zip(values, angles)) / p
+        assert abs(got - (re * re + im * im)) <= 1e-15, (p, n)
 
 
 @given(values=periodic_values)

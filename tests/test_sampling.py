@@ -36,9 +36,10 @@ from anticip.sampling import (
     _periodic_chunks,
     _periodic_trial_stats,
     _predictions,
+    _spectrum_bins,
     resolve_threads,
 )
-from anticip.spectral import continuous_kernel
+from anticip.spectral import continuous_kernel, half_step_phase_matrix
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -418,6 +419,16 @@ class TestEngine:
         assert rep.row("p_N", 0.0).acc.variance == 0.0
         assert rep.max_abs_z() <= 5.0
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_tail_exceedance_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match="delta"):
+            tail_exceedance(UNIFORM, 8, 1, delta, 100, 0)
+
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_tail_exceedance_rejects_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials"):
+            tail_exceedance(UNIFORM, 8, 1, 0.2, trials, 0)
+
     def test_chebyshev_tail_fractions(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=20_000, seed=3, period=64)
         rep = run_monte_carlo(cfg)
@@ -480,16 +491,23 @@ class TestNearZero:
     def test_near_zero_alone_needs_no_transform(self, monkeypatch):
         import anticip.sampling as sampling
 
-        def refuse(*args):
-            raise AssertionError("half-step transform computed")
+        def refuse(name):
+            def call(*args):
+                raise AssertionError(f"{name} transform computed")
+            return call
 
-        monkeypatch.setattr(sampling, "half_step_amplitudes", refuse)
-        monkeypatch.setattr(sampling, "odd_half_step_bins", refuse)  # the even-p engine path
+        monkeypatch.setattr(sampling, "half_step_amplitudes", refuse("FFT"))
+        monkeypatch.setattr(sampling, "odd_half_step_bins", refuse("FFT"))  # the even-p engine path
+        monkeypatch.setattr(sampling, "half_step_phase_matrix", refuse("matrix"))
         rep = near_zero_statistics(UNIFORM, 16, 0.2, 300, 1)
         assert rep.histogram.sum() == 300
-        for spectral in ({"n_list": (1,)}, {"N_list": (0,)}, {"r_list": (1.0,)}):
+        # p_0 = p_tot - 2 * (sum of no bins) needs no transform either
+        rep = run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=300, seed=1, period=16, N_list=(0,)))
+        p0, ptot = rep.row("p_N", 0.0).acc, rep.row("p_tot").acc
+        assert np.array_equal(_bits(p0), _bits(ptot))
+        for spectral, path in (({"n_list": (1,)}, "matrix"), ({"r_list": (1.0,)}, "FFT")):
             cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, period=16, **spectral)
-            with pytest.raises(AssertionError, match="transform computed"):
+            with pytest.raises(AssertionError, match=f"{path} transform computed"):
                 run_monte_carlo(cfg)
 
     def test_counts_come_from_the_engine_draws(self):
@@ -626,3 +644,102 @@ class TestChunkBuffers:
         for a, b in zip(base.rows, threaded.rows):
             assert np.array_equal(_bits(a.acc), _bits(b.acc)), a.key
         assert np.array_equal(base.histogram, threaded.histogram)
+
+
+class TestPhaseMatrixPath:
+    """Periodic runs that read at most 32 half bins and no moment take p_n from
+    one product y @ W with the phase matrix of the bins they read."""
+
+    TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
+
+    @staticmethod
+    def _matrix_fold(cfg, chunks):
+        """Accumulators and histogram of the given chunk ordinals, each chunk
+        drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
+        folded in ordinal order."""
+        keys = [*_predictions(cfg)]
+        bins = _spectrum_bins(cfg.period, cfg.n_list, cfg.N_list, cfg.r_list)
+        W, K = half_step_phase_matrix(cfg.period, bins), len(bins)
+        totals = {key: MomentAccumulator() for key in keys}
+        histogram = np.zeros(cfg.period + 1, dtype=np.int64)
+        sizes = _chunk_sizes(cfg.trials)
+        for c in chunks:
+            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
+            a = y @ W
+            stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
+                                          a[:, :K] ** 2 + a[:, K:] ** 2, {}, bins)
+            block = np.array([stats[key] for key in keys], dtype=float)
+            for key, moments in zip(keys, _batch_moments(block).tolist()):
+                totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
+            if cfg.epsilon is not None:
+                histogram += np.bincount(stats[keys[-1]], minlength=cfg.period + 1)
+        return totals, histogram
+
+    def _assert_bits(self, rep, cfg, chunks):
+        totals, histogram = self._matrix_fold(cfg, chunks)
+        assert [row.key for row in rep.rows] == [*totals]
+        for row in rep.rows:
+            assert row.acc.count == totals[row.key].count
+            assert np.array_equal(_bits(row.acc), _bits(totals[row.key])), row.key
+        if cfg.epsilon is not None:
+            assert np.array_equal(rep.histogram, histogram)
+
+    @pytest.mark.parametrize("dist, p, trials, n_list, N_list, epsilon", [
+        (UNIFORM, 64, 3 * 256 + 17, (1, 32), (0, 4), 0.1),  # the bins of `sample --n 1,32 --N 0,4`
+        (UNIFORM, 33, 600, (1, 17), (0, 4), 0.1),
+        (TABLE, 80, 513, (33, 2), (31,), None),  # 32 bins, the most the matrix path takes
+        (SamplingDistribution.two_point(1.0), 16, 300, (1, 8, 16), (0, 3), 0.5),
+        (TABLE, 4096, 300, (1, 2048), (0, 16), 0.3),
+        (UNIFORM, 2, 257, (1, 2), (0,), None),
+    ])
+    def test_engine_rows_equal_a_matrix_fold(self, dist, p, trials, n_list, N_list, epsilon):
+        cfg = MonteCarloConfig(dist=dist, trials=trials, seed=p + 3, period=p,
+                               n_list=n_list, N_list=N_list, epsilon=epsilon)
+        assert _spectrum_bins(p, n_list, N_list) is not True
+        chunks = range(len(_chunk_sizes(trials)))
+        for threads in (1, 2, 4):
+            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
+        self._assert_bits(run_monte_carlo(cfg, chunk_range=(0, 1)), cfg, chunks[:1])
+        self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks)), threads=2), cfg, chunks[1:])
+
+    def test_bins_follow_the_statistics(self):
+        assert _spectrum_bins(64, (1, 32), (0, 4)) == [1, 2, 3, 4, 32]
+        assert _spectrum_bins(33, (1, 17, 33), (2,)) == [1, 2, 17]  # n and p+1-n share a bin
+        assert _spectrum_bins(16, (), (0,)) == []
+        assert _spectrum_bins(64, (1,), (), (0.0,)) is True
+
+    @pytest.mark.parametrize("p, stats, path", [
+        (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32
+        (81, {"n_list": (33,), "N_list": (31,)}, "matrix"),  # K = 32, odd p
+        (80, {"n_list": (33,), "N_list": (32,)}, "FFT"),  # K = 33
+        (81, {"n_list": (33,), "N_list": (32,)}, "FFT"),  # K = 33, odd p
+        (64, {"n_list": (1,), "r_list": (0.0,)}, "FFT"),  # any moment
+        (8, {"r_list": (1.0,)}, "FFT"),
+        (64, {"N_list": (0,)}, None),  # K = 0
+        (63, {}, None),
+    ])
+    def test_path_choice(self, monkeypatch, p, stats, path):
+        called = self._record_paths(monkeypatch)
+        run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, period=p, **stats))
+        assert called == ({path} if path else set())
+
+    @pytest.mark.parametrize("p, N, path", [
+        (80, 0, None), (80, 32, "matrix"), (80, 33, "FFT"), (81, 32, "matrix"), (81, 33, "FFT"),
+    ])
+    def test_tail_exceedance_path_choice(self, monkeypatch, p, N, path):
+        called = self._record_paths(monkeypatch)
+        tail_exceedance(UNIFORM, p, N, 0.2, 10, 0)
+        assert called == ({path} if path else set())
+
+    @staticmethod
+    def _record_paths(monkeypatch) -> set:
+        """Wrap the engine's transforms so that each call adds its path to the set."""
+        import anticip.sampling as sampling
+
+        called = set()
+        for name, attr in (("FFT", "half_step_amplitudes"), ("FFT", "odd_half_step_bins"),
+                           ("matrix", "half_step_phase_matrix")):
+            fn = getattr(sampling, attr)
+            monkeypatch.setattr(sampling, attr,
+                                lambda *args, fn=fn, name=name: called.add(name) or fn(*args))
+        return called
