@@ -24,9 +24,7 @@ from .closed_form import (
     LeadingOrder,
     MomentTuple,
     abs_s_squared,
-    continuous_expected_pN,
     continuous_expected_pn,
-    continuous_expected_ptot,
     expected_moment_observable,
     expected_pN,
     expected_pn,

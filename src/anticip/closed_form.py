@@ -60,12 +60,6 @@ def abs_s_squared(p: int, n):
     return float(val) if n_arr.ndim == 0 else val
 
 
-def kernel_s(p: int, n: int) -> complex:
-    """S_n itself, including phase; conjugation symmetry S_n* = S_{p+1-n}."""
-    theta = np.pi * (n - 0.5) / p
-    return complex(-1j * np.exp(1j * theta) / (p * np.sin(theta)))
-
-
 def kernel_t(p: int, n: int) -> float:
     """T_n: 1/p when n is a multiple of p, else 0 (exact case analysis)."""
     return 1.0 / p if n % p == 0 else 0.0
@@ -169,28 +163,6 @@ def expected_moment_observable(p: int, r: float, m: MomentTuple) -> LeadingOrder
 def continuous_expected_pn(n: int, m: MomentTuple) -> float:
     """E(p_n) = m1^2 / (pi^2 (n-1/2)^2); the sigma^2/p floor has escaped."""
     return m.m1**2 / (np.pi * (n - 0.5)) ** 2
-
-
-def continuous_expected_ptot(m: MomentTuple) -> float:
-    return m.m2
-
-
-def near_window_kernel(N: int) -> float:
-    """sum over |n| <= N of 1/(pi^2 (n-1/2)^2); tends to 1 as N grows."""
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    n = np.arange(-N, N + 1, dtype=float)
-    return float((1.0 / (np.pi * (n - 0.5)) ** 2).sum())
-
-
-def continuous_expected_pN(N: int, m: MomentTuple) -> float:
-    """Exact p -> infinity limit: m2 - m1^2 * near-window kernel mass.
-
-    The unfolded sum of continuous E(p_n) is only m1^2; the remaining
-    m2 - m1^2 sits in the tail for every N (mass escape), so E(p_N) tends to
-    sigma^2 from above as N grows.
-    """
-    return m.m2 - m.m1**2 * near_window_kernel(N)
 
 
 def lemma_unit_sum(p: int) -> float:

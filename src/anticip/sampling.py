@@ -6,9 +6,11 @@ so the drawn values depend only on the seed, never on how chunks are
 partitioned across workers or where in memory they land. One pass over the
 chunks computes every configured statistic from the same draws: p_n, p_N,
 p_tot, the folded-index moments and, when epsilon is set, the near-zero count
-with its histogram. The configuration alone picks the transform from the half
-bins read, {1..max N} | {min(n, p+1-n)}: none without bins or moments; the FFT
-for any moment or over 32 bins; else one real product with their phase matrix.
+with its histogram. Both modes read the half bins {1..max N} | {half bin of n},
+as p_{p+1-n} = p_n on a period and p_{1-n} = p_n on the line, plus 1..32 for a
+moment on the line; there p_N is the mass outside n = 1-N..N and a moment sums
+n = -31..32. No bins or moments, no transform; on a period, the FFT for any
+moment or over 32 bins; else one real product with the bins' phase matrix.
 Each worker thread allocates its chunk buffers once per run. A chunk's
 statistics are stacked and reduced in one pass to count, mean and central
 moments up to order four; the per-chunk accumulators merge associatively,
@@ -257,7 +259,9 @@ def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccu
 class MonteCarloConfig:
     """What to estimate: p_n for n in n_list, p_N for N in N_list, p_tot
     always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
-    near-zero count #{k : |yhat_k| < epsilon} when epsilon is set."""
+    near-zero count #{k : |yhat_k| < epsilon} when epsilon is set. On the line,
+    p_N is the mass outside n = 1-N..N (`cumulative_probability` sums |n| > N)
+    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set."""
 
     dist: SamplingDistribution
     trials: int
@@ -444,40 +448,66 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
         yield from pool.map(call, ordinals)
 
 
-# Most half bins taken from the phase matrix, not the FFT: per 256-row chunk, one
-# BLAS thread, 2-vCPU x86-64, it was 1.3x faster at K = 32 for p = 64, 1.7-2.6x
-# for p = 256..4096, and broke even near K = 64.
+# Most half bins a periodic run takes from the phase matrix, not the FFT: per
+# 256-row chunk, one BLAS thread, 2-vCPU x86-64, it was 1.3x faster at K = 32 for
+# p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
+_MOMENT_BINS = 32  # a moment on the line sums |n|^r p_n over n = -31..32
 
 
-def _spectrum_bins(p: int, n_list=(), N_list=(), r_list=()):
-    """The sorted half bins {1..max N} | {min(n, p+1-n)} the statistics read, or
-    True (the FFT's whole half spectrum) for a moment or over `_MATRIX_BINS` bins."""
-    bins = sorted({*range(1, max(N_list, default=0) + 1), *(min(n, p + 1 - n) for n in n_list)})
-    return True if r_list or len(bins) > _MATRIX_BINS else bins
+def _half_bin(config: MonteCarloConfig, n: int) -> int:
+    """The half bin holding p_n: min(n, p+1-n) on a period, max(n, 1-n) on the
+    line, since p_{p+1-n} = p_n, respectively p_{1-n} = p_n, for real yhat."""
+    p = config.period
+    return min(n, p + 1 - n) if p is not None else max(n, 1 - n)
 
 
-def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum):
-    """`chunk(rng, n_trials)` draws one chunk of a periodic run and returns y,
-    p_tot and p_n: for n = 1..ceil(p/2) by FFT when `spectrum` is True, else for
-    the listed half bins, in order, by y @ `half_step_phase_matrix` (no bins, no
-    transform). All but the odd-p FFT work in the calling thread's buffers, which
-    its next chunk overwrites; the even-p FFT keeps y*y in the bytes of `z`."""
-    rows, h, local = min(CHUNK, trials), p // 2, threading.local()
+def _spectrum_bins(config: MonteCarloConfig):
+    """The sorted half bins {1..max N} | {half bin of each n} the statistics read,
+    with 1.._MOMENT_BINS for a moment on the line; True (the FFT's whole half
+    spectrum) for a periodic moment or over `_MATRIX_BINS` periodic bins."""
+    bins = {*range(1, max(config.N_list, default=0) + 1)}
+    bins.update(_half_bin(config, n) for n in config.n_list)
+    if config.period is not None and (config.r_list or len(bins) > _MATRIX_BINS):
+        return True
+    if config.r_list:  # on the line
+        bins.update(range(1, _MOMENT_BINS + 1))
+    return sorted(bins)
+
+
+def _bin_matrix(config: MonteCarloConfig, bins):
+    """Real (size, 2K) W, y @ W = [Re alpha | Im alpha] of the K half `bins`, from
+    `half_step_phase_matrix` or `continuous_kernel`; None (the FFT) for bins True."""
+    if bins is True:
+        return None
+    if not bins:
+        return np.empty((config.size, 0))
+    if config.period is not None:
+        return half_step_phase_matrix(config.period, bins)
+    kernel = continuous_kernel(config.cells, bins).T
+    return np.concatenate((kernel.real, kernel.imag), axis=1)
+
+
+def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
+    """`chunk(rng, n_trials)` draws one chunk of `size` components per trial and
+    returns y, p_tot and p_n: for the half bins of W, in order, by y @ W, or for
+    n = 1..ceil(p/2) by FFT when W is None (periodic only). All but the odd-p
+    FFT work in the calling thread's buffers, which its next chunk overwrites;
+    the even-p FFT keeps y*y in the bytes of `z`."""
+    rows, local = min(CHUNK, trials), threading.local()
 
     def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
         if not hasattr(local, name):
             setattr(local, name, np.empty((rows, width), dtype))
         return getattr(local, name)[:n]
 
-    if spectrum is not True:
-        K = len(spectrum)
-        W = half_step_phase_matrix(p, spectrum) if K else None
+    if W is not None:
+        K = W.shape[1] // 2
 
         def matrix_chunk(rng: np.random.Generator, n: int):
-            y = dist.sample(rng, (n, p), out=buf("y", n, p))
+            y = dist.sample(rng, (n, size), out=buf("y", n, size))
             a, pn = buf("a", n, 2 * K), buf("pn", n, K)
-            ptot = np.multiply(y, y, out=buf("sq", n, p)).mean(axis=1)  # the same pairwise row mean
+            ptot = np.multiply(y, y, out=buf("sq", n, size)).mean(axis=1)  # the same pairwise row mean
             if K:
                 re, im = np.matmul(y, W, out=a)[:, :K], a[:, K:]
                 np.multiply(re, re, out=pn)
@@ -485,6 +515,7 @@ def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum):
             return y, ptot, pn
 
         return matrix_chunk
+    p, h = size, size // 2
 
     def odd_chunk(rng: np.random.Generator, n: int):
         y = dist.sample(rng, (n, p), out=buf("y", n, p))
@@ -514,61 +545,36 @@ def _periodic_chunks(dist: SamplingDistribution, p: int, trials: int, spectrum):
 
 def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
     """p_N = p_tot - 2 * sum_{n<=N} p_n: the near window n = 1..N and its
-    mirror p+1-N..p, disjoint because N < p/2."""
+    mirror, p+1-N..p on a period (disjoint because N < p/2), 1-N..0 on the line."""
     return ptot - 2.0 * pn[:, :N].sum(axis=1)
 
 
-def _half_moment_weights(p: int, r: float) -> np.ndarray:
-    """tilde(n)^r + tilde(p+1-n)^r for n = 1..ceil(p/2), so that a moment is
-    the half spectrum times these weights; the middle index of odd p counts
-    once."""
+def _half_moment_weights(config: MonteCarloConfig, r: float) -> np.ndarray:
+    """Weights w with moment = p_n @ w over the first w.size half bins:
+    tilde(n)^r + tilde(p+1-n)^r for n = 1..ceil(p/2) on a period, the middle
+    index of odd p counted once; n^r + (n-1)^r for n = 1.._MOMENT_BINS on the line."""
+    p = config.period
+    if p is None:
+        n = np.arange(1.0, _MOMENT_BINS + 1)
+        return n**r + (n - 1.0) ** r
     n = np.arange(1, (p + 1) // 2 + 1)
     w = folded_index(n, p).astype(float) ** r
     w[: p // 2] += folded_index(p + 1 - n[: p // 2], p).astype(float) ** r
     return w
 
 
-def _periodic_trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins=True) -> dict:
+def _trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins=True) -> dict:
     """Per-trial statistics; pn's columns are the half `bins`, True: 1..ceil(p/2)."""
-    p = config.period
     out = {("p_tot", None): ptot}
     for n in config.n_list:
-        b = min(n, p + 1 - n)
+        b = _half_bin(config, n)
         out[("p_n", float(n))] = pn[:, b - 1 if bins is True else bins.index(b)]
     for N in config.N_list:
         out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
     for r in config.r_list:
-        out[("moment", float(r))] = pn @ weights[r]
+        out[("moment", float(r))] = pn[:, : weights[r].size] @ weights[r]
     if config.epsilon is not None:
         out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
-    return out
-
-
-def _continuous_window(config: MonteCarloConfig) -> np.ndarray:
-    half = 1
-    if config.N_list:
-        half = max(half, max(config.N_list))
-    for n in config.n_list:
-        half = max(half, abs(n), abs(1 - n))
-    if config.r_list:
-        half = max(half, 32)
-    return np.arange(1 - half, half + 1)
-
-
-def _continuous_trial_stats(
-    config: MonteCarloConfig, y: np.ndarray, window: np.ndarray, kernel: np.ndarray
-) -> dict:
-    pn = np.abs(y @ kernel.T) ** 2  # columns follow `window`
-    ptot = (y * y).mean(axis=1)
-    col = {int(n): j for j, n in enumerate(window)}
-    out = {("p_tot", None): ptot}
-    for n in config.n_list:
-        out[("p_n", float(n))] = pn[:, col[n]]
-    absn = np.abs(window)
-    for N in config.N_list:
-        out[("p_N", float(N))] = ptot - pn[:, absn <= N].sum(axis=1)
-    for r in config.r_list:
-        out[("moment", float(r))] = pn @ (absn.astype(float) ** r)
     return out
 
 
@@ -592,7 +598,7 @@ def _predictions(config: MonteCarloConfig) -> dict:
             preds[("near_zero_count", float(config.epsilon))] = (p * q, p * q * (1.0 - q), note, True)
     else:
         M = config.cells
-        preds[("p_tot", None)] = (cf.continuous_expected_ptot(m), cf.var_pN(M, 0, m), None, True)
+        preds[("p_tot", None)] = (cf.expected_ptot(m), cf.var_pN(M, 0, m), None, True)
         note = "finite-cell mapping, O(M^-2) bias"
         for n in config.n_list:
             cell = (n - 1) % M + 1  # cells play the role of residue classes
@@ -621,20 +627,12 @@ def run_monte_carlo(
     preds = _predictions(config)
     keys = list(preds)
     near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
-    if config.mode == "continuous":
-        window = _continuous_window(config)
-        kernel = continuous_kernel(config.cells, window)
-    else:
-        spectrum = _spectrum_bins(config.period, config.n_list, config.N_list, config.r_list)
-        chunk = _periodic_chunks(config.dist, config.period, config.trials, spectrum)
-        weights = {r: _half_moment_weights(config.period, r) for r in config.r_list}
+    bins = _spectrum_bins(config)
+    chunk = _chunks(config.dist, config.size, config.trials, _bin_matrix(config, bins))
+    weights = {r: _half_moment_weights(config, r) for r in config.r_list}
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
-        if config.mode == "periodic":
-            stats = _periodic_trial_stats(config, *chunk(rng, n_trials), weights, spectrum)
-        else:
-            y = config.dist.sample(rng, (n_trials, config.size))
-            stats = _continuous_trial_stats(config, y, window, kernel)
+        stats = _trial_stats(config, *chunk(rng, n_trials), weights, bins)
         block = np.array([stats[key] for key in keys], dtype=float)  # one row per key
         accs = [MomentAccumulator(n_trials, *moments) for moments in _batch_moments(block).tolist()]
         hist = None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1)
@@ -672,14 +670,10 @@ def tail_exceedance(
     threads: int | None = None,
 ) -> float:
     """Fraction of trials whose tail probability p_N exceeds delta."""
-    if not 0 <= N < p / 2:
-        raise ValueError(f"N must lie in 0..<{p / 2}")
+    config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, N_list=(N,))
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite (got {delta})")
-    if trials < 1:
-        raise ValueError(f"trials must be at least 1 (got {trials})")
-
-    chunk = _periodic_chunks(dist, p, trials, _spectrum_bins(p, N_list=(N,)))
+    chunk = _chunks(dist, p, trials, _bin_matrix(config, _spectrum_bins(config)))
 
     def worker(c: int, rng: np.random.Generator, n_trials: int):
         _, ptot, pn = chunk(rng, n_trials)

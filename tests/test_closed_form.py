@@ -9,9 +9,7 @@ from anticip import (
     MomentTuple,
     SamplingDistribution,
     abs_s_squared,
-    continuous_expected_pN,
     continuous_expected_pn,
-    continuous_expected_ptot,
     expected_moment_observable,
     expected_pN,
     expected_pn,
@@ -21,7 +19,7 @@ from anticip import (
     var_pN,
     var_pn,
 )
-from anticip.closed_form import kernel_s, kernel_t, kernel_u, pi_tail
+from anticip.closed_form import kernel_t, kernel_u, pi_tail
 
 UNIFORM = MomentTuple(0.0, 1 / 3, 0.0, 1 / 5)
 POINT = MomentTuple(1.0, 1.0, 1.0, 1.0)
@@ -39,18 +37,6 @@ def test_moment_tuple_validation():
 def test_lemma_unit_sum():
     for p in (2, 3, 5, 8, 16, 101, 1024):
         assert abs(lemma_unit_sum(p) - 1.0) <= 1e-12
-
-
-def test_kernel_s_examples():
-    assert abs(kernel_s(2, 1)) == pytest.approx(1 / math.sqrt(2), abs=1e-15)
-    # conjugation symmetry S_n* = S_{p+1-n}
-    for p in (4, 9):
-        for n in range(1, p + 1):
-            assert kernel_s(p, n).conjugate() == pytest.approx(kernel_s(p, p + 1 - n))
-    # direct summation oracle
-    for p, n in [(2, 1), (5, 3), (8, 6)]:
-        direct = sum(np.exp(-2j * np.pi * (n - 0.5) * k / p) for k in range(p)) / p
-        assert kernel_s(p, n) == pytest.approx(direct, abs=1e-14)
 
 
 def test_kernel_t_examples():
@@ -72,7 +58,6 @@ def test_kernel_u_range_and_monotonic():
 
 
 def test_kernels_bundle_and_ranges():
-    assert abs(kernel_s(8, 3)) ** 2 == pytest.approx(abs_s_squared(8, 3), rel=1e-14)
     assert pi_tail(8, 2) == pytest.approx(0.5)
     with pytest.raises(ValueError):
         kernel_u(8, 4)
@@ -153,22 +138,17 @@ def test_continuous_expectations():
     assert continuous_expected_pn(1, BIASED) == pytest.approx(
         0.25 / (np.pi / 2) ** 2, rel=1e-12
     )
-    assert continuous_expected_ptot(UNIFORM) == pytest.approx(1 / 3)
+
+    def line_pN(N):  # E(p_N) on the line: m2 less the near window n = 1-N..N
+        return BIASED.m2 - sum(continuous_expected_pn(n, BIASED) for n in range(1 - N, N + 1))
+
     # the escaped mass m2 - m1^2 stays in the tail for every N
     for N in (0, 2, 16, 128):
-        val = continuous_expected_pN(N, BIASED)
-        assert val > BIASED.sigma2
-    assert continuous_expected_pN(10_000, BIASED) == pytest.approx(
-        BIASED.sigma2, abs=1e-4
-    )
-    # the p -> infinity limit of the periodic window differs from the strict
-    # |n| > N tail by exactly one kernel term: the periodic window keeps the
-    # folded-zero index, the continuous tail drops it
+        assert line_pN(N) > BIASED.sigma2
+    assert line_pN(10_000) == pytest.approx(BIASED.sigma2, abs=1e-4)
+    # the periodic window n = 1..N, p+1-N..p tends to the line's 1-N..N
     for N in (0, 3):
-        boundary = BIASED.m1**2 / (np.pi * (N + 0.5)) ** 2
-        limit = continuous_expected_pN(N, BIASED) + boundary
-        finite = expected_pN(2**15, N, BIASED)
-        assert finite == pytest.approx(limit, abs=1e-4)
+        assert expected_pN(2**15, N, BIASED) == pytest.approx(line_pN(N), abs=1e-4)
 
 
 def test_pi_tail_range():

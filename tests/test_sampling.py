@@ -28,15 +28,14 @@ from anticip import (
 )
 from anticip.sampling import (
     StatRow,
+    _bin_matrix,
     _chunk_sizes,
-    _continuous_trial_stats,
-    _continuous_window,
+    _chunks,
     _batch_moments,
     _half_moment_weights,
-    _periodic_chunks,
-    _periodic_trial_stats,
     _predictions,
     _spectrum_bins,
+    _trial_stats,
     resolve_threads,
 )
 from anticip.spectral import continuous_kernel, half_step_phase_matrix
@@ -317,18 +316,18 @@ class TestEngine:
         keys = [row.key for row in rep.rows]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
+        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
         if cfg.mode == "continuous":
-            window = _continuous_window(cfg)
-            kernel = continuous_kernel(cfg.cells, window)
+            bins = _spectrum_bins(cfg)
+            draw = _chunks(cfg.dist, cfg.size, cfg.trials, _bin_matrix(cfg, bins))
         for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
-            y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
             if cfg.mode == "periodic":  # the allocating transform, squared
+                y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
                 half = half_step_amplitudes(y)
-                weights = {r: _half_moment_weights(cfg.period, r) for r in cfg.r_list}
-                stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
-                                              half.real**2 + half.imag**2, weights)
+                stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
+                                     half.real**2 + half.imag**2, weights)
             else:
-                stats = _continuous_trial_stats(cfg, y, window, kernel)
+                stats = _trial_stats(cfg, *draw(stream(cfg.seed, c), n_trials), weights, bins)
             for key in keys:
                 chunk = MomentAccumulator()
                 chunk.add_batch(stats[key])
@@ -453,6 +452,51 @@ class TestEngine:
         assert abs(row.acc.mean - row.pred_mean) <= 6 * row.acc.std_error
         assert row.z_mean is None  # approximate pairing carries no z-score
 
+    def test_continuous_p0_is_ptot(self):
+        # the near window of N = 0 is empty on the line too
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=3000, seed=4, cells=32, N_list=(0, 4))
+        rep = run_monte_carlo(cfg)
+        assert np.array_equal(_bits(rep.row("p_N", 0.0).acc), _bits(rep.row("p_tot").acc))
+
+    @pytest.mark.parametrize("key, alone, extra", [
+        (("p_N", 8.0), {"N_list": (8,)}, {"n_list": (9,)}),
+        (("p_N", 8.0), {"N_list": (8,)}, {"r_list": (1.0,)}),
+        (("moment", 1.0), {"r_list": (1.0,)}, {"N_list": (40,)}),
+    ], ids=["p_8-with-n", "p_8-with-r", "moment-with-N"])
+    def test_continuous_rows_do_not_depend_on_other_rows(self, key, alone, extra):
+        base = dict(dist=UNIFORM, trials=2000, seed=1, cells=64)
+        a = run_monte_carlo(MonteCarloConfig(**base, **alone)).row(*key).acc
+        b = run_monte_carlo(MonteCarloConfig(**base, **alone, **extra)).row(*key).acc
+        assert math.isclose(a.mean, b.mean, rel_tol=1e-12)
+        assert math.isclose(a.variance, b.variance, rel_tol=1e-12)
+
+    @pytest.mark.parametrize("cells, dist", [
+        (64, UNIFORM), (256, SamplingDistribution.table([0.0, 1.0], [0.5, 0.5])), (5, UNIFORM),
+    ], ids=["M64-uniform", "M256-biased", "M5-uniform"])
+    def test_continuous_rows_match_complex_kernel_recomputation(self, cells, dist):
+        # the same draws through the complex kernel over the symmetric window
+        # n = 1-K..K, with no use of the conjugate symmetry
+        cfg = MonteCarloConfig(dist=dist, trials=700, seed=12, cells=cells, n_list=(-4, 0, 1, 7),
+                               N_list=(0, 3, 40), r_list=(0.0, 1.0, 2.0))
+        rep = run_monte_carlo(cfg)
+        y = np.concatenate([dist.sample(stream(cfg.seed, c), (n, cells))
+                            for c, n in enumerate(_chunk_sizes(cfg.trials))])
+        window = np.arange(1 - 40, 40 + 1)
+        pn = np.abs(y @ continuous_kernel(cells, window).T) ** 2
+        ptot = (y * y).mean(axis=1)
+        expected = {("p_tot", None): ptot}
+        expected.update({("p_n", float(n)): pn[:, window == n][:, 0] for n in cfg.n_list})
+        expected.update({("p_N", float(N)): ptot - pn[:, np.abs(window - 0.5) < N].sum(axis=1)
+                         for N in cfg.N_list})
+        moment_window = np.abs(window - 0.5) < 32  # n = -31..32
+        expected.update({("moment", r): pn[:, moment_window] @ np.abs(window[moment_window]) ** r
+                         for r in cfg.r_list})
+        assert [row.key for row in rep.rows] == [*expected]
+        for key, values in expected.items():
+            acc = rep.row(*key).acc
+            assert math.isclose(acc.mean, values.mean(), rel_tol=1e-14), key
+            assert math.isclose(acc.variance, values.var(ddof=1), rel_tol=1e-14), key
+
 
 class TestNearZero:
     def test_uniform_counts(self):
@@ -562,15 +606,15 @@ class TestChunkBuffers:
         """Accumulators and histogram of the given chunk ordinals, each chunk's
         statistics from freshly allocated arrays, folded in ordinal order."""
         keys = [*_predictions(cfg)]
-        weights = {r: _half_moment_weights(cfg.period, r) for r in cfg.r_list}
+        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.period + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
         for c in chunks:
             y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
             half = half_step_amplitudes(y)
-            stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
-                                          half.real**2 + half.imag**2, weights)
+            stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
+                                 half.real**2 + half.imag**2, weights)
             block = np.array([stats[key] for key in keys], dtype=float)
             for key, moments in zip(keys, _batch_moments(block).tolist()):
                 totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
@@ -613,7 +657,7 @@ class TestChunkBuffers:
 
     @pytest.mark.parametrize("p", [8, 9])
     def test_chunks_reuse_their_thread_buffers(self, p):
-        chunk = _periodic_chunks(UNIFORM, p, 3 * 256, spectrum=True)
+        chunk = _chunks(UNIFORM, p, 3 * 256, W=None)
         y0, ptot0, pn0 = chunk(stream(0, 0), 256)
         first = (y0.copy(), ptot0.copy(), pn0.copy())
         y1, ptot1, pn1 = chunk(stream(0, 1), 256)
@@ -647,8 +691,9 @@ class TestChunkBuffers:
 
 
 class TestPhaseMatrixPath:
-    """Periodic runs that read at most 32 half bins and no moment take p_n from
-    one product y @ W with the phase matrix of the bins they read."""
+    """Periodic runs that read at most 32 half bins and no moment, and every
+    continuous run, take p_n from one product y @ W with the phase matrix of
+    the half bins they read."""
 
     TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
 
@@ -656,23 +701,30 @@ class TestPhaseMatrixPath:
     def _matrix_fold(cfg, chunks):
         """Accumulators and histogram of the given chunk ordinals, each chunk
         drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
-        folded in ordinal order."""
+        folded in ordinal order. On the line W is [Re | Im] of the transposed
+        `continuous_kernel` of the bins."""
         keys = [*_predictions(cfg)]
-        bins = _spectrum_bins(cfg.period, cfg.n_list, cfg.N_list, cfg.r_list)
-        W, K = half_step_phase_matrix(cfg.period, bins), len(bins)
+        bins = _spectrum_bins(cfg)
+        if cfg.mode == "periodic":
+            W = half_step_phase_matrix(cfg.period, bins)
+        else:
+            kernel = continuous_kernel(cfg.cells, bins).T
+            W = np.concatenate((kernel.real, kernel.imag), axis=1)
+        K = len(bins)
+        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
         totals = {key: MomentAccumulator() for key in keys}
-        histogram = np.zeros(cfg.period + 1, dtype=np.int64)
+        histogram = np.zeros(cfg.size + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
         for c in chunks:
-            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
+            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.size))
             a = y @ W
-            stats = _periodic_trial_stats(cfg, y, (y * y).mean(axis=1),
-                                          a[:, :K] ** 2 + a[:, K:] ** 2, {}, bins)
+            stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
+                                 a[:, :K] ** 2 + a[:, K:] ** 2, weights, bins)
             block = np.array([stats[key] for key in keys], dtype=float)
             for key, moments in zip(keys, _batch_moments(block).tolist()):
                 totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
             if cfg.epsilon is not None:
-                histogram += np.bincount(stats[keys[-1]], minlength=cfg.period + 1)
+                histogram += np.bincount(stats[keys[-1]], minlength=cfg.size + 1)
         return totals, histogram
 
     def _assert_bits(self, rep, cfg, chunks):
@@ -684,18 +736,28 @@ class TestPhaseMatrixPath:
         if cfg.epsilon is not None:
             assert np.array_equal(rep.histogram, histogram)
 
-    @pytest.mark.parametrize("dist, p, trials, n_list, N_list, epsilon", [
-        (UNIFORM, 64, 3 * 256 + 17, (1, 32), (0, 4), 0.1),  # the bins of `sample --n 1,32 --N 0,4`
-        (UNIFORM, 33, 600, (1, 17), (0, 4), 0.1),
-        (TABLE, 80, 513, (33, 2), (31,), None),  # 32 bins, the most the matrix path takes
-        (SamplingDistribution.two_point(1.0), 16, 300, (1, 8, 16), (0, 3), 0.5),
-        (TABLE, 4096, 300, (1, 2048), (0, 16), 0.3),
-        (UNIFORM, 2, 257, (1, 2), (0,), None),
+    # the trailing fields: moment orders, and whether `size` counts cells on
+    # the line instead of a period
+    @pytest.mark.parametrize("dist, size, trials, n_list, N_list, epsilon, r_list, line", [
+        (UNIFORM, 64, 3 * 256 + 17, (1, 32), (0, 4), 0.1, (), False),  # the bins of `sample --n 1,32 --N 0,4`
+        (UNIFORM, 33, 600, (1, 17), (0, 4), 0.1, (), False),
+        (TABLE, 80, 513, (33, 2), (31,), None, (), False),  # 32 bins, the most the matrix path takes
+        (SamplingDistribution.two_point(1.0), 16, 300, (1, 8, 16), (0, 3), 0.5, (), False),
+        (TABLE, 4096, 300, (1, 2048), (0, 16), 0.3, (), False),
+        (UNIFORM, 2, 257, (1, 2), (0,), None, (), False),
+        # the line: n <= 0 shares the half bin of 1-n, N >= M/2, moments, partial last chunks
+        (UNIFORM, 64, 3 * 256 + 17, (0, 1, -5, 9), (0, 4, 40), None, (1.0, 2.5), True),
+        (TABLE, 24, 300, (1, 3, -2), (0, 2), None, (0.0, 1.0), True),
+        (SamplingDistribution.two_point(1.0), 16, 513, (-7,), (12,), None, (), True),
+        (UNIFORM, 256, 600, (0, 1, 9), (0, 8), None, (1.0,), True),  # the CI command's rows
+        (UNIFORM, 2, 257, (), (0,), None, (), True),  # no bin: p_0 alone
     ])
-    def test_engine_rows_equal_a_matrix_fold(self, dist, p, trials, n_list, N_list, epsilon):
-        cfg = MonteCarloConfig(dist=dist, trials=trials, seed=p + 3, period=p,
-                               n_list=n_list, N_list=N_list, epsilon=epsilon)
-        assert _spectrum_bins(p, n_list, N_list) is not True
+    def test_engine_rows_equal_a_matrix_fold(self, dist, size, trials, n_list, N_list, epsilon,
+                                             r_list, line):
+        cfg = MonteCarloConfig(dist=dist, trials=trials, seed=size + 3, n_list=n_list,
+                               N_list=N_list, r_list=r_list, epsilon=epsilon,
+                               **{"cells" if line else "period": size})
+        assert _spectrum_bins(cfg) is not True
         chunks = range(len(_chunk_sizes(trials)))
         for threads in (1, 2, 4):
             self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
@@ -703,10 +765,18 @@ class TestPhaseMatrixPath:
         self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks)), threads=2), cfg, chunks[1:])
 
     def test_bins_follow_the_statistics(self):
-        assert _spectrum_bins(64, (1, 32), (0, 4)) == [1, 2, 3, 4, 32]
-        assert _spectrum_bins(33, (1, 17, 33), (2,)) == [1, 2, 17]  # n and p+1-n share a bin
-        assert _spectrum_bins(16, (), (0,)) == []
-        assert _spectrum_bins(64, (1,), (), (0.0,)) is True
+        def bins(n_list=(), N_list=(), r_list=(), **size):
+            return _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, n_list=n_list,
+                                                   N_list=N_list, r_list=r_list, **size))
+
+        assert bins((1, 32), (0, 4), period=64) == [1, 2, 3, 4, 32]
+        assert bins((1, 17, 33), (2,), period=33) == [1, 2, 17]  # n and p+1-n share a bin
+        assert bins((), (0,), period=16) == []
+        assert bins((1,), (), (0.0,), period=64) is True
+        # the line: n and 1-n share a bin, a moment reads 1..32, no FFT at any width
+        assert bins((0, -3, 9, 1), (2,), cells=64) == [1, 2, 4, 9]
+        assert bins((40,), (), (1.0,), cells=8) == [*range(1, 33), 40]
+        assert bins((), (100,), cells=8) == [*range(1, 101)]
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32
