@@ -49,7 +49,6 @@ from .sampling import (
 )
 from .spectral import (
     AmplitudeSeries,
-    MomentResult,
     ProbabilitySeries,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
@@ -57,7 +56,6 @@ from .spectral import (
     amplitudes_periodic,
     cumulative_probability,
     half_step_amplitudes,
-    moment_observable,
     probabilities,
     spectral_difference_from_measure,
     tilde_index,

@@ -32,10 +32,9 @@ from .closed_form import MomentTuple
 from .spectral import (
     continuous_kernel,
     folded_index,
-    half_step_amplitudes,
+    half_step_bins,
     half_step_phase_matrix,
     half_step_roots,
-    odd_half_step_bins,
 )
 
 CHUNK = 256  # trials per RNG stream; fixed so partitioning never moves a draw
@@ -260,7 +259,7 @@ class MonteCarloConfig:
     """What to estimate: p_n for n in n_list, p_N for N in N_list, p_tot
     always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
     near-zero count #{k : |yhat_k| < epsilon} when epsilon is set. On the line,
-    p_N is the mass outside n = 1-N..N (`cumulative_probability` sums |n| > N)
+    p_N is the mass outside n = 1-N..N, as `cumulative_probability` sums it,
     and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set."""
 
     dist: SamplingDistribution
@@ -491,9 +490,12 @@ def _bin_matrix(config: MonteCarloConfig, bins):
 def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
     """`chunk(rng, n_trials)` draws one chunk of `size` components per trial and
     returns y, p_tot and p_n: for the half bins of W, in order, by y @ W, or for
-    n = 1..ceil(p/2) by FFT when W is None (periodic only). All but the odd-p
-    FFT work in the calling thread's buffers, which its next chunk overwrites;
-    the even-p FFT keeps y*y in the bytes of `z`."""
+    n = 1..ceil(p/2) by `half_step_bins` when W is None (periodic only). Both
+    work in the calling thread's buffers, which its next chunk overwrites; the
+    FFT keeps y*y in the bytes of `z`. Odd p flips the signs of y's odd-k
+    components in place, which no statistic sees: each reads y only through
+    y*y and |y|. The parity picks the bin order: even p interleaves the odd
+    bins with the mirrored rest, odd p reverses them, p_n = |A[(p+1)/2-n]|^2."""
     rows, local = min(CHUNK, trials), threading.local()
 
     def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
@@ -515,32 +517,24 @@ def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
             return y, ptot, pn
 
         return matrix_chunk
-    p, h = size, size // 2
+    p, half = size, (size + 1) // 2
+    q, twiddle = (p // 2 + 1) // 2, half_step_roots(p, p // 2) / p
 
-    def odd_chunk(rng: np.random.Generator, n: int):
+    def fft_chunk(rng: np.random.Generator, n: int):
         y = dist.sample(rng, (n, p), out=buf("y", n, p))
-        ptot = (y * y).mean(axis=1)  # Parseval: exact, no transform error
-        amps = half_step_amplitudes(y)
-        pn = amps.real**2
-        pn += amps.imag**2
-        return y, ptot, pn
-
-    if p % 2:
-        return odd_chunk
-    q, twiddle = (h + 1) // 2, half_step_roots(p, h) / p
-
-    def even_chunk(rng: np.random.Generator, n: int):
-        y = dist.sample(rng, (n, p), out=buf("y", n, p))
-        z, po, pn = buf("z", n, h, complex), buf("po", n, h), buf("pn", n, h)
-        ptot = np.multiply(y, y, out=z.view(float)).mean(axis=1)  # the same pairwise row mean
-        amps = odd_half_step_bins(y, z, twiddle)
+        z, po, pn = buf("z", n, half, complex), buf("po", n, half), buf("pn", n, half)
+        ptot = np.multiply(y, y, out=z.view(float)[:, :p]).mean(axis=1)  # the same pairwise row mean
+        amps = half_step_bins(y, z, twiddle)
         np.multiply(amps.real, amps.real, out=po)
         amps.imag *= amps.imag  # conjugation flips no square
         po += amps.imag
-        pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
+        if p % 2:
+            pn[:] = po[:, ::-1]
+        else:
+            pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
         return y, ptot, pn
 
-    return even_chunk
+    return fft_chunk
 
 
 def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:

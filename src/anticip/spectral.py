@@ -12,17 +12,19 @@ Half-step amplitudes use half-integer frequencies:
 
 For real yhat the periodic amplitudes are conjugate-symmetric,
 alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed:
-all from one half-length real-input transform (`half_step_amplitudes`), or a
-few of them from one real matrix product with `half_step_phase_matrix`. That
-matrix and the O(p^2) `exact-sum` oracle read exp(-i*pi*(2n-1)*k/p) from one
-table of the 2p-th roots of unity at the exact integer index (2n-1)*k mod 2p.
-The continuous transform integrates each cell with its closed-form
-antiderivative, so neither path carries quadrature error.
+all from one FFT of half the doubled length (`half_step_bins`), or a few of
+them from one real matrix product with `half_step_phase_matrix`. Even p = 2h
+packs each row into a length-h complex FFT. Odd p uses the index map
+Z_2p = Z_2 x Z_p (Good-Thomas): the odd frequency 2n-1 is 2g+p mod 2p with
+g = n-(p+1)/2, so alpha_n = conj(A[(p+1)/2-n]) for A the length-p real FFT of
+(-1)^k yhat_k / p. That matrix and the O(p^2) `exact-sum` oracle read
+exp(-i*pi*(2n-1)*k/p) from one table of the 2p-th roots of unity at the exact
+integer index (2n-1)*k mod 2p. The continuous transform integrates each cell
+with its closed-form antiderivative, so neither path carries quadrature error.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -127,27 +129,28 @@ class ProbabilitySeries:
         return np.arange(self.n_start, self.n_start + self.values.size)
 
 
-class MomentResult(NamedTuple):
-    """Partial sum of tilde(n)^r p_n, flagged when it fails to converge."""
-
-    value: float
-    diverged: bool
-
-
 def half_step_roots(p: int, count: int | None = None) -> np.ndarray:
     """exp(-i*pi*j/p) for j < count, by default all 2p of them, where the phase
     of (2n-1)*k sits at j = (2n-1)*k mod 2p; `count` = p/2 gives the FFT twiddle."""
     return np.exp(-1j * np.pi * np.arange(2 * p if count is None else count) / p)
 
 
-def odd_half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
-    """alpha_1, alpha_3, ..., alpha_{p-1} of each real row of y, even p = 2h.
+def half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndarray:
+    """The ceil(p/2) half bins of each real row of y, shape (..., p), computed
+    in the complex array z of shape (..., ceil(p/2)) and returned in transform
+    order.
 
-    Packs the two halves of a row into one complex sequence,
-    z_j = (yhat_j - i*yhat_{j+h}) * exp(-i*pi*j/p) / p (`twiddle`), in the
-    complex array z of shape (..., h), and returns its in-place length-h DFT.
+    Even p = 2h returns alpha_1, alpha_3, ..., alpha_{p-1}: it packs the two
+    halves of a row into z_j = (yhat_j - i*yhat_{j+h}) * exp(-i*pi*j/p) / p
+    (`twiddle`) and takes the in-place length-h DFT. Odd p negates the odd-k
+    components of y in place (exact) and returns A, the length-p real FFT of
+    (-1)^k yhat_k / p, with alpha_n = conj(A[(p+1)/2-n]); `twiddle` is unused.
     """
-    h = y.shape[-1] // 2
+    p = y.shape[-1]
+    if p % 2:
+        np.negative(y[..., 1::2], out=y[..., 1::2])
+        return np.fft.rfft(y, norm="forward", out=z)
+    h = p // 2
     # the same bits, signed zeros included, as y[..., h:] * -1j + y[..., :h]
     np.add(y[..., :h], 0.0, out=z.real)
     np.subtract(0.0, y[..., h:], out=z.imag)
@@ -156,24 +159,22 @@ def odd_half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.
 
 
 def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
-    """alpha_1..alpha_ceil(p/2) of each real row of y, shape (..., p).
-
-    Even p = 2h takes alpha_{2m+1} from `odd_half_step_bins`; the even
-    indices follow from the conjugate symmetry,
-    alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}). Odd p takes the odd bins of a
-    length-2p real FFT. Every row is transformed on its own, so a batched
-    call returns each row's single-row result bit for bit.
+    """alpha_1..alpha_ceil(p/2) of each real row of y, shape (..., p), from
+    `half_step_bins` on a copy of y. Even p = 2h puts alpha_{2m+1} in place
+    and mirrors the rest, alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}); odd p
+    reverses and conjugates all bins. Every row is transformed on its own, so
+    a batched call returns each row's single-row result bit for bit.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.array(y, dtype=float)  # a copy: odd p flips signs in place
     p = y.shape[-1]
+    bins = half_step_bins(y, np.empty(y.shape[:-1] + ((p + 1) // 2,), complex),
+                          half_step_roots(p, p // 2) / p)
+    half = np.empty_like(bins)
     if p % 2:
-        return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
-    h = p // 2
-    odd = odd_half_step_bins(y, np.empty(y.shape[:-1] + (h,), complex), half_step_roots(p, h) / p)
-    q = (h + 1) // 2
-    half = np.empty_like(odd)
-    half[..., 0::2] = odd[..., :q]
-    np.conjugate(odd[..., q:][..., ::-1], out=half[..., 1::2])
+        return np.conjugate(bins[..., ::-1], out=half)
+    q = (p // 2 + 1) // 2
+    half[..., 0::2] = bins[..., :q]
+    np.conjugate(bins[..., q:][..., ::-1], out=half[..., 1::2])
     return half
 
 
@@ -281,55 +282,23 @@ def tilde_index(n: int, period: int | None = None) -> int:
 
 
 def cumulative_probability(probs: ProbabilitySeries, N: int) -> float:
-    """Tail probability beyond folded index N.
+    """Tail probability p_N: the mass outside the near window n = 1-N..N.
 
-    Periodic: sum over n = N+1 .. p-N of a full-period series (requires
-    N < p/2). Continuous: sum over the window indices with |n| > N.
+    Periodic series need the full period n = 1..p and N < p/2, and the window
+    wraps, leaving n = N+1 .. p-N; a continuous series sums its window indices
+    n < 1-N and n > N. Both are the p_N that `sampling` estimates.
     """
     if N < 0:
         raise ValueError("N must be nonnegative")
+    offset = probs.indices - (1 - N)  # 0..2N-1 inside the near window
     if probs.period is not None:
         p = probs.period
         if probs.n_start != 1 or probs.values.size != p:
             raise ValueError("periodic tail sums need the full-period series n = 1..p")
         if N >= p / 2:
             raise ValueError(f"N must be below p/2 = {p / 2} (got {N})")
-        return float(probs.values[N : p - N].sum())
-    mask = np.abs(probs.indices) > N
-    return float(probs.values[mask].sum())
-
-
-def moment_observable(probs: ProbabilitySeries, r: float) -> MomentResult:
-    """Windowed sum of tilde(n)^r p_n.
-
-    Periodic series sum exactly over the period. Continuous series report the
-    window partial sum and flag divergence when dyadic blocks of the folded
-    index stop decaying (the partial sums then fail to Cauchy-converge).
-    """
-    if r < 0:
-        raise ValueError("moment order must be nonnegative")
-    if probs.period is not None:
-        folded = folded_index(probs.indices, probs.period)
-        terms = folded.astype(float) ** r * probs.values
-        return MomentResult(float(terms.sum()), False)
-
-    folded = np.abs(probs.indices).astype(float)
-    terms = folded**r * probs.values
-    total = float(terms.sum())
-
-    top = folded.max(initial=0.0)
-    blocks = []
-    hi = 1
-    while hi <= top:  # only dyadic blocks fully inside the window
-        sel = (folded > hi / 2) & (folded <= hi)
-        blocks.append(float(terms[sel].sum()))
-        hi *= 2
-    diverged = (
-        len(blocks) >= 3
-        and blocks[-1] > 0.0
-        and blocks[-1] >= 0.75 * blocks[-2]
-    )
-    return MomentResult(total, diverged)
+        offset %= p
+    return float(probs.values[(offset < 0) | (offset >= 2 * N)].sum())
 
 
 def spectral_difference_from_measure(

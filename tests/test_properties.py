@@ -22,7 +22,7 @@ from anticip import (
     probabilities,
     tilde_index,
 )
-from anticip.sampling import _batch_moments
+from anticip.sampling import _batch_moments, _chunks
 from anticip.spectral import half_step_phase_matrix
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -74,6 +74,17 @@ def test_half_step_amplitudes_batched_rows_bit_identical(rows):
         assert half_step_amplitudes(np.array(row)).tobytes() == out.tobytes()
 
 
+class _Rows:
+    """A stand-in component law whose draws are the given rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def sample(self, rng, shape, out):
+        out[:] = self.rows
+        return out
+
+
 @settings(max_examples=60, deadline=None)
 @given(case=st.integers(min_value=2, max_value=64).flatmap(lambda p: st.tuples(
     st.lists(component, min_size=p, max_size=p),
@@ -87,6 +98,10 @@ def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
     pn = a[:K] ** 2 + a[K:] ** 2
     exact = np.abs(amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values) ** 2
     assert np.max(np.abs(pn - exact[np.array(bins) - 1])) <= 1e-15
+    # the engine's FFT chunk, both parities: p_n for the half bins n = 1..ceil(p/2)
+    _, ptot, fft_pn = _chunks(_Rows(y), p, 1, W=None)(None, 1)
+    assert np.max(np.abs(fft_pn[0] - exact[: (p + 1) // 2])) <= 1e-15
+    assert ptot[0] == float(np.mean(y * y))
     for n, got in zip(bins, pn):  # each phase reduced in Python integers, each part summed exactly
         angles = [math.pi * ((2 * n - 1) * k % (2 * p)) / p for k in range(p)]
         re = math.fsum(v * math.cos(t) for v, t in zip(values, angles)) / p

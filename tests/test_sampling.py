@@ -540,8 +540,7 @@ class TestNearZero:
                 raise AssertionError(f"{name} transform computed")
             return call
 
-        monkeypatch.setattr(sampling, "half_step_amplitudes", refuse("FFT"))
-        monkeypatch.setattr(sampling, "odd_half_step_bins", refuse("FFT"))  # the even-p engine path
+        monkeypatch.setattr(sampling, "half_step_bins", refuse("FFT"))
         monkeypatch.setattr(sampling, "half_step_phase_matrix", refuse("matrix"))
         rep = near_zero_statistics(UNIFORM, 16, 0.2, 300, 1)
         assert rep.histogram.sum() == 300
@@ -662,7 +661,7 @@ class TestChunkBuffers:
         first = (y0.copy(), ptot0.copy(), pn0.copy())
         y1, ptot1, pn1 = chunk(stream(0, 1), 256)
         assert np.shares_memory(y0, y1)
-        assert np.shares_memory(pn0, pn1) == (p % 2 == 0)  # odd p: p_n from its allocating FFT
+        assert np.shares_memory(pn0, pn1)
         assert not np.shares_memory(ptot0, ptot1)  # reduced statistics are fresh arrays
         assert not np.array_equal(first[0], y1)  # the second chunk overwrote the first
         other = []
@@ -807,8 +806,7 @@ class TestPhaseMatrixPath:
         import anticip.sampling as sampling
 
         called = set()
-        for name, attr in (("FFT", "half_step_amplitudes"), ("FFT", "odd_half_step_bins"),
-                           ("matrix", "half_step_phase_matrix")):
+        for name, attr in (("FFT", "half_step_bins"), ("matrix", "half_step_phase_matrix")):
             fn = getattr(sampling, attr)
             monkeypatch.setattr(sampling, attr,
                                 lambda *args, fn=fn, name=name: called.add(name) or fn(*args))

@@ -7,19 +7,23 @@ import pytest
 
 from anticip import (
     DiscreteMeasure,
+    MonteCarloConfig,
     OrthogonalityError,
+    SamplingDistribution,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
     cumulative_probability,
     half_step_amplitudes,
-    moment_observable,
     probabilities,
     spectral_difference_from_measure,
+    stream,
     tilde_index,
     truncation_window,
 )
+from anticip.sampling import _chunks, _half_moment_weights, _trial_stats
+from anticip.spectral import folded_index
 
 PI = np.pi
 
@@ -68,11 +72,12 @@ class TestAmplitudesPeriodic:
 
     def test_modes_agree_to_rounding(self):
         rng = np.random.default_rng(1)
-        for p in (2, 3, 5, 64, 2**14):
+        for p in (2, 3, 5, 33, 64, 255, 4095, 2**14):
             sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, p))
             fast = amplitudes_periodic(sd, "fast-transform")
             exact = amplitudes_periodic(sd, "exact-sum")
-            assert np.max(np.abs(fast.values - exact.values)) <= 1e-15
+            assert np.max(np.abs(fast.values - exact.values)) <= 1e-15, p
+            assert np.max(np.abs(probabilities(fast).values - probabilities(exact).values)) <= 1e-15, p
 
     def test_exact_sum_matches_reduced_angle_fsum(self):
         # alpha_n = p^-1 sum_k yhat_k exp(-i*pi*j/p), j = (2n-1)k mod 2p reduced
@@ -94,10 +99,12 @@ class TestAmplitudesPeriodic:
     @staticmethod
     def _packed_formula(y):
         # the packing as first written: y_hi * -1j + y_lo, twiddled, one
-        # allocating FFT, then the conjugate mirror into the spent input
+        # allocating FFT, then the conjugate mirror into the spent input; odd p
+        # by Z_2p = Z_2 x Z_p, alpha_n = conj(A[(p+1)/2-n]) with A the length-p
+        # real FFT of (-1)^k y_k / p
         p = y.shape[-1]
         if p % 2:
-            return np.fft.rfft(y, n=2 * p)[..., 1::2] / p
+            return np.fft.rfft(y * (-1.0) ** np.arange(p), norm="forward")[..., ::-1].conj()
         h = p // 2
         z = y[..., h:] * -1j
         z += y[..., :h]
@@ -116,8 +123,10 @@ class TestAmplitudesPeriodic:
         y[1] = -0.0
         y[2, ::2] = -0.0  # signed zeros among nonzero components
         y[3, 1::3] = 0.0
+        before = y.copy()
         for rows in (y, y[4]):  # batched and one 1-d row
             got = half_step_amplitudes(rows)
+            assert np.array_equal(y.view(np.uint64), before.view(np.uint64))  # odd p flips a copy
             assert got.shape == rows.shape[:-1] + ((p + 1) // 2,)
             assert np.array_equal(got.view(np.uint64), self._packed_formula(rows).view(np.uint64))
 
@@ -211,14 +220,17 @@ class TestCumulative:
             cumulative_probability(pr, 2)
 
     def test_continuous_window_tail(self):
-        sd = SpectralDifferenceContinuous([1.0, 1.0])
-        pr = probabilities(amplitudes_continuous(sd, -4, 5))
-        expect = sum(
-            abs(v) ** 2
-            for n, v in zip(pr.indices, amplitudes_continuous(sd, -4, 5).values)
-            if abs(n) > 2
-        )
-        assert cumulative_probability(pr, 2) == pytest.approx(expect, rel=1e-12)
+        # the mass outside n = 1-N..N, the engine's p_N: p_{-N} is in the tail
+        sd = SpectralDifferenceContinuous(SamplingDistribution.uniform().sample(stream(3, 0), 32))
+        amps = amplitudes_continuous(sd, -200, 201)
+        pr = probabilities(amps)
+        for N in (0, 2, 4, 200):
+            expect = sum(abs(v) ** 2 for n, v in zip(pr.indices, amps.values) if not 1 - N <= n <= N)
+            assert cumulative_probability(pr, N) == pytest.approx(expect, rel=1e-12)
+        # |n| > N would leave out p_{-4} = 0.0015611 and give 0.2999869
+        assert cumulative_probability(pr, 4) == pytest.approx(0.3015480, abs=1e-7)
+        assert cumulative_probability(pr, 0) == pr.p_tot
+        assert cumulative_probability(pr, 201) == 0.0
 
 
 class TestTilde:
@@ -236,22 +248,35 @@ class TestTilde:
 
 
 class TestMomentObservable:
+    """The engine's per-trial folded moment sum_n tilde(n)^r p_n, from the FFT
+    chunk, against the same sum of exact-sum probabilities."""
+
+    R_LIST = (0.0, 1.0, 2.5)
+
+    @classmethod
+    def _moments(cls, p):
+        cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=5, seed=p, period=p,
+                               r_list=cls.R_LIST)
+        y = cfg.dist.sample(stream(cfg.seed, 0), (cfg.trials, p))
+        exact = np.array([probabilities(amplitudes_periodic(SpectralDifferencePeriodic(row),
+                                                            "exact-sum")).values for row in y])
+        chunk = _chunks(cfg.dist, p, cfg.trials, W=None)
+        weights = {r: _half_moment_weights(cfg, r) for r in cls.R_LIST}
+        stats = _trial_stats(cfg, *chunk(stream(cfg.seed, 0), cfg.trials), weights)
+        return {r: stats[("moment", r)] for r in cls.R_LIST}, exact, stats[("p_tot", None)]
+
     def test_r0_is_total(self):
-        rng = np.random.default_rng(8)
-        sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, 16))
-        pr = probabilities(amplitudes_periodic(sd))
-        res = moment_observable(pr, 0.0)
-        assert res.value == pytest.approx(pr.p_tot, rel=1e-12)
-        assert not res.diverged
+        for p in (8, 9):
+            moments, _, ptot = self._moments(p)
+            assert np.max(np.abs(moments[0.0] - ptot)) <= 1e-15, p
 
     def test_periodic_fold_matches_per_element_tilde(self):
-        rng = np.random.default_rng(9)
-        for p in range(2, 34):
-            pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(rng.uniform(-1, 1, p))))
-            folded = np.array([tilde_index(int(n), p) for n in pr.indices]).astype(float)
-            for r in (0.0, 1.0, 2.5):
-                expected = float((folded**r * pr.values).sum())
-                assert moment_observable(pr, r).value == expected
+        for p in (8, 9):
+            moments, exact, _ = self._moments(p)
+            folded = folded_index(np.arange(1, p + 1), p).astype(float)
+            assert np.array_equal(folded, [tilde_index(n, p) for n in range(1, p + 1)])
+            for r in self.R_LIST:
+                assert np.max(np.abs(moments[r] - exact @ folded**r)) <= 1e-14, (p, r)
 
     def test_log_growth_constant_model(self):
         # <tilde n> grows like (2/pi^2) ln p for the constant difference;
@@ -260,23 +285,10 @@ class TestMomentObservable:
         for k in range(6, 15):
             p = 2**k
             pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(np.ones(p))))
-            val = moment_observable(pr, 1.0).value
+            val = float(folded_index(pr.indices, p) @ pr.values)
             residuals.append(val - (2 / PI**2) * np.log(p))
         assert max(residuals) - min(residuals) < 0.05
         assert all(abs(r) < 1.0 for r in residuals)
-
-    def test_continuous_divergence_flag(self):
-        sd = SpectralDifferenceContinuous([1.0, 1.0])
-        partials = []
-        for half in (64, 256, 1024):
-            pr = probabilities(amplitudes_continuous(sd, 1 - half, half))
-            res = moment_observable(pr, 1.0)
-            partials.append(res.value)
-            assert res.diverged
-        assert partials[0] < partials[1] < partials[2]
-        # and a convergent order is not flagged
-        pr = probabilities(amplitudes_continuous(sd, -1024, 1025))
-        assert not moment_observable(pr, 0.0).diverged
 
 
 class TestFromMeasure:
