@@ -17,8 +17,6 @@ from .bounds import (
     build_orthogonal_measure,
     check_bounds,
     median_minimizer,
-    point_shift_law,
-    two_shift_law,
 )
 from .closed_form import (
     LeadingOrder,

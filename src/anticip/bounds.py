@@ -1,5 +1,7 @@
 """Measure-level toolkit: absolute energy moment, median minimizer,
-autocorrelation, and the frequency bounds obeyed by orthogonal evolutions.
+autocorrelation, the frequency bounds obeyed by orthogonal evolutions, and
+the orthogonal measure of a spectral difference (`build_orthogonal_measure`,
+the inverse of `spectral.spectral_difference_from_measure`).
 
 Everything is in the standard scale (step size over hbar equal to one), where
 one evolution step multiplies the spectral component at lambda by
@@ -9,15 +11,12 @@ on the p-th roots of unity; points then sit on the grid 2*pi*(n + k/p).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
 GRID_T_MAX = 2.0
 GRID_T_STEP = 1e-3
 _TOL = 1e-9
-
-ShiftLaw = Callable[[np.random.Generator], tuple[Sequence[int], Sequence[float]]]
 
 
 class OrthogonalityError(ValueError):
@@ -85,17 +84,17 @@ def autocorrelation(measure: DiscreteMeasure, t):
     return flat.reshape(t_arr.shape)
 
 
-def grid_indices(measure: DiscreteMeasure, p: int, tol: float) -> np.ndarray:
+def grid_indices(measure: DiscreteMeasure, p: int) -> np.ndarray:
     """Integer index j of each point lambda = 2*pi*j/p on the grid.
 
     Raises OrthogonalityError unless the measure folds uniformly onto
-    {2*pi*k/p}: every point within tol of the grid and every residue class
-    j mod p carrying mass 1/p within tol.
+    {2*pi*k/p}: every point within 1e-9 of the grid and every residue class
+    j mod p carrying mass 1/p within 1e-9.
     """
     step = 2.0 * np.pi / p
     grid = np.rint(measure.points / step)
     off = np.abs(measure.points - grid * step)
-    if off.size and float(off.max()) > tol:
+    if off.size and float(off.max()) > _TOL:
         j = int(off.argmax())
         raise OrthogonalityError(
             f"point {measure.points[j]!r} is {off[j]:.3e} away from the 2*pi/{p} grid"
@@ -103,7 +102,7 @@ def grid_indices(measure: DiscreteMeasure, p: int, tol: float) -> np.ndarray:
     flat = grid.astype(int)
     mass = np.bincount(flat % p, weights=measure.weights, minlength=p)
     dev = np.abs(mass - 1.0 / p)
-    if float(dev.max()) > tol:
+    if float(dev.max()) > _TOL:
         k = int(dev.argmax())
         raise OrthogonalityError(
             f"residue class {k} carries mass {mass[k]!r}, expected {1.0 / p!r}"
@@ -128,38 +127,29 @@ class BoundReport:
     passage_slack: float
     autocorr_slack_min: float
     orthogonality_dev: float
-    t_max: float
-    t_step: float
-    tol: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.autocorr_slack_min >= -self.tol
-            and self.corollary2_slack >= -self.tol
-            and self.passage_slack >= -self.tol
+            self.autocorr_slack_min >= -_TOL
+            and self.corollary2_slack >= -_TOL
+            and self.passage_slack >= -_TOL
         )
 
 
-def check_bounds(
-    measure: DiscreteMeasure,
-    p: int,
-    *,
-    t_max: float = GRID_T_MAX,
-    t_step: float = GRID_T_STEP,
-    tol: float = _TOL,
-) -> BoundReport:
-    """Verify the overlap inequality on a t-grid plus the frequency floors.
+def check_bounds(measure: DiscreteMeasure, p: int) -> BoundReport:
+    """Verify the overlap inequality on the t-grid 0..GRID_T_MAX (step
+    GRID_T_STEP) plus the frequency floors, each to within 1e-9.
 
     Requires the measure to fold uniformly onto {2*pi*k/p} (orthogonal
     evolution at step 1); raises OrthogonalityError otherwise.
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    grid_indices(measure, p, tol)
+    grid_indices(measure, p)
     lam0, mam = median_minimizer(measure)
 
-    t = np.arange(0.0, t_max + 0.5 * t_step, t_step)
+    t = np.arange(0.0, GRID_T_MAX + 0.5 * GRID_T_STEP, GRID_T_STEP)
     lhs = np.real(np.exp(1j * lam0 * t) * autocorrelation(measure, t))
     slack = lhs - (1.0 - mam * t)
 
@@ -175,65 +165,28 @@ def check_bounds(
         passage_slack=mam - 1.0,
         autocorr_slack_min=float(slack.min()),
         orthogonality_dev=ortho_dev,
-        t_max=t_max,
-        t_step=t_step,
-        tol=tol,
     )
 
 
-def point_shift_law(shift: int = 0) -> ShiftLaw:
-    """Deterministic profile: all of a class's mass at one integer shift."""
+def build_orthogonal_measure(yhat) -> DiscreteMeasure:
+    """Orthogonal-evolution measure of the spectral difference yhat, p = yhat.size.
 
-    def law(rng: np.random.Generator):
-        return (shift,), (1.0,)
-
-    return law
-
-
-def two_shift_law(dist) -> ShiftLaw:
-    """Profile with mass (1+yhat)/2 at shift 0 and (1-yhat)/2 at shift 1.
-
-    `dist` is any sampling distribution with a `.sample(rng, shape)` method on
-    [-1, 1]; the induced normalized spectral difference of the class is
-    exactly the drawn yhat.
+    The inverse of `spectral.spectral_difference_from_measure`: class k puts
+    mass (1+yhat_k)/2 at shift 0 and (1-yhat_k)/2 at shift 1, as weight mass/p
+    at lambda = 2*pi*(shift + k/p); masses <= 1e-15 are dropped. The folded
+    measure is exactly uniform by construction, so autocorrelation(m, n) =
+    delta_{n mod p} for integer n.
     """
-
-    def law(rng: np.random.Generator):
-        yhat = float(dist.sample(rng, ()))
-        return (0, 1), ((1.0 + yhat) / 2.0, (1.0 - yhat) / 2.0)
-
-    return law
-
-
-def build_orthogonal_measure(
-    p: int, shift_law: ShiftLaw, rng: np.random.Generator
-) -> DiscreteMeasure:
-    """Random orthogonal-evolution measure from per-class shift profiles.
-
-    For each residue class k the law yields a finite profile over integer
-    shifts n (nonnegative, total 1); weight profile[n]/p is placed at
-    lambda = 2*pi*(n + k/p). The folded measure is exactly uniform by
-    construction, so autocorrelation(m, n) = delta_{n mod p} for integer n.
-    """
-    if p < 2:
-        raise ValueError("period must be at least 2")
-    pts, wts = [], []
-    for k in range(p):
-        shifts, masses = shift_law(rng)
-        sh = np.asarray(shifts, dtype=float)
-        ms = np.asarray(masses, dtype=float)
-        if sh.shape != ms.shape or sh.ndim != 1:
-            raise ValueError("shift profile must be matching 1-d sequences")
-        if np.any(sh != np.rint(sh)):
-            raise ValueError("shifts must be integers")
-        if np.any(ms < 0) or abs(float(ms.sum()) - 1.0) > 1e-12:
-            raise ValueError("profile masses must be nonnegative and sum to 1")
-        if np.unique(sh).size != sh.size:
-            raise ValueError("shifts within one profile must be distinct")
-        keep = ms > 1e-15
-        pts.append(2.0 * np.pi * (sh[keep] + k / p))
-        wts.append(ms[keep] / p)
-    points = np.concatenate(pts)
-    weights = np.concatenate(wts)
-    order = np.argsort(points)
-    return DiscreteMeasure(points[order], weights[order])
+    yhat = np.asarray(yhat, dtype=float)
+    if yhat.ndim != 1 or yhat.size < 2:
+        raise ValueError("yhat must be 1-d with at least 2 components")
+    if not np.all(np.abs(yhat) <= 1.0):  # also false on NaN
+        raise ValueError("yhat must be finite and lie within [-1, 1]")
+    p = yhat.size
+    k = np.arange(p) / p
+    # shift-0 points lie below 2*pi and shift-1 points from 2*pi on, so the
+    # concatenation is already ascending
+    points = 2.0 * np.pi * np.concatenate([k, 1.0 + k])
+    masses = np.concatenate([(1.0 + yhat) / 2.0, (1.0 - yhat) / 2.0])
+    keep = masses > 1e-15
+    return DiscreteMeasure(points[keep], masses[keep] / p)

@@ -321,11 +321,9 @@ def bound(period, count, seed, fmt, out):
     dist = SamplingDistribution.uniform()
     rows = []
     reports = []
-    even = fb.build_orthogonal_measure(period, fb.point_shift_law(0),
-                                       rng_mod.stream(seed, 0))
     gen = rng_mod.stream(seed, 1)
-    measures = [("evenly-spread", even)]
-    measures += [(f"random-{i}", fb.build_orthogonal_measure(period, fb.two_shift_law(dist), gen))
+    measures = [("evenly-spread", fb.build_orthogonal_measure([1.0] * period))]
+    measures += [(f"random-{i}", fb.build_orthogonal_measure(dist.sample(gen, (period,))))
                  for i in range(count)]
     for label, meas in measures:
         rep = fb.check_bounds(meas, period)

@@ -28,17 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiscreteMeasure, grid_indices
+from .bounds import DiscreteMeasure, _frozen, grid_indices
 
 _BOUND_SLACK = 1e-12
 
 AMPLITUDE_MODES = ("fast-transform", "exact-sum")
-
-
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.setflags(write=False)
-    return arr
 
 
 def _check_unit_band(arr: np.ndarray) -> None:
@@ -302,24 +296,24 @@ def cumulative_probability(probs: ProbabilitySeries, N: int) -> float:
 
 
 def spectral_difference_from_measure(
-    measure: DiscreteMeasure, p: int, tol: float = 1e-9
+    measure: DiscreteMeasure, p: int
 ) -> SpectralDifferencePeriodic:
     """Fold a measure modulo 4*pi into the per-class normalized difference.
 
     Points must sit on the grid 2*pi*(n + k/p) and every residue class must
-    carry total mass 1/p within tol (the uniform-reduction constraint,
+    carry total mass 1/p within 1e-9 (the uniform-reduction constraint,
     checked by `bounds.grid_indices`, which raises OrthogonalityError); the
     class difference is then p * (even-shift mass - odd-shift mass).
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    flat = grid_indices(measure, p, tol)
+    flat = grid_indices(measure, p)
     classes = flat % p
     odd = flat // p % 2 == 1
     w = measure.weights
     # even- and odd-shift masses are summed apart; one signed sum rounds differently
     even_mass = np.bincount(classes[~odd], weights=w[~odd], minlength=p)
     odd_mass = np.bincount(classes[odd], weights=w[odd], minlength=p)
-    # class masses were verified to tol, so any unit-band overshoot is fuzz
+    # class masses were verified to 1e-9, so any unit-band overshoot is fuzz
     yhat = np.clip(p * (even_mass - odd_mass), -1.0, 1.0)
     return SpectralDifferencePeriodic(yhat)

@@ -236,7 +236,7 @@ def frequency_bounds(seed: int = 1) -> CriterionResult:
     dist = SamplingDistribution.uniform()
     lines = []
     for p in (2, 4, 8):
-        even = fb.build_orthogonal_measure(p, fb.point_shift_law(0), rng_mod.stream(seed, 0))
+        even = fb.build_orthogonal_measure(np.ones(p))
         rep = fb.check_bounds(even, p)
         lines.append(_line(f"p={p} evenly-spread |min<|H-l0|> - pi/2|",
                            abs(rep.min_abs_moment - np.pi / 2), 0.0, "1e-9",
@@ -246,7 +246,7 @@ def frequency_bounds(seed: int = 1) -> CriterionResult:
         worst_floor = math.inf
         counterexample = None
         for _ in range(100):
-            meas = fb.build_orthogonal_measure(p, fb.two_shift_law(dist), gen)
+            meas = fb.build_orthogonal_measure(dist.sample(gen, (p,)))
             rep = fb.check_bounds(meas, p)
             worst_grid = min(worst_grid, rep.autocorr_slack_min)
             if rep.corollary2_slack < worst_floor:

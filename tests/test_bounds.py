@@ -12,10 +12,8 @@ from anticip import (
     build_orthogonal_measure,
     check_bounds,
     median_minimizer,
-    point_shift_law,
     spectral_difference_from_measure,
     stream,
-    two_shift_law,
 )
 
 PI = np.pi
@@ -125,20 +123,25 @@ def test_check_bounds_rejects_non_orthogonal():
         check_bounds(m, 2)
 
 
+def test_evenly_spread_slack_at_every_period():
+    # the evenly spread measure meets the pi/2 floor exactly at even p, but at
+    # odd p its minimum is (pi/2)(1 - 1/p^2), so Corollary 2's slack is negative
+    for p in range(2, 10):
+        rep = check_bounds(build_orthogonal_measure(np.ones(p)), p)
+        expected = 0.0 if p % 2 == 0 else -PI / (2 * p * p)
+        assert abs(rep.corollary2_slack - expected) <= 1e-12
+        assert rep.ok == (p % 2 == 0)
+
+
 def test_build_orthogonal_single_shift():
-    m = build_orthogonal_measure(2, point_shift_law(0), stream(0, 0))
+    m = build_orthogonal_measure(np.ones(2))
     assert m.points == pytest.approx([0.0, PI])
     assert m.weights == pytest.approx([0.5, 0.5])
 
 
 def test_build_orthogonal_odd_shift_class():
-    def law_by_class(counter=iter(range(100))):
-        def law(rng):
-            k = next(counter)
-            return ((0,), (1.0,)) if k == 0 else ((1,), (1.0,))
-        return law
-
-    m = build_orthogonal_measure(2, law_by_class(), stream(0, 0))
+    m = build_orthogonal_measure([1.0, -1.0])
+    assert m.points == pytest.approx([0.0, 3 * PI])
     sd = spectral_difference_from_measure(m, 2)
     assert sd.values == pytest.approx([1.0, -1.0])
 
@@ -147,22 +150,45 @@ def test_build_orthogonal_autocorrelation_is_delta():
     dist = SamplingDistribution.uniform()
     gen = stream(5, 0)
     for p in (2, 3, 8):
-        m = build_orthogonal_measure(p, two_shift_law(dist), gen)
+        m = build_orthogonal_measure(dist.sample(gen, (p,)))
         n = np.arange(0, 2 * p + 1, dtype=float)
         target = (np.arange(0, 2 * p + 1) % p == 0).astype(float)
         assert np.max(np.abs(autocorrelation(m, n) - target)) <= 1e-9
 
 
-def test_round_trip_recovers_drawn_difference():
-    # the two-shift profile encodes yhat exactly; folding recovers it
-    dist = SamplingDistribution.uniform()
-    drawn = []
+def _per_class_measure(yhat):
+    # class by class: mass (1 +- yhat_k)/2 at shift 0 / 1 as weight mass/p at
+    # 2*pi*(shift + k/p), masses <= 1e-15 dropped, then sorted
+    p = len(yhat)
+    atoms = [(2.0 * np.pi * (shift + k / p), mass / p)
+             for k, y in enumerate(yhat)
+             for shift, mass in ((0, (1.0 + y) / 2.0), (1, (1.0 - y) / 2.0))
+             if mass > 1e-15]
+    return np.array(sorted(atoms)).T
 
-    def recording_law(rng):
-        yhat = float(dist.sample(rng, ()))
-        drawn.append(yhat)
-        return (0, 1), ((1 + yhat) / 2, (1 - yhat) / 2)
 
-    m = build_orthogonal_measure(8, recording_law, stream(9, 0))
-    sd = spectral_difference_from_measure(m, 8)
+ROUND_TRIP_LAWS = {
+    "uniform": SamplingDistribution.uniform(),
+    "two-point:1": SamplingDistribution.two_point(1.0),
+    "table-pm1": SamplingDistribution.table([-1.0, 0.25, 1.0], [0.25, 0.5, 0.25]),
+}
+
+
+@pytest.mark.parametrize("law", sorted(ROUND_TRIP_LAWS))
+@pytest.mark.parametrize("p", [2, 3, 8, 33])
+def test_round_trip_recovers_drawn_difference(p, law):
+    # yhat -> measure -> yhat; atoms at +-1 leave zero masses, which are dropped
+    drawn = ROUND_TRIP_LAWS[law].sample(stream(9, p), (p,))
+    m = build_orthogonal_measure(drawn)
+    points, weights = _per_class_measure(drawn)
+    assert np.array_equal(m.points, points) and np.array_equal(m.weights, weights)
+    sd = spectral_difference_from_measure(m, p)
     assert sd.values == pytest.approx(drawn, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad, match", [
+    ([0.0, np.nan], "finite"), ([0.0, 1.5], "finite"), (np.zeros((2, 2)), "1-d"), ([0.5], "1-d"),
+], ids=["nan", "above-one", "2-d", "size-1"])
+def test_build_orthogonal_rejects_bad_difference(bad, match):
+    with pytest.raises(ValueError, match=match):
+        build_orthogonal_measure(bad)

@@ -1,6 +1,7 @@
 """CLI surface: schemas, exit codes, determinism, golden files."""
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -252,6 +253,20 @@ class TestBound:
         assert even["corollary2_slack"] == pytest.approx(0.0, abs=1e-9)
         assert all(r["status"] == "PASS" for r in data["results"])
 
+    def test_odd_period_fails_only_the_pi_over_2_floor(self):
+        # at odd p the evenly spread measure sits (pi/2)/p^2 below the pi/2
+        # floor, and a random measure can dip below it too (random-0 here)
+        res = run_cli("bound", "--period", "3", "--count", "5", "--seed", "1",
+                      "--format", "json")
+        assert res.exit_code == 1
+        rows = json.loads(res.output)["results"]
+        assert [r["status"] for r in rows] == ["FAIL", "FAIL"] + ["PASS"] * 4
+        assert [r["measure"] for r in rows[:2]] == ["evenly-spread", "random-0"]
+        assert rows[0]["corollary2_slack"] == pytest.approx(-math.pi / 18, abs=1e-12)
+        assert -1e-3 < rows[1]["corollary2_slack"] < -1e-9
+        for r in rows:
+            assert r["passage_slack"] > 0 and r["grid_slack_min"] >= -1e-9
+
     def test_bad_period_exits_2(self):
         res = run_cli("bound", "--period", "1")
         assert res.exit_code == 2
@@ -312,6 +327,13 @@ class TestGolden:
                       "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "sample_p8_seed42.json").read_bytes()
+
+    def test_bound_golden(self, tmp_path):
+        out = tmp_path / "bound.csv"
+        res = run_cli("bound", "--period", "8", "--count", "20", "--seed", "1",
+                      "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / "bound_p8_seed1.csv").read_bytes()
 
 
 def test_module_invocation_smoke():

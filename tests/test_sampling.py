@@ -24,7 +24,6 @@ from anticip import (
     stream,
     tail_exceedance,
     tilde_index,
-    two_shift_law,
 )
 from anticip.sampling import (
     StatRow,
@@ -573,7 +572,7 @@ def test_measure_route_matches_direct_sampling():
     gen = stream(21, 0)
     totals = []
     for _ in range(trials):
-        m = build_orthogonal_measure(p, two_shift_law(UNIFORM), gen)
+        m = build_orthogonal_measure(UNIFORM.sample(gen, (p,)))
         totals.append(float(np.mean(spectral_difference_from_measure(m, p).values**2)))
     totals = np.asarray(totals)
 
