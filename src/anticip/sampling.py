@@ -11,13 +11,16 @@ as p_{p+1-n} = p_n on a period and p_{1-n} = p_n on the line, plus 1..32 for a
 moment on the line; there p_N is the mass outside n = 1-N..N and a moment sums
 n = -31..32. No bins or moments, no transform; on a period, the FFT for any
 moment or over 32 bins; else one real product with the bins' phase matrix.
-Each worker thread allocates its chunk buffers once per run. A chunk's
-statistics are stacked and reduced in one pass to count, mean and central
-moments up to order four; the per-chunk accumulators merge associatively,
-which makes chunked, threaded and single-pass runs agree to rounding.
+Chunks go to the worker threads in runs of up to RUN consecutive ordinals;
+each thread allocates its chunk buffers and statistics block once per call.
+One call reduces the statistics of a run's chunks, row by row, to each chunk's
+mean and central moments up to order four; the per-chunk accumulators merge
+associatively, in ordinal order, which makes chunked, threaded and
+single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -38,6 +41,7 @@ from .spectral import (
 )
 
 CHUNK = 256  # trials per RNG stream; fixed so partitioning never moves a draw
+RUN = 16  # most consecutive chunks per worker task; a run's statistics are reduced in one call
 
 THREADS_ENV = "ANTICIP_THREADS"
 
@@ -156,6 +160,8 @@ def parse_distribution(text: str) -> SamplingDistribution:
         path = text.split(":", 1)[1]
         with open(path, "r", encoding="utf-8") as fh:
             spec = json.load(fh)
+        if not (isinstance(spec, dict) and all(isinstance(spec.get(k), list) for k in ("points", "masses"))):
+            raise ValueError(f"{path} must hold a JSON object with lists 'points' and 'masses'")
         return SamplingDistribution.table(
             spec["points"],
             spec["masses"],
@@ -206,23 +212,25 @@ class MomentAccumulator:
         return math.sqrt(max(mu4 - s2 * s2 * (n - 3) / (n - 1), 0.0) / n)
 
 
-def _batch_moments(x: np.ndarray) -> np.ndarray:
+def _batch_moments(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
     """Mean and central sums M2, M3, M4 of each row of a 2-d array, as an
     (n_rows, 4) array. Every sum is a pairwise sum along a contiguous row, so
-    a row gives the same bits alone or stacked with others."""
+    a row gives the same bits alone or stacked with others. Given `work`, an
+    array of x's shape, the two temporaries are x itself and `work`."""
     mean = x.mean(axis=1)
-    d = x - mean[:, np.newaxis]
-    d2 = d * d
+    # constant rows carry exactly zero central moments; computing them through
+    # the rounded row mean would leave ~eps^2 residue
+    const = (x == x[:, :1]).all(axis=1)
+    first = x[const, 0]
+    d = np.subtract(x, mean[:, np.newaxis], out=None if work is None else x)
+    d2 = np.multiply(d, d, out=work)
     m2 = d2.sum(axis=1)
     d *= d2
     m3 = d.sum(axis=1)
     d2 *= d2
     out = np.stack((mean, m2, m3, d2.sum(axis=1)), axis=1)
-    # constant rows carry exactly zero central moments; computing them through
-    # the rounded row mean would leave ~eps^2 residue
-    const = (x == x[:, :1]).all(axis=1)
     out[const] = 0.0
-    out[const, 0] = x[const, 0]
+    out[const, 0] = first
     return out
 
 
@@ -428,23 +436,25 @@ def _chunk_sizes(trials: int) -> list[int]:
 
 
 def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
-    """Evaluate worker(chunk_ordinal, rng, n_trials) over the selected chunks
-    and yield the results in ordinal order, for the caller to fold as they come."""
+    """Hand worker(run) the selected chunks in runs of up to RUN consecutive
+    (ordinal, rng, n_trials) triples, fewer if a thread would idle, and yield
+    the items of the lists it returns in ordinal order, to fold as they come."""
     sizes = _chunk_sizes(trials)
     lo, hi = (0, len(sizes)) if chunk_range is None else chunk_range
     if not 0 <= lo <= hi <= len(sizes):
         raise ValueError(f"chunk range {(lo, hi)} outside 0..{len(sizes)}")
-    ordinals = range(lo, hi)
-
-    def call(c: int):
-        return worker(c, rng_mod.stream(seed, c), sizes[c])
-
     n_threads = resolve_threads(threads)
-    if n_threads == 1 or len(ordinals) <= 1:
-        yield from map(call, ordinals)
+    step = max(1, min(RUN, -(-(hi - lo) // n_threads)))
+    runs = [range(c, min(c + step, hi)) for c in range(lo, hi, step)]
+
+    def call(run: range):
+        return worker([(c, rng_mod.stream(seed, c), sizes[c]) for c in run])
+
+    if n_threads == 1 or len(runs) <= 1:
+        yield from itertools.chain.from_iterable(map(call, runs))
         return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        yield from pool.map(call, ordinals)
+        yield from itertools.chain.from_iterable(pool.map(call, runs))
 
 
 # Most half bins a periodic run takes from the phase matrix, not the FFT: per
@@ -624,13 +634,23 @@ def run_monte_carlo(
     bins = _spectrum_bins(config)
     chunk = _chunks(config.dist, config.size, config.trials, _bin_matrix(config, bins))
     weights = {r: _half_moment_weights(config, r) for r in config.r_list}
+    width, local = min(CHUNK, config.trials), threading.local()
 
-    def worker(c: int, rng: np.random.Generator, n_trials: int):
-        stats = _trial_stats(config, *chunk(rng, n_trials), weights, bins)
-        block = np.array([stats[key] for key in keys], dtype=float)  # one row per key
-        accs = [MomentAccumulator(n_trials, *moments) for moments in _batch_moments(block).tolist()]
-        hist = None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1)
-        return accs, hist
+    def worker(run):
+        if not hasattr(local, "blocks"):  # the thread's statistic rows and reduction scratch
+            local.blocks = np.empty((2, min(RUN, -(-config.trials // CHUNK)), len(keys), width))
+        block, work, hists = *local.blocks, []
+        for rows, (_, rng, n) in zip(block, run):
+            stats = _trial_stats(config, *chunk(rng, n), weights, bins)
+            for row, key in zip(rows, keys):
+                row[:n] = stats[key]
+            hists.append(None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1))
+        n_last = run[-1][2]  # only the last chunk of all can be partial; it is reduced on its own
+        full = len(run) - (n_last < width)
+        moments = np.concatenate([_batch_moments(block[i:j, :, :n].reshape(-1, n), work[i:j, :, :n].reshape(-1, n))
+                                  for i, j, n in ((0, full, width), (full, len(run), n_last)) if i < j])
+        return [([MomentAccumulator(n, *m) for m in chunk_moments], hist) for (_, _, n), chunk_moments, hist
+                in zip(run, moments.reshape(len(run), len(keys), 4).tolist(), hists)]
 
     totals = {key: MomentAccumulator() for key in keys}
     histogram = None if near_zero is None else np.zeros(config.size + 1, dtype=np.int64)
@@ -669,9 +689,9 @@ def tail_exceedance(
         raise ValueError(f"delta must be finite (got {delta})")
     chunk = _chunks(dist, p, trials, _bin_matrix(config, _spectrum_bins(config)))
 
-    def worker(c: int, rng: np.random.Generator, n_trials: int):
-        _, ptot, pn = chunk(rng, n_trials)
-        return int((_tail_probability(pn, ptot, N) > delta).sum())
+    def worker(run):  # one count per run
+        tails = [_tail_probability(pn, ptot, N) for _, ptot, pn in (chunk(rng, n) for _, rng, n in run)]
+        return [int(np.count_nonzero(np.concatenate(tails) > delta))]
 
     return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
 

@@ -175,6 +175,16 @@ class TestSample:
         assert res.exit_code == 2
         assert "finite" in res.output
 
+    @pytest.mark.parametrize("text", ['[1, 2]', '{"points": {"a": 1}, "masses": [1]}'],
+                             ids=["list", "points-object"])
+    def test_table_law_that_is_not_an_object_of_lists_exits_2(self, tmp_path, text):
+        table = tmp_path / "law.json"
+        table.write_text(text)
+        res = run_cli("sample", "--period", "8", "--trials", "100",
+                      "--dist", f"table:{table}")
+        assert res.exit_code == 2
+        assert "JSON object with lists 'points' and 'masses'" in res.output
+
     def test_epsilon_needs_periodic_mode(self):
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")
         assert res.exit_code == 2

@@ -26,6 +26,7 @@ from anticip import (
     tilde_index,
 )
 from anticip.sampling import (
+    RUN,
     StatRow,
     _bin_matrix,
     _chunk_sizes,
@@ -266,15 +267,18 @@ class TestEngine:
         from anticip.sampling import _run_chunked
 
         calls = []
-        def worker(c, rng, n):
-            calls.append(c)
-            return c, n
+        def worker(run):
+            calls.extend(c for c, _, _ in run)
+            return [(c, n) for c, _, n in run]
 
-        results = _run_chunked(worker, 3 * 256 + 5, 0, 1, None)
-        assert next(results) == (0, 256) and calls == [0]
-        assert list(results) == [(1, 256), (2, 256), (3, 5)]
-        threaded = _run_chunked(worker, 3 * 256 + 5, 0, 2, (1, 4))
-        assert list(threaded) == [(1, 256), (2, 256), (3, 5)]
+        expected = [(c, 256) for c in range(RUN + 3)] + [(RUN + 3, 5)]
+        results = _run_chunked(worker, (RUN + 3) * 256 + 5, 0, 1, None)
+        # the whole first run is yielded before any chunk of the second is computed
+        assert [next(results) for _ in range(RUN)] == expected[:RUN]
+        assert calls == [*range(RUN)]
+        assert list(results) == expected[RUN:] and calls == [*range(RUN + 4)]
+        threaded = _run_chunked(worker, (RUN + 3) * 256 + 5, 0, 2, (1, RUN + 4))
+        assert list(threaded) == expected[1:]
 
     def test_thread_env_variable(self, monkeypatch):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=1024, seed=6, period=16)
@@ -630,15 +634,19 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("p, trials", [
         (2, 513), (3, 300), (4, 257), (5, 300), (6, 300), (8, 600), (33, 300), (64, 3 * 256 + 17),
         (4096, 300),
+        (64, (2 * RUN + 3) * 256 + 17),  # several runs, a partial last run and chunk
     ])
     @pytest.mark.parametrize("dist", [UNIFORM, SamplingDistribution.two_point(0.0), TABLE],
                              ids=lambda d: d.label)
     def test_engine_rows_equal_the_allocating_path(self, p, trials, dist):
         cfg = self._config(dist, p, trials)
         chunks = range(len(_chunk_sizes(trials)))
-        self._assert_bits(run_monte_carlo(cfg), cfg, chunks)
-        self._assert_bits(run_monte_carlo(cfg, threads=2), cfg, chunks)
+        for threads in (1, 2, 4):
+            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
         self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks))), cfg, chunks[1:])
+        inner = chunks[len(chunks) // 3 : -1]  # for several runs, both ends inside a run
+        self._assert_bits(run_monte_carlo(cfg, chunk_range=(inner[0], inner[-1] + 1), threads=2),
+                          cfg, inner)
 
     @pytest.mark.parametrize("dist, p, N, delta, trials, seed, threads, exceeded", [
         (UNIFORM, 64, 4, 0.3, 1000, 0, None, 421),
@@ -647,6 +655,7 @@ class TestChunkBuffers:
         (TABLE, 16, 2, 0.2, 600, 3, 2, 273),
         (SamplingDistribution.two_point(0.5), 8, 1, 0.2, 513, 4, None, 274),
         (UNIFORM, 2, 0, 0.2, 257, 5, 2, 176),
+        (UNIFORM, 64, 4, 0.3, 35 * 256 + 17, 6, 3, 3661),  # several runs
     ])
     def test_tail_exceedance_fractions_are_unchanged(self, dist, p, N, delta, trials, seed,
                                                      threads, exceeded):
@@ -749,6 +758,9 @@ class TestPhaseMatrixPath:
         (SamplingDistribution.two_point(1.0), 16, 513, (-7,), (12,), None, (), True),
         (UNIFORM, 256, 600, (0, 1, 9), (0, 8), None, (1.0,), True),  # the CI command's rows
         (UNIFORM, 2, 257, (), (0,), None, (), True),  # no bin: p_0 alone
+        # several runs, a partial last run and chunk, on a period and on the line
+        (UNIFORM, 64, (2 * RUN + 3) * 256 + 17, (1, 32), (0, 4), 0.1, (), False),
+        (TABLE, 32, (2 * RUN + 3) * 256 + 17, (0, 5), (0, 3), None, (1.0,), True),
     ])
     def test_engine_rows_equal_a_matrix_fold(self, dist, size, trials, n_list, N_list, epsilon,
                                              r_list, line):
@@ -761,6 +773,10 @@ class TestPhaseMatrixPath:
             self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
         self._assert_bits(run_monte_carlo(cfg, chunk_range=(0, 1)), cfg, chunks[:1])
         self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks)), threads=2), cfg, chunks[1:])
+        inner = chunks[len(chunks) // 3 : -1]  # for several runs, both ends inside a run
+        for threads in (1, 4):
+            self._assert_bits(run_monte_carlo(cfg, chunk_range=(inner[0], inner[-1] + 1),
+                                              threads=threads), cfg, inner)
 
     def test_bins_follow_the_statistics(self):
         def bins(n_list=(), N_list=(), r_list=(), **size):
