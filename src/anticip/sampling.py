@@ -9,10 +9,10 @@ p_tot, the folded-index moments and, when epsilon is set, the near-zero count
 with its histogram. Both modes read the half bins {1..max N} | {half bin of n},
 as p_{p+1-n} = p_n on a period and p_{1-n} = p_n on the line, plus 1..32 for a
 moment on the line; there p_N is the mass outside n = 1-N..N and a moment sums
-n = -31..32. No bins or moments, no transform; on a period, the FFT for any
-moment or over 32 bins; else one real product with the bins' phase matrix.
-Chunks go to the worker threads in runs of up to RUN consecutive ordinals;
-each thread allocates its chunk buffers and statistics block once per call.
+n = -31..32. No bins or moments, no transform; on a period, the FFT (for any
+moment or over 32 bins) in row blocks of <= 4 MiB or 32 rows; else one real
+product with the bins' phase matrix. Chunks go to the worker threads in runs of
+up to RUN consecutive ordinals; each thread allocates its buffers once per call.
 One call reduces the statistics of a run's chunks, row by row, to each chunk's
 mean and central moments up to order four; the per-chunk accumulators merge
 associatively, in ordinal order, which makes chunked, threaded and
@@ -299,6 +299,11 @@ class MonteCarloConfig:
             for N in self.N_list:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
+            # the K half bins: 1..top, with the moment's, and each n's half bin above top
+            top = max(*self.N_list, _MOMENT_BINS if self.r_list else 0, 0)
+            K = top + len({b for n in self.n_list if (b := max(n, 1 - n)) > top})
+            if 16 * self.cells * K > 1 << 30:
+                raise ValueError(f"{self.cells} cells x {K} half bins: the phase matrix passes 1 GiB")
         for r in self.r_list:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
@@ -462,6 +467,7 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
 _MOMENT_BINS = 32  # a moment on the line sums |n|^r p_n over n = -31..32
+_FFT_BYTES = 4 << 20  # most bytes of a thread's FFT buffers above 32 rows, 24 per row component
 
 
 def _half_bin(config: MonteCarloConfig, n: int) -> int:
@@ -499,18 +505,21 @@ def _bin_matrix(config: MonteCarloConfig, bins):
 
 def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
     """`chunk(rng, n_trials)` draws one chunk of `size` components per trial and
-    returns y, p_tot and p_n: for the half bins of W, in order, by y @ W, or for
-    n = 1..ceil(p/2) by `half_step_bins` when W is None (periodic only). Both
-    work in the calling thread's buffers, which its next chunk overwrites; the
-    FFT keeps y*y in the bytes of `z`. Odd p flips the signs of y's odd-k
-    components in place, which no statistic sees: each reads y only through
-    y*y and |y|. The parity picks the bin order: even p interleaves the odd
-    bins with the mirrored rest, odd p reverses them, p_n = |A[(p+1)/2-n]|^2."""
-    rows, local = min(CHUNK, trials), threading.local()
+    yields (i, y, p_tot, p_n) per block of rows i.. in draw order: p_n of W's half
+    bins by one y @ W, or of n = 1..ceil(p/2) by `half_step_bins` for W None, in
+    blocks of CHUNK rows halved while 24*p*rows bytes pass _FFT_BYTES, never below
+    32; per-row FFT steps and the moment dgemv's 4-row groups keep the chunk's bits.
+    Blocks live in the thread's buffers until its next block; the FFT keeps y*y in
+    `z`. Odd p flips the signs of y's odd-k components in place, unseen by statistics
+    reading only y*y and |y|, and reverses the bins, p_n = |A[(p+1)/2-n]|^2; even p
+    interleaves the odd bins with the mirrored rest."""
+    rows, local = CHUNK, threading.local()
+    while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
+        rows //= 2
 
     def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
         if not hasattr(local, name):
-            setattr(local, name, np.empty((rows, width), dtype))
+            setattr(local, name, np.empty((min(rows, trials), width), dtype))
         return getattr(local, name)[:n]
 
     if W is not None:
@@ -524,25 +533,28 @@ def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
                 re, im = np.matmul(y, W, out=a)[:, :K], a[:, K:]
                 np.multiply(re, re, out=pn)
                 pn += np.multiply(im, im, out=im)
-            return y, ptot, pn
+            return [(0, y, ptot, pn)]
 
         return matrix_chunk
     p, half = size, (size + 1) // 2
     q, twiddle = (p // 2 + 1) // 2, half_step_roots(p, p // 2) / p
 
     def fft_chunk(rng: np.random.Generator, n: int):
-        y = dist.sample(rng, (n, p), out=buf("y", n, p))
-        z, po, pn = buf("z", n, half, complex), buf("po", n, half), buf("pn", n, half)
-        ptot = np.multiply(y, y, out=z.view(float)[:, :p]).mean(axis=1)  # the same pairwise row mean
-        amps = half_step_bins(y, z, twiddle)
-        np.multiply(amps.real, amps.real, out=po)
-        amps.imag *= amps.imag  # conjugation flips no square
-        po += amps.imag
-        if p % 2:
-            pn[:] = po[:, ::-1]
-        else:
-            pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
-        return y, ptot, pn
+        # no 1-row last block: numpy takes a 1-row moment by dot, not by dgemv's row kernel
+        starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
+        for i, j in zip(starts, starts[1:] + [n]):
+            y = dist.sample(rng, (m := j - i, p), out=buf("y", m, p))
+            z, po, pn = buf("z", m, half, complex), buf("po", m, half), buf("pn", m, half)
+            ptot = np.multiply(y, y, out=z.view(float)[:, :p]).mean(axis=1)  # the same pairwise row mean
+            amps = half_step_bins(y, z, twiddle)
+            np.multiply(amps.real, amps.real, out=po)
+            amps.imag *= amps.imag  # conjugation flips no square
+            po += amps.imag
+            if p % 2:
+                pn[:] = po[:, ::-1]
+            else:
+                pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
+            yield i, y, ptot, pn
 
     return fft_chunk
 
@@ -641,10 +653,13 @@ def run_monte_carlo(
             local.blocks = np.empty((2, min(RUN, -(-config.trials // CHUNK)), len(keys), width))
         block, work, hists = *local.blocks, []
         for rows, (_, rng, n) in zip(block, run):
-            stats = _trial_stats(config, *chunk(rng, n), weights, bins)
-            for row, key in zip(rows, keys):
-                row[:n] = stats[key]
-            hists.append(None if near_zero is None else np.bincount(stats[near_zero], minlength=config.size + 1))
+            hists.append([])  # one near-zero bincount per row block
+            for i, y, ptot, pn in chunk(rng, n):
+                stats = _trial_stats(config, y, ptot, pn, weights, bins)
+                for row, key in zip(rows, keys):
+                    row[i:i + len(ptot)] = stats[key]
+                if near_zero is not None:
+                    hists[-1].append(np.bincount(stats[near_zero], minlength=config.size + 1))
         n_last = run[-1][2]  # only the last chunk of all can be partial; it is reduced on its own
         full = len(run) - (n_last < width)
         moments = np.concatenate([_batch_moments(block[i:j, :, :n].reshape(-1, n), work[i:j, :, :n].reshape(-1, n))
@@ -657,8 +672,8 @@ def run_monte_carlo(
     for accs, hist in _run_chunked(worker, config.trials, config.seed, threads, chunk_range):
         for key, acc in zip(keys, accs):
             totals[key] = merge_accumulators(totals[key], acc)
-        if histogram is not None:
-            histogram += hist
+        for counts in hist:
+            histogram += counts
 
     # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
     rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
@@ -689,9 +704,9 @@ def tail_exceedance(
         raise ValueError(f"delta must be finite (got {delta})")
     chunk = _chunks(dist, p, trials, _bin_matrix(config, _spectrum_bins(config)))
 
-    def worker(run):  # one count per run
-        tails = [_tail_probability(pn, ptot, N) for _, ptot, pn in (chunk(rng, n) for _, rng, n in run)]
-        return [int(np.count_nonzero(np.concatenate(tails) > delta))]
+    def worker(run):  # one count per run, summed over its row blocks
+        return [sum(int(np.count_nonzero(_tail_probability(pn, ptot, N) > delta))
+                    for _, rng, n in run for _, _, ptot, pn in chunk(rng, n))]
 
     return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
 

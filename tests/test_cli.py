@@ -189,6 +189,17 @@ class TestSample:
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")
         assert res.exit_code == 2
 
+    def test_line_over_a_gib_of_phase_matrix_exits_2(self):
+        # 10^8 half bins on 8 cells: 11.9 GiB of phase matrix, refused before any is built
+        res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "100000000")
+        assert res.exit_code == 2
+        assert "8 cells x 100000000 half bins: the phase matrix passes 1 GiB" in res.output
+
+    def test_line_under_a_gib_of_phase_matrix_runs(self):
+        res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "1000000", "--format", "json")
+        assert res.exit_code == 0
+        assert json.loads(res.output)["config"]["mode"] == "continuous"
+
     def test_table_law_from_file(self, tmp_path):
         table = tmp_path / "law.json"
         table.write_text(json.dumps({"points": [0.0, 1.0], "masses": [0.5, 0.5]}))
@@ -337,6 +348,15 @@ class TestGolden:
                       "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "sample_p8_seed42.json").read_bytes()
+
+    def test_blocked_fft_golden(self, tmp_path):
+        # 808 trials at p = 4096: three full chunks and a 40-row one, whose FFT
+        # runs in row blocks of 32 and 8
+        out = tmp_path / "sample.csv"
+        res = run_cli("sample", "--period", "4096", "--trials", "808", "--n", "5,2048",
+                      "--N", "0,1024", "--r", "1,2", "--seed", "3", "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / "sample_p4096_seed3.csv").read_bytes()
 
     def test_bound_golden(self, tmp_path):
         out = tmp_path / "bound.csv"

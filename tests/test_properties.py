@@ -98,8 +98,8 @@ def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
     pn = a[:K] ** 2 + a[K:] ** 2
     exact = np.abs(amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values) ** 2
     assert np.max(np.abs(pn - exact[np.array(bins) - 1])) <= 1e-15
-    # the engine's FFT chunk, both parities: p_n for the half bins n = 1..ceil(p/2)
-    _, ptot, fft_pn = _chunks(_Rows(y), p, 1, W=None)(None, 1)
+    # the engine's FFT chunk, both parities: p_n for the half bins n = 1..ceil(p/2), one block
+    [(_, _, ptot, fft_pn)] = _chunks(_Rows(y), p, 1, W=None)(None, 1)
     assert np.max(np.abs(fft_pn[0] - exact[: (p + 1) // 2])) <= 1e-15
     assert ptot[0] == float(np.mean(y * y))
     for n, got in zip(bins, pn):  # each phase reduced in Python integers, each part summed exactly

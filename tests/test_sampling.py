@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from anticip.sampling import (
     _trial_stats,
     resolve_threads,
 )
-from anticip.spectral import continuous_kernel, half_step_phase_matrix
+from anticip.spectral import continuous_kernel, half_step_bins, half_step_phase_matrix, half_step_roots
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -329,8 +330,9 @@ class TestEngine:
                 half = half_step_amplitudes(y)
                 stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
                                      half.real**2 + half.imag**2, weights)
-            else:
-                stats = _trial_stats(cfg, *draw(stream(cfg.seed, c), n_trials), weights, bins)
+            else:  # the matrix path's one block, rows 0..n_trials
+                [(_, *drawn)] = draw(stream(cfg.seed, c), n_trials)
+                stats = _trial_stats(cfg, *drawn, weights, bins)
             for key in keys:
                 chunk = MomentAccumulator()
                 chunk.add_batch(stats[key])
@@ -662,24 +664,86 @@ class TestChunkBuffers:
         # counts recorded from the allocating pipeline for these seeds
         assert tail_exceedance(dist, p, N, delta, trials, seed, threads=threads) == exceeded / trials
 
-    @pytest.mark.parametrize("p", [8, 9])
+    @pytest.mark.parametrize("p", [8, 9, 4096])
     def test_chunks_reuse_their_thread_buffers(self, p):
-        chunk = _chunks(UNIFORM, p, 3 * 256, W=None)
-        y0, ptot0, pn0 = chunk(stream(0, 0), 256)
-        first = (y0.copy(), ptot0.copy(), pn0.copy())
-        y1, ptot1, pn1 = chunk(stream(0, 1), 256)
-        assert np.shares_memory(y0, y1)
+        chunk, rows = _chunks(UNIFORM, p, 3 * 256, W=None), 256 if p < 683 else 32
+
+        def blocks(c):  # each block's start, arrays and copies taken before the next block
+            return [(i, arrays, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(0, c), 256)]
+
+        first, second = blocks(0), blocks(1)
+        assert [i for i, _, _ in first] == [*range(0, 256, rows)]
+        (y0, ptot0, pn0), (y1, ptot1, pn1) = first[0][1], second[-1][1]
+        assert np.shares_memory(y0, y1)  # every block of every chunk
         assert np.shares_memory(pn0, pn1)
         assert not np.shares_memory(ptot0, ptot1)  # reduced statistics are fresh arrays
-        assert not np.array_equal(first[0], y1)  # the second chunk overwrote the first
+        assert not np.array_equal(first[0][2][0], y1)  # the last block overwrote the first
         other = []
-        worker = threading.Thread(target=lambda: other.extend(chunk(stream(0, 0), 256)))
+        worker = threading.Thread(target=lambda: other.extend(blocks(0)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert not any(np.shares_memory(a, b) for a, b in zip(other, (y1, ptot1, pn1)))
-        for a, b in zip(other, first):  # another thread, its own buffers, the same bits
-            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert not any(np.shares_memory(a, b) for a, b in zip(other[-1][1], (y1, ptot1, pn1)))
+        for (_, _, mine), (_, _, theirs) in zip(first, other, strict=True):
+            for a, b in zip(mine, theirs):  # another thread, its own buffers, the same bits
+                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+    @staticmethod
+    def _whole_chunk(dist, p, rng, n):
+        """The FFT chunk as one n-row block in fresh arrays: draw, row mean of
+        y*y, transform, squares and the parity's bin order."""
+        y = dist.sample(rng, (n, p))
+        ptot = (y * y).mean(axis=1)
+        amps = half_step_bins(y, np.empty((n, (p + 1) // 2), complex), half_step_roots(p, p // 2) / p)
+        po = amps.real * amps.real + amps.imag * amps.imag
+        pn = np.empty_like(po)
+        if p % 2:
+            pn[:] = po[:, ::-1]
+        else:
+            q = (p // 2 + 1) // 2
+            pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]
+        return y, ptot, pn
+
+    @pytest.mark.parametrize("p", [4095, 4096, 8192])
+    @pytest.mark.parametrize("trials", [777, 801, 808])  # last chunks of 9, 33 and 40 rows
+    def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
+        cfg = self._config(UNIFORM, p, trials)
+        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
+        chunk = _chunks(cfg.dist, p, trials, W=None)
+        for c, n in enumerate(_chunk_sizes(trials)):
+            blocks = [(i, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(cfg.seed, c), n)]
+            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 4 MiB
+            if n == 33:  # no 1-row block, whose moment numpy takes by dot: 28 + 5 rows
+                starts[-1] = 28
+            assert [i for i, _ in blocks] == starts
+            whole = self._whole_chunk(cfg.dist, p, stream(cfg.seed, c), n)
+            for k, want in enumerate(whole):  # y, p_tot and p_n
+                got = np.concatenate([arrays[k] for _, arrays in blocks])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, k)
+            # statistics per block, the moment dgemv included, against the whole chunk's
+            stats = [_trial_stats(cfg, *arrays, weights) for _, arrays in blocks]
+            for key, want in _trial_stats(cfg, *whole, weights).items():
+                got = np.concatenate([s[key] for s in stats])
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, key)
+        self._assert_bits(run_monte_carlo(cfg), cfg, range(len(_chunk_sizes(trials))))
+
+    @pytest.mark.parametrize("p, rows", [
+        (4096, 32), (65536, 32), (682, 256), (683, 128), (2730, 64), (2731, 32), (8, 256),
+    ])
+    def test_fft_buffers_are_bounded_in_p(self, p, rows):
+        chunk = _chunks(UNIFORM, p, 3 * 256, W=None)
+        [*_chunks(UNIFORM, p, 1, W=None)(stream(1, 0), 1)]  # FFT plans and twiddles, untraced
+        tracemalloc.start()
+        try:
+            blocks = chunk(stream(0, 0), 256)
+            _, y, _, pn = next(blocks)  # the first block only: no 256-row chunk at p = 65536
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        blocks.close()
+        assert y.base.shape == (rows, p)  # the thread's buffers, of which y and p_n are views
+        assert pn.base.shape == (rows, (p + 1) // 2)
+        assert held <= max(4 << 20, 24 * p * 32) + (64 << 10)  # y, z, |A|^2 and p_n: 24 B a component
 
     def test_threads_keep_the_bits_under_frequent_switches(self):
         # more workers than cores, switching every microsecond: a buffer shared
@@ -778,6 +842,18 @@ class TestPhaseMatrixPath:
             self._assert_bits(run_monte_carlo(cfg, chunk_range=(inner[0], inner[-1] + 1),
                                               threads=threads), cfg, inner)
 
+    @pytest.mark.parametrize("trials, n_list, N_list, seed", [(808, (1,), (), 3), (552, (1, 3), (0, 2), 4)])
+    def test_few_bin_commands_keep_one_gemm_per_chunk(self, trials, n_list, N_list, seed):
+        # `sample --period 4096 --trials 808 --n 1 --seed 3` and `--trials 552 --n 1,3
+        # --N 0,2 --seed 4`: 8- and 16-row products of these moved bits in a small-matrix dgemm
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=4096,
+                               n_list=n_list, N_list=N_list)
+        chunk = _chunks(UNIFORM, 4096, trials, _bin_matrix(cfg, _spectrum_bins(cfg)))
+        [(i, y, _, _)] = chunk(stream(seed, 0), 256)
+        assert (i, y.shape) == (0, (256, 4096))
+        for threads in (1, 2):
+            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, range(len(_chunk_sizes(trials))))
+
     def test_bins_follow_the_statistics(self):
         def bins(n_list=(), N_list=(), r_list=(), **size):
             return _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, n_list=n_list,
@@ -791,6 +867,25 @@ class TestPhaseMatrixPath:
         assert bins((0, -3, 9, 1), (2,), cells=64) == [1, 2, 4, 9]
         assert bins((40,), (), (1.0,), cells=8) == [*range(1, 33), 40]
         assert bins((), (100,), cells=8) == [*range(1, 101)]
+
+    @pytest.mark.parametrize("n_list, N_list, r_list", [
+        ((), (), ()), ((), (0,), ()), ((1,), (), ()), ((0, 1, -5, 9), (4,), ()), ((40,), (), (1.0,)),
+        ((-31, 33), (), (2.0,)), ((7, -6), (100,), (1.0,)), ((), (20,), (1.0,)),
+    ])
+    def test_line_matrix_is_bounded_by_arithmetic(self, n_list, N_list, r_list):
+        # K from max N, the n's and the moment's 32 bins, as `_spectrum_bins` counts them
+        def config(cells):
+            return MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, cells=cells, n_list=n_list,
+                                    N_list=N_list, r_list=r_list)
+
+        K = len(_spectrum_bins(config(8)))
+        if K == 0:
+            config(2**40)  # no bins, no matrix
+            return
+        cells = (1 << 30) // (16 * K)  # the most cells whose cells x 2K doubles fit 1 GiB
+        config(cells)
+        with pytest.raises(ValueError, match="phase matrix passes 1 GiB"):
+            config(cells + 1)
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32

@@ -262,7 +262,8 @@ class TestMomentObservable:
                                                             "exact-sum")).values for row in y])
         chunk = _chunks(cfg.dist, p, cfg.trials, W=None)
         weights = {r: _half_moment_weights(cfg, r) for r in cls.R_LIST}
-        stats = _trial_stats(cfg, *chunk(stream(cfg.seed, 0), cfg.trials), weights)
+        [(_, *drawn)] = chunk(stream(cfg.seed, 0), cfg.trials)  # 5 rows: one block
+        stats = _trial_stats(cfg, *drawn, weights)
         return {r: stats[("moment", r)] for r in cls.R_LIST}, exact, stats[("p_tot", None)]
 
     def test_r0_is_total(self):
