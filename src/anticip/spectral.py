@@ -148,7 +148,15 @@ def half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndar
     # the same bits, signed zeros included, as y[..., h:] * -1j + y[..., :h]
     np.add(y[..., :h], 0.0, out=z.real)
     np.subtract(0.0, y[..., h:], out=z.imag)
-    z *= twiddle
+    if h == 1:
+        # the twiddle is 1/2: each part is scaled in real arithmetic, so one row
+        # and a batch round alike; numpy's complex product takes one row through
+        # its scalar loop and a batch through its vector loop, and the two round
+        # subnormal products to zeros of opposite sign
+        z.real *= twiddle.real
+        z.imag *= twiddle.real
+    else:
+        z *= twiddle
     return np.fft.fft(z, out=z)
 
 

@@ -68,6 +68,7 @@ def test_half_step_amplitudes_match_exact_sum_and_mirror(values):
 
 @given(rows=st.integers(min_value=2, max_value=48).flatmap(
     lambda p: st.lists(st.lists(component, min_size=p, max_size=p), min_size=1, max_size=6)))
+@example(rows=[[0.0, 0.0], [-5e-324, 1.0]])  # a subnormal product that rounds to zero
 def test_half_step_amplitudes_batched_rows_bit_identical(rows):
     batch = half_step_amplitudes(np.array(rows))
     for row, out in zip(rows, batch):
