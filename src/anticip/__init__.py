@@ -53,10 +53,10 @@ from .spectral import (
     amplitudes_continuous,
     amplitudes_periodic,
     cumulative_probability,
+    folded_index,
     half_step_amplitudes,
     probabilities,
     spectral_difference_from_measure,
-    tilde_index,
     truncation_window,
 )
 

@@ -22,8 +22,8 @@ from .sampling import (
 from .spectral import (
     amplitudes_continuous,
     amplitudes_periodic,
+    folded_index,
     probabilities,
-    tilde_index,
     truncation_window,
 )
 from .verify import SUITES, run_suite, suite_seeds
@@ -122,25 +122,17 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
         raise click.UsageError(str(exc)) from exc
 
     sd = make_model(spec)
-    if periodic:
-        lo = 1 if n_min is None else n_min
-        hi = size if n_max is None else n_max
-        if lo > hi:
-            raise click.UsageError("--n-min must not exceed --n-max")
-        amps = amplitudes_periodic(sd)
-        ns = range(lo, hi + 1)
-        alpha = [amps.at(n) for n in ns]
+    lo = 1 if n_min is None else n_min
+    hi = n_max if n_max is not None else (size if periodic else truncation_window(sd))
+    if lo > hi:
+        raise click.UsageError("--n-min must not exceed --n-max")
+    ns = range(lo, hi + 1)
+    if periodic:  # alpha_{n+p} = alpha_n; Python's complex abs, not numpy's, keeps p_n's bits
+        alpha = amplitudes_periodic(sd).values[[(n - 1) % size for n in ns]].tolist()
         pn = [abs(a) ** 2 for a in alpha]
     else:
-        hi = truncation_window(sd) if n_max is None else n_max
-        lo = 1 if n_min is None else n_min
-        if lo > hi:
-            raise click.UsageError("--n-min must not exceed --n-max")
         amps = amplitudes_continuous(sd, lo, hi)
-        series = probabilities(amps)
-        ns = range(lo, hi + 1)
-        alpha = [complex(v) for v in amps.values]
-        pn = [float(v) for v in series.values]
+        alpha, pn = amps.values.tolist(), probabilities(amps).values.tolist()
 
     rows, worst = [], 0.0
     for n, a, prob in zip(ns, alpha, pn):
@@ -149,7 +141,7 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
         worst = max(worst, err)
         rows.append({
             "n": n,
-            "tilde_n": tilde_index(n, size if periodic else None),
+            "tilde_n": int(folded_index(n, size)) if periodic else abs(n),
             "re_alpha": a.real,
             "im_alpha": a.imag,
             "p_n": prob,
@@ -157,7 +149,7 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
             "abs_err": err,
         })
     config = {"command": "model", "kind": kind, "size": size, "y": amplitude,
-              "n_min": int(ns[0]), "n_max": int(ns[-1]), "max_abs_err": worst}
+              "n_min": lo, "n_max": hi, "max_abs_err": worst}
     header = ["n", "tilde_n", "re_alpha", "im_alpha", "p_n", "closed_form_p_n", "abs_err"]
     _emit(rows, header, config, fmt, out)
     sys.exit(EXIT_OK if worst <= 1e-10 else EXIT_CHECK_FAILED)

@@ -268,7 +268,10 @@ class MonteCarloConfig:
     always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
     near-zero count #{k : |yhat_k| < epsilon} when epsilon is set. On the line,
     p_N is the mass outside n = 1-N..N, as `cumulative_probability` sums it,
-    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set."""
+    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set.
+    A line run of M cells and K half bins must keep K*max(64*(M+1), 16*M + 24*rows)
+    bytes, rows = min(256, trials), within 1 GiB: the kernel and bin list as they are
+    built, then W and one thread's chunk buffers; each extra `--threads` worker adds 24*rows*K."""
 
     dist: SamplingDistribution
     trials: int
@@ -299,11 +302,9 @@ class MonteCarloConfig:
             for N in self.N_list:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
-            # the K half bins: 1..top, with the moment's, and each n's half bin above top
-            top = max(*self.N_list, _MOMENT_BINS if self.r_list else 0, 0)
-            K = top + len({b for n in self.n_list if (b := max(n, 1 - n)) > top})
-            if 16 * self.cells * K > 1 << 30:
-                raise ValueError(f"{self.cells} cells x {K} half bins: the phase matrix passes 1 GiB")
+            K = sum(map(len, _half_bins(self)))
+            if K * max(64 * (self.cells + 1), 16 * self.cells + 24 * min(CHUNK, self.trials)) > 1 << 30:
+                raise ValueError(f"{self.cells} cells x {K} half bins: the phase matrix and its buffers pass 1 GiB")
         for r in self.r_list:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
@@ -477,17 +478,20 @@ def _half_bin(config: MonteCarloConfig, n: int) -> int:
     return min(n, p + 1 - n) if p is not None else max(n, 1 - n)
 
 
+def _half_bins(config: MonteCarloConfig) -> tuple[range, list[int]]:
+    """The half bins read: range(1, top + 1), top = max N and at least _MOMENT_BINS
+    for a moment on the line, and the sorted list of the n's half bins above top."""
+    top = max(*config.N_list, _MOMENT_BINS if config.r_list and config.period is None else 0, 0)
+    return range(1, top + 1), sorted({b for n in config.n_list if (b := _half_bin(config, n)) > top})
+
+
 def _spectrum_bins(config: MonteCarloConfig):
-    """The sorted half bins {1..max N} | {half bin of each n} the statistics read,
-    with 1.._MOMENT_BINS for a moment on the line; True (the FFT's whole half
-    spectrum) for a periodic moment or over `_MATRIX_BINS` periodic bins."""
-    bins = {*range(1, max(config.N_list, default=0) + 1)}
-    bins.update(_half_bin(config, n) for n in config.n_list)
-    if config.period is not None and (config.r_list or len(bins) > _MATRIX_BINS):
+    """The sorted half bins of `_half_bins`; True (the FFT's whole half spectrum)
+    for a periodic moment or over `_MATRIX_BINS` periodic bins."""
+    near, extra = _half_bins(config)
+    if config.period is not None and (config.r_list or len(near) + len(extra) > _MATRIX_BINS):
         return True
-    if config.r_list:  # on the line
-        bins.update(range(1, _MOMENT_BINS + 1))
-    return sorted(bins)
+    return [*near, *extra]
 
 
 def _bin_matrix(config: MonteCarloConfig, bins):

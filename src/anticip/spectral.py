@@ -31,27 +31,31 @@ import numpy as np
 from .bounds import DiscreteMeasure, _frozen, grid_indices
 
 _BOUND_SLACK = 1e-12
+_TAIL_TOL = 1e-6  # the tail estimate that sets `truncation_window`
 
 AMPLITUDE_MODES = ("fast-transform", "exact-sum")
 
 
-def _check_unit_band(arr: np.ndarray) -> None:
-    if not np.all(np.abs(arr) <= 1.0 + _BOUND_SLACK):
-        raise ValueError("normalized spectral difference must be finite and lie in [-1, 1]")
-
-
 @dataclass(frozen=True)
-class SpectralDifferencePeriodic:
-    """yhat_0..yhat_{p-1}, one component per residue class, each in [-1, 1]."""
+class _SpectralDifference:
+    """One component per residue class or cell, each in [-1, 1]."""
 
     values: np.ndarray
 
     def __post_init__(self):
         arr = _frozen(self.values, float)
         if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("period must be at least 2")
-        _check_unit_band(arr)
+            raise ValueError(self._too_small)
+        if not np.all(np.abs(arr) <= 1.0 + _BOUND_SLACK):
+            raise ValueError("normalized spectral difference must be finite and lie in [-1, 1]")
         object.__setattr__(self, "values", arr)
+
+
+@dataclass(frozen=True)
+class SpectralDifferencePeriodic(_SpectralDifference):
+    """yhat_0..yhat_{p-1}, one component per residue class, each in [-1, 1]."""
+
+    _too_small = "period must be at least 2"
 
     @property
     def period(self) -> int:
@@ -59,17 +63,10 @@ class SpectralDifferencePeriodic:
 
 
 @dataclass(frozen=True)
-class SpectralDifferenceContinuous:
+class SpectralDifferenceContinuous(_SpectralDifference):
     """yhat_0..yhat_{M-1}, cell j covering kappa in [2*pi*j/M, 2*pi*(j+1)/M)."""
 
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _frozen(self.values, float)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ValueError("cell count must be at least 2")
-        _check_unit_band(arr)
-        object.__setattr__(self, "values", arr)
+    _too_small = "cell count must be at least 2"
 
     @property
     def cells(self) -> int:
@@ -90,15 +87,6 @@ class AmplitudeSeries:
     @property
     def indices(self) -> np.ndarray:
         return np.arange(self.n_start, self.n_start + self.values.size)
-
-    def at(self, n: int) -> complex:
-        """Amplitude at index n, using exact periodicity when available."""
-        offset = n - self.n_start
-        if self.period is not None:
-            offset %= self.period
-        if not 0 <= offset < self.values.size:
-            raise IndexError(f"index {n} outside the computed range")
-        return complex(self.values[offset])
 
 
 @dataclass(frozen=True)
@@ -252,9 +240,9 @@ def probabilities(amps: AmplitudeSeries) -> ProbabilitySeries:
     )
 
 
-def truncation_window(sd: SpectralDifferenceContinuous, tail_tol: float = 1e-6) -> int:
+def truncation_window(sd: SpectralDifferenceContinuous) -> int:
     """Default symmetric window bound: smallest n_max whose tail estimate
-    2*max(yhat^2)/(pi^2*(n_max-1/2)) falls below tail_tol.
+    2*max(yhat^2)/(pi^2*(n_max-1/2)) falls below _TAIL_TOL = 1e-6.
 
     The estimate is tight for smooth (constant-like) differences; rapidly
     alternating cells carry tails up to a factor M larger.
@@ -262,7 +250,7 @@ def truncation_window(sd: SpectralDifferenceContinuous, tail_tol: float = 1e-6) 
     peak = float(np.max(sd.values**2))
     if peak == 0.0:
         return 1
-    return int(np.ceil(0.5 + 2.0 * peak / (np.pi**2 * tail_tol)))
+    return int(np.ceil(0.5 + 2.0 * peak / (np.pi**2 * _TAIL_TOL)))
 
 
 def folded_index(n, p: int) -> np.ndarray:
@@ -270,17 +258,6 @@ def folded_index(n, p: int) -> np.ndarray:
     0..ceil(p/2)."""
     m = np.abs(np.asarray(n)) % p
     return np.where(2 * m <= p + 1, m, p + 1 - m)
-
-
-def tilde_index(n: int, period: int | None = None) -> int:
-    """Folded index distance of one n (see `folded_index`); |n| when the
-    period is infinite (None)."""
-    if period is None:
-        return abs(int(n))
-    p = int(period)
-    if p < 1:
-        raise ValueError("period must be positive")
-    return int(folded_index(int(n), p))
 
 
 def cumulative_probability(probs: ProbabilitySeries, N: int) -> float:

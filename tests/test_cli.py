@@ -190,10 +190,20 @@ class TestSample:
         assert res.exit_code == 2
 
     def test_line_over_a_gib_of_phase_matrix_exits_2(self):
-        # 10^8 half bins on 8 cells: 11.9 GiB of phase matrix, refused before any is built
-        res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "100000000")
+        # 10^6 half bins on 16 cells: 64 x 17 x 10^6 bytes to build the kernel pass 1 GiB by
+        # one cell (15 cells fit), refused before any is built
+        res = run_cli("sample", "--cells", "16", "--trials", "10", "--N", "1000000")
         assert res.exit_code == 2
-        assert "8 cells x 100000000 half bins: the phase matrix passes 1 GiB" in res.output
+        assert "16 cells x 1000000 half bins: the phase matrix and its buffers pass 1 GiB" in res.output
+
+    @pytest.mark.parametrize("args", [
+        ("--trials", "300", "--N", "200000"),  # a 25.6 MB W, but 1.2 GB of 256-row chunk buffers
+        ("--trials", "10", "--N", "8388608"),  # a 1 GiB W, 4.3 GB of kernel temporaries
+    ])
+    def test_line_over_a_gib_of_chunk_buffers_or_kernel_exits_2(self, args):
+        res = run_cli("sample", "--cells", "8", *args)
+        assert res.exit_code == 2
+        assert "the phase matrix and its buffers pass 1 GiB" in res.output
 
     def test_line_under_a_gib_of_phase_matrix_runs(self):
         res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "1000000", "--format", "json")
@@ -340,6 +350,19 @@ class TestGolden:
                       "--y", "1", "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "model_const_p4.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, golden", [
+        # rows outside 1..p fold by alpha_{n+p} = alpha_n, p_n in Python's complex abs
+        (("--kind", "const-periodic", "--period", "7", "--y", "0.3", "--n-min", "-20",
+          "--n-max", "30"), "model_const_p7_wrap.csv"),
+        (("--kind", "alt-continuous", "--cells", "8", "--y", "1", "--n-min", "-10",
+          "--n-max", "40"), "model_alt_c8.csv"),
+    ])
+    def test_model_window_golden(self, tmp_path, args, golden):
+        out = tmp_path / "model.csv"
+        res = run_cli("model", *args, "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
     def test_sample_golden(self, tmp_path):
         out = tmp_path / "sample.json"

@@ -11,8 +11,8 @@ from anticip import (
     make_model,
     amplitudes_continuous,
     amplitudes_periodic,
+    folded_index,
     probabilities,
-    tilde_index,
 )
 
 
@@ -84,7 +84,7 @@ def test_constant_extremes():
     p = 64
     spec = ModelSpec("const-periodic", p, 1.0)
     pr = probabilities(amplitudes_periodic(make_model(spec)))
-    folded = np.array([tilde_index(n, p) for n in pr.indices])
+    folded = folded_index(pr.indices, p)
     assert folded[int(np.argmax(pr.values))] in (0, 1)
     assert folded[int(np.argmin(pr.values))] == -(-p // 2)
 
@@ -93,7 +93,7 @@ def test_alternating_extremes_reversed():
     p = 64
     spec = ModelSpec("alt-periodic", p, 1.0)
     pr = probabilities(amplitudes_periodic(make_model(spec)))
-    folded = np.array([tilde_index(n, p) for n in pr.indices])
+    folded = folded_index(pr.indices, p)
     assert folded[int(np.argmax(pr.values))] == -(-p // 2)
     assert folded[int(np.argmin(pr.values))] in (0, 1)
 

@@ -19,8 +19,8 @@ from anticip import (
     amplitudes_periodic,
     cumulative_probability,
     half_step_amplitudes,
+    folded_index,
     probabilities,
-    tilde_index,
 )
 from anticip.sampling import _batch_moments, _chunks
 from anticip.spectral import half_step_phase_matrix
@@ -139,12 +139,12 @@ def test_continuous_symmetry_and_band(values, half):
 @given(n=st.integers(min_value=-10_000, max_value=10_000),
        p=st.integers(min_value=2, max_value=200))
 def test_tilde_properties(n, p):
-    folded = tilde_index(n, p)
+    folded = int(folded_index(n, p))
     assert 0 <= folded <= -(-p // 2)
-    assert folded == tilde_index(-n, p)
+    assert folded == int(folded_index(-n, p))
     if n >= 0:  # the fold applies |n| before the residue, so only n >= 0 wraps
-        assert folded == tilde_index(n + p, p)
-    assert tilde_index(n) == abs(n)
+        assert folded == int(folded_index(n + p, p))
+    assert int(folded_index(n, 2 * abs(n) + 2)) == abs(n)  # no fold below half a period
 
 
 moment_value = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)

@@ -17,6 +17,7 @@ from anticip import (
     SpectralDifferencePeriodic,
     amplitudes_periodic,
     build_orthogonal_measure,
+    folded_index,
     half_step_amplitudes,
     merge_accumulators,
     near_zero_statistics,
@@ -24,9 +25,9 @@ from anticip import (
     spectral_difference_from_measure,
     stream,
     tail_exceedance,
-    tilde_index,
 )
 from anticip.sampling import (
+    CHUNK,
     RUN,
     StatRow,
     _bin_matrix,
@@ -360,7 +361,7 @@ class TestEngine:
         pn = np.array([np.abs(amplitudes_periodic(SpectralDifferencePeriodic(row), "exact-sum").values) ** 2
                        for row in y])
         ptot = (y * y).mean(axis=1)
-        folded = np.array([tilde_index(n, p) for n in range(1, p + 1)], dtype=float)
+        folded = np.array([int(folded_index(n, p)) for n in range(1, p + 1)], dtype=float)
         expected = {("p_n", float(n)): pn[:, n - 1] for n in cfg.n_list}
         expected.update({("p_N", float(N)): ptot - pn[:, :N].sum(axis=1) - pn[:, p - N:].sum(axis=1)
                          for N in cfg.N_list})
@@ -871,21 +872,26 @@ class TestPhaseMatrixPath:
     @pytest.mark.parametrize("n_list, N_list, r_list", [
         ((), (), ()), ((), (0,), ()), ((1,), (), ()), ((0, 1, -5, 9), (4,), ()), ((40,), (), (1.0,)),
         ((-31, 33), (), (2.0,)), ((7, -6), (100,), (1.0,)), ((), (20,), (1.0,)),
+        ((), (150000,), ()),
     ])
     def test_line_matrix_is_bounded_by_arithmetic(self, n_list, N_list, r_list):
         # K from max N, the n's and the moment's 32 bins, as `_spectrum_bins` counts them
-        def config(cells):
-            return MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, cells=cells, n_list=n_list,
+        def config(cells, trials=1):
+            return MonteCarloConfig(dist=UNIFORM, trials=trials, seed=0, cells=cells, n_list=n_list,
                                     N_list=N_list, r_list=r_list)
 
         K = len(_spectrum_bins(config(8)))
         if K == 0:
-            config(2**40)  # no bins, no matrix
+            config(2**40, 300)  # no bins, no matrix
             return
-        cells = (1 << 30) // (16 * K)  # the most cells whose cells x 2K doubles fit 1 GiB
-        config(cells)
-        with pytest.raises(ValueError, match="phase matrix passes 1 GiB"):
-            config(cells + 1)
+        # the most cells whose K x max(64 (cells + 1), 16 cells + 24 rows) bytes fit 1 GiB: the
+        # kernel binds, except at K = 150000 with 256 rows, where the chunk buffers do
+        for trials in (1, 300):
+            rows = min(CHUNK, trials)
+            cells = min((1 << 30) // K // 64 - 1, ((1 << 30) // K - 24 * rows) // 16)
+            config(cells, trials)
+            with pytest.raises(ValueError, match="phase matrix and its buffers pass 1 GiB"):
+                config(cells + 1, trials)
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32

@@ -19,7 +19,6 @@ from anticip import (
     probabilities,
     spectral_difference_from_measure,
     stream,
-    tilde_index,
     truncation_window,
 )
 from anticip.sampling import _chunks, _half_moment_weights, _trial_stats
@@ -57,8 +56,9 @@ class TestTypes:
 class TestAmplitudesPeriodic:
     def test_p2_constant(self):
         amps = amplitudes_periodic(SpectralDifferencePeriodic([1.0, 1.0]))
-        assert amps.at(0) == pytest.approx((1 + 1j) / 2, abs=1e-15)
-        assert abs(amps.at(0)) ** 2 == pytest.approx(0.5, abs=1e-15)
+        alpha_0 = complex(amps.values[(0 - 1) % 2])  # alpha_0 = alpha_2
+        assert alpha_0 == pytest.approx((1 + 1j) / 2, abs=1e-15)
+        assert abs(alpha_0) ** 2 == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_difference_vanishes(self):
         amps = amplitudes_periodic(SpectralDifferencePeriodic(np.zeros(8)))
@@ -132,26 +132,31 @@ class TestAmplitudesPeriodic:
 
     def test_periodicity_exact(self):
         rng = np.random.default_rng(2)
-        amps = amplitudes_periodic(SpectralDifferencePeriodic(rng.uniform(-1, 1, 12)))
+        sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, 12))
+        amps = amplitudes_periodic(sd)
+        k = np.arange(12)
         for n in (1, 5, 12):
-            assert amps.at(n + 12) == amps.at(n)
-            assert amps.at(n - 12) == amps.at(n)
+            # alpha_{n+-p} sits at the offset of alpha_n, as the definition gives it
+            for m in (n + 12, n - 12):
+                direct = np.exp(-2j * PI * (m - 0.5) * k / 12) @ sd.values / 12
+                assert amps.values[(m - 1) % 12] == amps.values[n - 1]
+                assert amps.values[(m - 1) % 12] == pytest.approx(direct, abs=1e-14)
 
 
 class TestAmplitudesContinuous:
     def test_constant_first_index(self):
         amps = amplitudes_continuous(SpectralDifferenceContinuous([1.0, 1.0]), 1, 1)
-        assert amps.at(1) == pytest.approx(-2j / PI, abs=1e-14)
-        assert abs(amps.at(1)) ** 2 == pytest.approx(4 / PI**2, abs=1e-14)
+        assert amps.values[0] == pytest.approx(-2j / PI, abs=1e-14)
+        assert abs(amps.values[0]) ** 2 == pytest.approx(4 / PI**2, abs=1e-14)
 
     def test_constant_second_index(self):
         amps = amplitudes_continuous(SpectralDifferenceContinuous([1.0, 1.0]), 2, 2)
-        assert abs(amps.at(2)) ** 2 == pytest.approx(1 / (PI * 1.5) ** 2, abs=1e-14)
+        assert abs(amps.values[0]) ** 2 == pytest.approx(1 / (PI * 1.5) ** 2, abs=1e-14)
 
     def test_alternating_m4(self):
         sd = SpectralDifferenceContinuous([1.0, -1.0, 1.0, -1.0])
         amps = amplitudes_continuous(sd, 2, 2)
-        assert abs(amps.at(2)) ** 2 == pytest.approx(
+        assert abs(amps.values[0]) ** 2 == pytest.approx(
             (np.tan(3 * PI / 8) / (1.5 * PI)) ** 2, abs=1e-14
         )
 
@@ -179,7 +184,7 @@ class TestParseval:
     def test_continuous_truncation_with_tail_bound(self):
         # constant difference: the default-window tail estimate is tight
         sd = SpectralDifferenceContinuous([0.8, 0.8])
-        n_max = truncation_window(sd, tail_tol=1e-6)
+        n_max = truncation_window(sd)
         pr = probabilities(amplitudes_continuous(sd, 1 - n_max, n_max))
         gap = float(np.mean(sd.values**2)) - pr.p_tot
         assert -1e-12 <= gap <= 1e-6
@@ -235,13 +240,13 @@ class TestCumulative:
 
 class TestTilde:
     def test_examples(self):
-        assert tilde_index(5, 8) == 4
-        assert tilde_index(3, 8) == 3
-        assert tilde_index(-7) == 7
+        assert int(folded_index(5, 8)) == 4
+        assert int(folded_index(3, 8)) == 3
+        assert int(folded_index(-7, 64)) == 7  # |n| below half a period
 
     def test_range(self):
         for p in (2, 3, 8, 11):
-            folded = [tilde_index(n, p) for n in range(-2 * p, 2 * p + 1)]
+            folded = [int(folded_index(n, p)) for n in range(-2 * p, 2 * p + 1)]
             assert min(folded) == 0
             assert max(folded) <= (p + 1) // 2 + (p % 2 == 0)
             assert max(folded) == -(-p // 2)  # ceil(p/2)
@@ -275,7 +280,7 @@ class TestMomentObservable:
         for p in (8, 9):
             moments, exact, _ = self._moments(p)
             folded = folded_index(np.arange(1, p + 1), p).astype(float)
-            assert np.array_equal(folded, [tilde_index(n, p) for n in range(1, p + 1)])
+            assert np.array_equal(folded, [int(folded_index(n, p)) for n in range(1, p + 1)])
             for r in self.R_LIST:
                 assert np.max(np.abs(moments[r] - exact @ folded**r)) <= 1e-14, (p, r)
 
