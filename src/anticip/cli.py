@@ -312,14 +312,12 @@ def bound(period, count, seed, fmt, out):
         raise click.UsageError("--period must be at least 2")
     dist = SamplingDistribution.uniform()
     rows = []
-    reports = []
     gen = rng_mod.stream(seed, 1)
     measures = [("evenly-spread", fb.build_orthogonal_measure([1.0] * period))]
     measures += [(f"random-{i}", fb.build_orthogonal_measure(dist.sample(gen, (period,))))
                  for i in range(count)]
-    for label, meas in measures:
-        rep = fb.check_bounds(meas, period)
-        reports.append(rep)
+    reports = fb.check_bounds([meas for _, meas in measures], period)
+    for (label, _), rep in zip(measures, reports):
         rows.append({
             "period": period,
             "measure": label,

@@ -128,7 +128,12 @@ class SamplingDistribution:
         )
 
     def sample(self, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
-        """Draws of the given shape, written into `out` when it is given."""
+        """Draws of the given shape, written into `out` when it is given; a one-atom
+        law fills it with the atom and reads no random numbers."""
+        if self.points is not None and self.points.size == 1:
+            y = np.empty(shape) if out is None else out
+            y.fill(self.points[0])
+            return y
         y = rng.random(shape) if out is None else rng.random(out=out)
         if self.family == "uniform":  # -1 + 2u is exact: rng.uniform(-1, 1)'s bits
             return np.subtract(np.multiply(y, 2.0, out=y), 1.0, out=y)

@@ -388,6 +388,16 @@ class TestGolden:
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "bound_p8_seed1.csv").read_bytes()
 
+    def test_bound_row_blocks_golden(self, tmp_path):
+        # p = 256: the union of 512 points puts the 2001-row t-grid in phase-table
+        # row blocks of 512, 512, 512 and 465 rows and the 513-row n-grid in blocks
+        # of 508 and 5 rows, since a last block of one row is never made
+        out = tmp_path / "bound.csv"
+        res = run_cli("bound", "--period", "256", "--count", "10", "--seed", "4",
+                      "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / "bound_p256_seed4.csv").read_bytes()
+
 
 def test_module_invocation_smoke():
     src = Path(__file__).resolve().parents[1] / "src"

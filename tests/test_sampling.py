@@ -182,6 +182,23 @@ class TestDistributions:
                                                dist.points.size - 1)]
             assert np.array_equal(fresh.view(np.uint64), first.view(np.uint64))
 
+    @pytest.mark.parametrize("atom", [1.0, 0.3, -1.0, 0.0, -0.0])
+    def test_point_mass_draws_read_no_random_numbers(self, atom):
+        law = SamplingDistribution.table([atom], [1.0])
+        for shape in ((256, 64), (17, 5), (3,)):
+            gen = stream(9, 2)
+            fresh = law.sample(gen, shape)
+            buf = np.full(shape, np.nan)
+            assert law.sample(gen, shape, out=buf) is buf
+            # the stream still starts where a fresh one does
+            assert np.array_equal(gen.random(8), stream(9, 2).random(8))
+            # the take path every table law ran before
+            idx = np.zeros(shape, dtype=np.intp)
+            old = np.take(law.points, idx, mode="clip")
+            assert fresh.shape == shape and fresh.dtype == np.float64
+            for got in (fresh, buf):
+                assert np.array_equal(got.view(np.uint64), old.view(np.uint64))
+
 
 class TestAccumulator:
     def test_matches_numpy(self):
