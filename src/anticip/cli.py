@@ -135,8 +135,7 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
         alpha, pn = amps.values.tolist(), probabilities(amps).values.tolist()
 
     rows, worst = [], 0.0
-    for n, a, prob in zip(ns, alpha, pn):
-        closed = closed_form_pn(spec, n)
+    for n, a, prob, closed in zip(ns, alpha, pn, closed_form_pn(spec, ns).tolist()):
         err = abs(prob - closed)
         worst = max(worst, err)
         rows.append({

@@ -32,13 +32,7 @@ import numpy as np
 from . import rng as rng_mod
 from . import closed_form as cf
 from .closed_form import MomentTuple
-from .spectral import (
-    continuous_kernel,
-    folded_index,
-    half_step_bins,
-    half_step_phase_matrix,
-    half_step_roots,
-)
+from .spectral import folded_index, half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
 
 CHUNK = 256  # trials per RNG stream; fixed so partitioning never moves a draw
 RUN = 16  # most consecutive chunks per worker task; a run's statistics are reduced in one call
@@ -275,8 +269,8 @@ class MonteCarloConfig:
     p_N is the mass outside n = 1-N..N, as `cumulative_probability` sums it,
     and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set.
     A line run of M cells and K half bins must keep K*max(64*(M+1), 16*M + 24*rows)
-    bytes, rows = min(256, trials), within 1 GiB: the kernel and bin list as they are
-    built, then W and one thread's chunk buffers; each extra `--threads` worker adds 24*rows*K."""
+    bytes, rows = min(256, trials), within 1 GiB: W's phase table and bin list as they
+    are built, then W and one thread's chunk buffers; each extra `--threads` worker adds 24*rows*K."""
 
     dist: SamplingDistribution
     trials: int
@@ -332,8 +326,8 @@ class MonteCarloConfig:
 class StatRow:
     """One estimated statistic with its closed-form pairing, when available.
 
-    `exact_pred` marks predictions that are exact at this size; asymptotic or
-    cell-mapped pairings keep their note but carry no z-score.
+    `exact_pred` marks predictions that are exact at this size; asymptotic
+    pairings keep their note but carry no z-score.
     """
 
     statistic: str
@@ -501,15 +495,13 @@ def _spectrum_bins(config: MonteCarloConfig):
 
 def _bin_matrix(config: MonteCarloConfig, bins):
     """Real (size, 2K) W, y @ W = [Re alpha | Im alpha] of the K half `bins`, from
-    `half_step_phase_matrix` or `continuous_kernel`; None (the FFT) for bins True."""
+    `half_step_phase_matrix`, times `line_factor` on the line; None (the FFT) for bins True."""
     if bins is True:
         return None
     if not bins:
         return np.empty((config.size, 0))
-    if config.period is not None:
-        return half_step_phase_matrix(config.period, bins)
-    kernel = continuous_kernel(config.cells, bins).T
-    return np.concatenate((kernel.real, kernel.imag), axis=1)
+    factor = None if config.period is not None else line_factor(config.cells, bins)
+    return half_step_phase_matrix(config.size, bins, factor)
 
 
 def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
@@ -624,15 +616,16 @@ def _predictions(config: MonteCarloConfig) -> dict:
     else:
         M = config.cells
         preds[("p_tot", None)] = (cf.expected_ptot(m), cf.var_pN(M, 0, m), None, True)
-        note = "finite-cell mapping, O(M^-2) bias"
-        for n in config.n_list:
-            cell = (n - 1) % M + 1  # cells play the role of residue classes
-            preds[("p_n", float(n))] = (cf.expected_pn(M, cell, m), cf.var_pn(M, cell, m), note, False)
-        for N in config.N_list:
-            if N < M / 2:
-                preds[("p_N", float(N))] = (cf.expected_pN(M, N, m), cf.var_pN(M, N, m), note, False)
-            else:
-                preds[("p_N", float(N))] = (None, None, None, False)
+        # p_n on the line is w_n = |line_factor|^2 = sinc^2(pi(n-1/2)/M) times p_c of the same
+        # draws read as period M, c = (n-1) mod M + 1, and p_N = p_tot - 2 sum_{n<=N} p_n
+        ns = np.concatenate((np.array(config.n_list, np.int64), np.arange(1, max(config.N_list, default=0) + 1)))
+        w, cells = np.abs(line_factor(M, ns)) ** 2, (ns - 1) % M + 1
+        mean = w * cf.expected_pn(M, cells, m)
+        for n, wn, c, mn in zip(config.n_list, w.tolist(), cells.tolist(), mean.tolist()):
+            preds[("p_n", float(n))] = (mn, wn * wn * cf.var_pn(M, c, m), None, True)
+        near = mean[len(config.n_list):]
+        for N in config.N_list:  # no variance prediction until an oracle checks one
+            preds[("p_N", float(N))] = (m.m2 - 2.0 * float(near[:N].sum()), None, None, True)
         for r in config.r_list:
             preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
     return preds

@@ -19,8 +19,8 @@ Z_2p = Z_2 x Z_p (Good-Thomas): the odd frequency 2n-1 is 2g+p mod 2p with
 g = n-(p+1)/2, so alpha_n = conj(A[(p+1)/2-n]) for A the length-p real FFT of
 (-1)^k yhat_k / p. That matrix and the O(p^2) `exact-sum` oracle read
 exp(-i*pi*(2n-1)*k/p) from one table of the 2p-th roots of unity at the exact
-integer index (2n-1)*k mod 2p. The continuous transform integrates each cell
-with its closed-form antiderivative, so neither path carries quadrature error.
+integer index (2n-1)*k mod 2p. On M cells alpha_n is `line_factor` times the
+period-M alpha_n: each cell's integral in closed form, with no quadrature.
 """
 from __future__ import annotations
 
@@ -168,13 +168,26 @@ def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
     return half
 
 
-def half_step_phase_matrix(p: int, bins) -> np.ndarray:
+def half_step_phase_matrix(p: int, bins, factor=None) -> np.ndarray:
     """Real (p, 2K) W with y @ W = [Re alpha_n | Im alpha_n] for the K half bins
     n_j in `bins`: W[k, j] + i*W[k, K+j] = exp(-i*pi*(2n_j-1)*k/p) / p, each
-    read from `half_step_roots` at the exact index (2n_j-1)*k mod 2p."""
+    read from `half_step_roots` at the exact index (2n_j-1)*k mod 2p; times factor[j] if given."""
     odd = 2 * np.asarray(bins, dtype=np.int64) - 1
     phase = half_step_roots(p)[np.outer(np.arange(p), odd) % (2 * p)] / p
+    if factor is not None:
+        phase *= factor
     return np.concatenate((phase.real, phase.imag), axis=1)
+
+
+def line_factor(cells: int, n) -> np.ndarray:
+    """sinc(pi*w/M) * exp(-i*pi*w/M), w = n-1/2: alpha_n on M cells over alpha_n of period M.
+    Both parts come from `half_step_roots(2M)`: the phase at j = (2n-1) mod 4M, sin(pi*w/M) as
+    -Im at the first-quadrant index min(k, 2M-k), k = j mod 2M, negated for j >= 2M."""
+    n = np.asarray(n, dtype=np.int64)
+    roots, j = half_step_roots(2 * cells), (2 * n - 1) % (4 * cells)
+    k = j % (2 * cells)
+    sin = roots[np.minimum(k, 2 * cells - k)].imag * np.where(j < 2 * cells, -1.0, 1.0)
+    return roots[j] * (sin * cells / (np.pi * (n - 0.5)))
 
 
 def amplitudes_periodic(
@@ -208,24 +221,16 @@ def amplitudes_periodic(
     return AmplitudeSeries(n_start=1, values=amps, period=p)
 
 
-def continuous_kernel(cells: int, indices: np.ndarray) -> np.ndarray:
-    """Exact per-cell integration weights: row n, column j gives the cell-j
-    contribution to alpha_n for a unit yhat on that cell."""
-    edges = 2.0 * np.pi * np.arange(cells + 1) / cells
-    omega = np.asarray(indices, dtype=float) - 0.5
-    lo = np.exp(-1j * np.outer(omega, edges[:-1]))
-    hi = np.exp(-1j * np.outer(omega, edges[1:]))
-    return (lo - hi) / (2j * np.pi * omega[:, None])
-
-
 def amplitudes_continuous(
     sd: SpectralDifferenceContinuous, n_min: int, n_max: int
 ) -> AmplitudeSeries:
-    """Amplitudes for n = n_min..n_max by exact cell-wise integration."""
+    """Amplitudes for n = n_min..n_max: `line_factor` times the fast-transform
+    period-M amplitude alpha_{((n-1) mod M)+1} of the same components."""
     if n_min > n_max:
         raise ValueError("n_min must not exceed n_max")
     indices = np.arange(n_min, n_max + 1)
-    amps = continuous_kernel(sd.cells, indices) @ sd.values
+    period = amplitudes_periodic(SpectralDifferencePeriodic(sd.values)).values
+    amps = line_factor(sd.cells, indices) * period[(indices - 1) % sd.cells]
     return AmplitudeSeries(n_start=n_min, values=amps, period=None)
 
 

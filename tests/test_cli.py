@@ -190,15 +190,15 @@ class TestSample:
         assert res.exit_code == 2
 
     def test_line_over_a_gib_of_phase_matrix_exits_2(self):
-        # 10^6 half bins on 16 cells: 64 x 17 x 10^6 bytes to build the kernel pass 1 GiB by
-        # one cell (15 cells fit), refused before any is built
+        # 10^6 half bins on 16 cells: 64 x 17 x 10^6 bytes to build the phase matrix pass 1 GiB
+        # by one cell (15 cells fit), refused before any is built
         res = run_cli("sample", "--cells", "16", "--trials", "10", "--N", "1000000")
         assert res.exit_code == 2
         assert "16 cells x 1000000 half bins: the phase matrix and its buffers pass 1 GiB" in res.output
 
     @pytest.mark.parametrize("args", [
         ("--trials", "300", "--N", "200000"),  # a 25.6 MB W, but 1.2 GB of 256-row chunk buffers
-        ("--trials", "10", "--N", "8388608"),  # a 1 GiB W, 4.3 GB of kernel temporaries
+        ("--trials", "10", "--N", "8388608"),  # a 1 GiB W, more to build it
     ])
     def test_line_over_a_gib_of_chunk_buffers_or_kernel_exits_2(self, args):
         res = run_cli("sample", "--cells", "8", *args)
@@ -209,6 +209,19 @@ class TestSample:
         res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "1000000", "--format", "json")
         assert res.exit_code == 0
         assert json.loads(res.output)["config"]["mode"] == "continuous"
+
+    @pytest.mark.parametrize("args", [
+        ("--cells", "64", "--trials", "20000", "--n", "1,67", "--N", "30", "--seed", "5"),
+        ("--cells", "1024", "--trials", "1500", "--seed", "5", "--N", "200"),
+    ])
+    def test_line_rows_pass_their_exact_z_gate(self, args):
+        # p_67 = w_67 p_3 with w_67 = sinc^2(66.5 pi/64) ~ 1.4e-3, p_N at N = 30 and at
+        # N = 200: the period-M pairing without the sinc^2 weight missed these rows by
+        # about 10^5, 500 and 22 standard errors
+        res = run_cli("sample", *args, "--format", "json")
+        assert res.exit_code == 0
+        rows = [r for r in json.loads(res.output)["results"] if r["statistic"] in ("p_n", "p_N")]
+        assert rows and all(r["z_mean"] is not None and abs(r["z_mean"]) <= 5 for r in rows)
 
     def test_table_law_from_file(self, tmp_path):
         table = tmp_path / "law.json"

@@ -23,7 +23,7 @@ from anticip import (
     probabilities,
 )
 from anticip.sampling import _batch_moments, _chunks
-from anticip.spectral import half_step_phase_matrix
+from anticip.spectral import half_step_phase_matrix, line_factor
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 periodic_values = st.lists(component, min_size=2, max_size=48)
@@ -134,6 +134,23 @@ def test_continuous_symmetry_and_band(values, half):
     flipped = pr.values[::-1]
     assert np.max(np.abs(pr.values - flipped)) <= 1e-12
     assert pr.p_tot <= float(np.mean(sd.values**2)) + 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.integers(min_value=2, max_value=64).flatmap(
+           lambda M: st.lists(component, min_size=M, max_size=M)),
+       n_min=st.integers(min_value=-10**7, max_value=10**7 - 40),
+       width=st.integers(min_value=0, max_value=40))
+@example(values=[1.0, -1.0] * 32, n_min=-10**7, width=40)
+@example(values=[1.0] * 64, n_min=-20, width=40)  # |alpha| near 1 around n = 0 and 1
+def test_line_amplitudes_are_the_factor_times_the_exact_period(values, n_min, width):
+    # alpha_n on the line of M cells is line_factor(M, n) times the period-M
+    # amplitude alpha_{((n-1) mod M)+1}, here from the O(M^2) exact sum
+    sd = SpectralDifferenceContinuous(values)
+    M, n = sd.cells, np.arange(n_min, n_min + width + 1)
+    exact = amplitudes_periodic(SpectralDifferencePeriodic(values), "exact-sum").values
+    amps = amplitudes_continuous(sd, n_min, n_min + width).values
+    assert np.max(np.abs(amps - line_factor(M, n) * exact[(n - 1) % M])) <= 1e-15
 
 
 @given(n=st.integers(min_value=-10_000, max_value=10_000),

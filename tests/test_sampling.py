@@ -40,9 +40,20 @@ from anticip.sampling import (
     _trial_stats,
     resolve_threads,
 )
-from anticip.spectral import continuous_kernel, half_step_bins, half_step_phase_matrix, half_step_roots
+from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
 
 UNIFORM = SamplingDistribution.uniform()
+
+
+def _complex_kernel(cells: int, indices) -> np.ndarray:
+    """Row n, column j: the integral of exp(-i*(n-1/2)*kappa) / (2*pi) over cell j,
+    (exp(-i*w*a) - exp(-i*w*b)) / (2*pi*i*w) for the cell's edges a < b: the
+    direct per-cell integration the line's amplitudes are checked against."""
+    edges = 2.0 * np.pi * np.arange(cells + 1) / cells
+    omega = np.asarray(indices, dtype=float) - 0.5
+    lo = np.exp(-1j * np.outer(omega, edges[:-1]))
+    hi = np.exp(-1j * np.outer(omega, edges[1:]))
+    return (lo - hi) / (2j * np.pi * omega[:, None])
 
 
 class TestDistributions:
@@ -470,10 +481,11 @@ class TestEngine:
         assert abs(tot.acc.mean - 1 / 3) <= 4 * tot.acc.std_error
         # total never below the tail
         assert rep.row("p_N", 4.0).acc.mean < tot.acc.mean
-        # near-window means stay close to the cell-mapped prediction
-        row = rep.row("p_n", 1.0)
-        assert abs(row.acc.mean - row.pred_mean) <= 6 * row.acc.std_error
-        assert row.z_mean is None  # approximate pairing carries no z-score
+        # line p_n is sinc^2 times the period-M p_n of the same draws: an exact
+        # pairing, so every p_n and p_N row carries a z-score
+        for key in (("p_n", 1.0), ("p_n", 5.0), ("p_N", 0.0), ("p_N", 4.0)):
+            row = rep.row(*key)
+            assert row.exact_pred and row.z_mean is not None and abs(row.z_mean) <= 5, key
 
     def test_continuous_p0_is_ptot(self):
         # the near window of N = 0 is empty on the line too
@@ -505,7 +517,7 @@ class TestEngine:
         y = np.concatenate([dist.sample(stream(cfg.seed, c), (n, cells))
                             for c, n in enumerate(_chunk_sizes(cfg.trials))])
         window = np.arange(1 - 40, 40 + 1)
-        pn = np.abs(y @ continuous_kernel(cells, window).T) ** 2
+        pn = np.abs(y @ _complex_kernel(cells, window).T) ** 2
         ptot = (y * y).mean(axis=1)
         expected = {("p_tot", None): ptot}
         expected.update({("p_n", float(n)): pn[:, window == n][:, 0] for n in cfg.n_list})
@@ -790,15 +802,16 @@ class TestPhaseMatrixPath:
     def _matrix_fold(cfg, chunks):
         """Accumulators and histogram of the given chunk ordinals, each chunk
         drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
-        folded in ordinal order. On the line W is [Re | Im] of the transposed
-        `continuous_kernel` of the bins."""
+        folded in ordinal order. On the line W is [Re | Im] of the period-M phases
+        of the bins times their `line_factor`."""
         keys = [*_predictions(cfg)]
         bins = _spectrum_bins(cfg)
         if cfg.mode == "periodic":
             W = half_step_phase_matrix(cfg.period, bins)
         else:
-            kernel = continuous_kernel(cfg.cells, bins).T
-            W = np.concatenate((kernel.real, kernel.imag), axis=1)
+            M, odd = cfg.cells, 2 * np.array(bins, dtype=np.int64) - 1
+            phase = half_step_roots(M)[np.outer(np.arange(M), odd) % (2 * M)] / M * line_factor(M, bins)
+            W = np.concatenate((phase.real, phase.imag), axis=1)
         K = len(bins)
         weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
         totals = {key: MomentAccumulator() for key in keys}

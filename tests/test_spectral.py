@@ -1,6 +1,7 @@
 """Spectral differences, half-step amplitudes and derived probabilities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from anticip import (
     truncation_window,
 )
 from anticip.sampling import _chunks, _half_moment_weights, _trial_stats
-from anticip.spectral import folded_index
+from anticip.spectral import folded_index, line_factor
 
 PI = np.pi
 
@@ -171,6 +172,37 @@ class TestAmplitudesContinuous:
         idx = {int(n): v for n, v in zip(pr.indices, pr.values)}
         for n in range(-7, 9):
             assert idx[n] == pytest.approx(idx[1 - n], abs=1e-12)
+
+    @pytest.mark.parametrize("cells", [2, 3, 8, 64, 4096])
+    def test_line_factor_is_the_shifted_sinc(self, cells):
+        # sinc(pi*w/M) * exp(-i*pi*w/M), w = n - 1/2, by numpy's sinc and exp for
+        # |w/M| <= 1/2, where their arguments stay small
+        n = np.arange(1 - cells // 2, cells // 2 + 1)
+        w = (n - 0.5) / cells
+        direct = np.sinc(w) * np.exp(-1j * np.pi * w)
+        assert np.max(np.abs(line_factor(cells, n) - direct) / np.abs(direct)) <= 2e-15
+        # (n - 1/2) times the factor is M sin(x) exp(-i*x) / pi, x = pi*w/M, of period
+        # M in n; relative digits hold where sin(x) is small, next to x = 0 and pi
+        n = np.arange(-2 * cells, 2 * cells + 1)
+        numer = (n - 0.5) * line_factor(cells, n)
+        for k in (1, 3, 10**6):
+            shifted = (n + k * cells - 0.5) * line_factor(cells, n + k * cells)
+            assert np.max(np.abs(shifted - numer) / np.abs(numer)) <= 2e-15, k
+        mirror = np.conj(line_factor(cells, 1 - n))  # w -> -w conjugates the factor
+        assert np.max(np.abs(mirror - line_factor(cells, n)) / np.abs(mirror)) <= 2e-15
+
+    def test_line_amplitudes_stay_small_over_a_long_window(self):
+        # 4,096 cells over the default window of a unit difference, n = 1..202,643: a few
+        # window-length vectors, where a cells x window table would take 13 GB
+        sd = SpectralDifferenceContinuous(np.where(np.arange(4096) % 2, -1.0, 1.0))
+        tracemalloc.start()
+        try:
+            amps = amplitudes_continuous(sd, 1, 202_643)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert amps.values.size == 202_643
+        assert peak < 32 << 20
 
 
 class TestParseval:
