@@ -2,7 +2,8 @@
 and frequency-bound checks, with byte-stable CSV/JSON output."""
 from __future__ import annotations
 
-import io
+import contextlib
+import itertools
 import json
 import sys
 
@@ -44,20 +45,18 @@ def _fmt(value) -> str:
     return text
 
 
-def _emit(rows: list[dict], header: list[str], config: dict, fmt: str, out: str) -> None:
-    if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(_fmt(row.get(col)) for col in header) + "\n")
-        text = buf.getvalue()
-    else:
-        text = json.dumps({"config": config, "results": rows}, indent=2) + "\n"
-    if out == "-":
-        click.echo(text, nl=False)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _emit(rows, header: list[str], config: dict, fmt: str, out: str) -> None:
+    """Write the row dicts, any iterable, to `out` (- for stdout): CSV lines as
+    the rows are formatted, in writes of up to 4,096 lines, or one JSON document."""
+    with (contextlib.nullcontext(click.get_text_stream("stdout")) if out == "-"
+          else open(out, "w", encoding="utf-8", newline="\n")) as fh:
+        if fmt == "json":
+            fh.write(json.dumps({"config": config, "results": list(rows)}, indent=2) + "\n")
+            return
+        lines = (",".join(_fmt(row.get(col)) for col in header) + "\n" for row in rows)
+        fh.write(",".join(header) + "\n")
+        for block in iter(lambda: "".join(itertools.islice(lines, 4096)), ""):
+            fh.write(block)
 
 
 def _parse_list(text: str | None, kind=int) -> tuple:
@@ -134,19 +133,18 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
         amps = amplitudes_continuous(sd, lo, hi)
         alpha, pn = amps.values.tolist(), probabilities(amps).values.tolist()
 
-    rows, worst = [], 0.0
-    for n, a, prob, closed in zip(ns, alpha, pn, closed_form_pn(spec, ns).tolist()):
-        err = abs(prob - closed)
-        worst = max(worst, err)
-        rows.append({
-            "n": n,
-            "tilde_n": int(folded_index(n, size)) if periodic else abs(n),
-            "re_alpha": a.real,
-            "im_alpha": a.imag,
-            "p_n": prob,
-            "closed_form_p_n": closed,
-            "abs_err": err,
-        })
+    closed = closed_form_pn(spec, ns).tolist()
+    errs = [abs(prob - c) for prob, c in zip(pn, closed)]
+    worst = max([0.0, *errs])
+    rows = ({
+        "n": n,
+        "tilde_n": int(folded_index(n, size)) if periodic else abs(n),
+        "re_alpha": a.real,
+        "im_alpha": a.imag,
+        "p_n": prob,
+        "closed_form_p_n": c,
+        "abs_err": err,
+    } for n, a, prob, c, err in zip(ns, alpha, pn, closed, errs))
     config = {"command": "model", "kind": kind, "size": size, "y": amplitude,
               "n_min": lo, "n_max": hi, "max_abs_err": worst}
     header = ["n", "tilde_n", "re_alpha", "im_alpha", "p_n", "closed_form_p_n", "abs_err"]

@@ -6,12 +6,13 @@ so the drawn values depend only on the seed, never on how chunks are
 partitioned across workers or where in memory they land. One pass over the
 chunks computes every configured statistic from the same draws: p_n, p_N,
 p_tot, the folded-index moments and, when epsilon is set, the near-zero count
-with its histogram. Both modes read the half bins {1..max N} | {half bin of n},
-as p_{p+1-n} = p_n on a period and p_{1-n} = p_n on the line, plus 1..32 for a
-moment on the line; there p_N is the mass outside n = 1-N..N and a moment sums
-n = -31..32. No bins or moments, no transform; on a period, the FFT (for any
-moment or over 32 bins) in row blocks of <= 4 MiB or 32 rows; else one real
-product with the bins' phase matrix. Chunks go to the worker threads in runs of
+with its histogram. A line of M cells runs as period M: its p_n is w_n =
+|line_factor|^2 times the period-M p_c of the same draws, c = (n-1) mod M + 1,
+so its p_N (outside n = 1-N..N) and moment (n = -31..32) are fixed weights over
+period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
+and those of the n's; the FFT (for any moment or over 32 bins) in row blocks of
+<= 4 MiB or 32 rows, else one real product with the bins' phase matrix, or no
+transform at all. Chunks go to the worker threads in runs of
 up to RUN consecutive ordinals; each thread allocates its buffers once per call.
 One call reduces the statistics of a run's chunks, row by row, to each chunk's
 mean and central moments up to order four; the per-chunk accumulators merge
@@ -267,10 +268,8 @@ class MonteCarloConfig:
     always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
     near-zero count #{k : |yhat_k| < epsilon} when epsilon is set. On the line,
     p_N is the mass outside n = 1-N..N, as `cumulative_probability` sums it,
-    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set.
-    A line run of M cells and K half bins must keep K*max(64*(M+1), 16*M + 24*rows)
-    bytes, rows = min(256, trials), within 1 GiB: W's phase table and bin list as they
-    are built, then W and one thread's chunk buffers; each extra `--threads` worker adds 24*rows*K."""
+    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set;
+    a line run reads at most ceil(M/2) half bins whatever N is."""
 
     dist: SamplingDistribution
     trials: int
@@ -287,8 +286,7 @@ class MonteCarloConfig:
             raise ValueError("exactly one of period and cells must be given")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        size = self.period if self.period is not None else self.cells
-        if size < 2:
+        if self.size < 2:
             raise ValueError("size must be at least 2")
         if self.period is not None:
             for n in self.n_list:
@@ -301,9 +299,6 @@ class MonteCarloConfig:
             for N in self.N_list:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
-            K = sum(map(len, _half_bins(self)))
-            if K * max(64 * (self.cells + 1), 16 * self.cells + 24 * min(CHUNK, self.trials)) > 1 << 30:
-                raise ValueError(f"{self.cells} cells x {K} half bins: the phase matrix and its buffers pass 1 GiB")
         for r in self.r_list:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
@@ -466,42 +461,32 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
 # 256-row chunk, one BLAS thread, 2-vCPU x86-64, it was 1.3x faster at K = 32 for
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
-_MOMENT_BINS = 32  # a moment on the line sums |n|^r p_n over n = -31..32
+_MOMENT_TOP = 32  # a moment on the line sums |n|^r p_n over n = -31..32
 _FFT_BYTES = 4 << 20  # most bytes of a thread's FFT buffers above 32 rows, 24 per row component
+_FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
 
 
-def _half_bin(config: MonteCarloConfig, n: int) -> int:
-    """The half bin holding p_n: min(n, p+1-n) on a period, max(n, 1-n) on the
-    line, since p_{p+1-n} = p_n, respectively p_{1-n} = p_n, for real yhat."""
-    p = config.period
-    return min(n, p + 1 - n) if p is not None else max(n, 1 - n)
-
-
-def _half_bins(config: MonteCarloConfig) -> tuple[range, list[int]]:
-    """The half bins read: range(1, top + 1), top = max N and at least _MOMENT_BINS
-    for a moment on the line, and the sorted list of the n's half bins above top."""
-    top = max(*config.N_list, _MOMENT_BINS if config.r_list and config.period is None else 0, 0)
-    return range(1, top + 1), sorted({b for n in config.n_list if (b := _half_bin(config, n)) > top})
+def _half_bin(size: int, n):
+    """The half bin holding p_n, for an int or an array n: min(c, size+1-c),
+    c = (n-1) mod size + 1, as p_{size+1-c} = p_c for real yhat."""
+    c = (n - 1) % size + 1
+    return np.minimum(c, size + 1 - c)
 
 
 def _spectrum_bins(config: MonteCarloConfig):
-    """The sorted half bins of `_half_bins`; True (the FFT's whole half spectrum)
-    for a periodic moment or over `_MATRIX_BINS` periodic bins."""
-    near, extra = _half_bins(config)
-    if config.period is not None and (config.r_list or len(near) + len(extra) > _MATRIX_BINS):
-        return True
-    return [*near, *extra]
+    """The sorted half bins read, 1..min(max N, ceil(size/2)) and those of the n's;
+    True (the FFT's whole half spectrum) for a moment or over `_MATRIX_BINS` bins."""
+    top = min(max(config.N_list, default=0), (config.size + 1) // 2)
+    bins = sorted({*range(1, top + 1), *(int(_half_bin(config.size, n)) for n in config.n_list)})
+    return True if config.r_list or len(bins) > _MATRIX_BINS else bins
 
 
 def _bin_matrix(config: MonteCarloConfig, bins):
     """Real (size, 2K) W, y @ W = [Re alpha | Im alpha] of the K half `bins`, from
-    `half_step_phase_matrix`, times `line_factor` on the line; None (the FFT) for bins True."""
+    `half_step_phase_matrix`; None (the FFT) for bins True."""
     if bins is True:
         return None
-    if not bins:
-        return np.empty((config.size, 0))
-    factor = None if config.period is not None else line_factor(config.cells, bins)
-    return half_step_phase_matrix(config.size, bins, factor)
+    return half_step_phase_matrix(config.size, bins) if bins else np.empty((config.size, 0))
 
 
 def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
@@ -561,47 +546,69 @@ def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
 
 
 def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
-    """p_N = p_tot - 2 * sum_{n<=N} p_n: the near window n = 1..N and its
-    mirror, p+1-N..p on a period (disjoint because N < p/2), 1-N..0 on the line."""
+    """p_N = p_tot - 2 * sum_{n<=N} p_n on a period: the near window n = 1..N and
+    its mirror p+1-N..p, disjoint because N < p/2."""
     return ptot - 2.0 * pn[:, :N].sum(axis=1)
 
 
-def _half_moment_weights(config: MonteCarloConfig, r: float) -> np.ndarray:
-    """Weights w with moment = p_n @ w over the first w.size half bins:
-    tilde(n)^r + tilde(p+1-n)^r for n = 1..ceil(p/2) on a period, the middle
-    index of odd p counted once; n^r + (n-1)^r for n = 1.._MOMENT_BINS on the line."""
-    p = config.period
-    if p is None:
-        n = np.arange(1.0, _MOMENT_BINS + 1)
-        return n**r + (n - 1.0) ** r
-    n = np.arange(1, (p + 1) // 2 + 1)
-    w = folded_index(n, p).astype(float) ** r
-    w[: p // 2] += folded_index(p + 1 - n[: p // 2], p).astype(float) ** r
-    return w
+def _fold(size: int, stop: int, term) -> np.ndarray:
+    """Weights over the half bins 1..ceil(size/2): term(n) added into the half bin
+    of n for n = stop down to 1 (the line's terms, ~1/n^2, smallest first), in
+    blocks of _FOLD_BLOCK indices: O(size + block) memory at any stop."""
+    g = np.zeros((size + 1) // 2)
+    for top in range(stop, 0, -_FOLD_BLOCK):
+        n = np.arange(top, max(top - _FOLD_BLOCK, 0), -1)
+        g += np.bincount(_half_bin(size, n) - 1, term(n), g.size)
+    return g
+
+
+def _weights(config: MonteCarloConfig, bins) -> dict:
+    """Fixed row weights by key over the p_n columns of the half `bins` (True: all
+    ceil(size/2)): a moment folds tilde(n)^r over a period, on the line (n^r +
+    (n-1)^r) w_n over n = 1.._MOMENT_TOP (p_{1-n} = p_n); a line p_n row takes w_n
+    = |line_factor|^2, a p_N row g_N, the fold of w_n over n = 1..N."""
+    size = config.size
+    if config.period is not None:
+        return {("moment", float(r)): _fold(size, size, lambda n: folded_index(n, size).astype(float) ** r)
+                for r in config.r_list}
+
+    def w(n):
+        return np.abs(line_factor(size, n)) ** 2
+
+    cols = slice(None) if bins is True else np.array(bins, dtype=np.intp) - 1
+    weights = {("moment", float(r)): _fold(size, _MOMENT_TOP, lambda n: (n**r + (n - 1.0) ** r) * w(n))
+               for r in config.r_list}
+    weights.update(zip([("p_n", float(n)) for n in config.n_list], w(config.n_list).tolist()))
+    weights.update({("p_N", float(N)): _fold(size, N, w)[cols] for N in config.N_list})
+    return weights
 
 
 def _trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins=True) -> dict:
-    """Per-trial statistics; pn's columns are the half `bins`, True: 1..ceil(p/2)."""
+    """Per-trial statistics from pn over the half `bins` (True: 1..ceil(size/2))
+    and the `_weights` of those columns."""
     out = {("p_tot", None): ptot}
+    line = config.period is None
     for n in config.n_list:
-        b = _half_bin(config, n)
-        out[("p_n", float(n))] = pn[:, b - 1 if bins is True else bins.index(b)]
+        b = int(_half_bin(config.size, n))
+        col = pn[:, b - 1 if bins is True else bins.index(b)]
+        out[("p_n", float(n))] = weights[("p_n", float(n))] * col if line else col
     for N in config.N_list:
-        out[("p_N", float(N))] = _tail_probability(pn, ptot, N)
+        key = ("p_N", float(N))
+        out[key] = ptot - 2.0 * (pn @ weights[key]) if line else _tail_probability(pn, ptot, N)
     for r in config.r_list:
-        out[("moment", float(r))] = pn[:, : weights[r].size] @ weights[r]
+        out[("moment", float(r))] = pn @ weights[("moment", float(r))]
     if config.epsilon is not None:
         out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
     return out
 
 
-def _predictions(config: MonteCarloConfig) -> dict:
-    """Closed-form pairings per statistic: (mean, var, note, exact)."""
+def _predictions(config: MonteCarloConfig, weights: dict, bins) -> dict:
+    """Closed-form pairings per statistic, (mean, var, note, exact), with the
+    line's `_weights` over the half `bins`."""
     m = config.dist.moments
-    preds = {}
+    preds = {("p_tot", None): (cf.expected_ptot(m), cf.var_pN(config.size, 0, m), None, True)}
     if config.mode == "periodic":
         p = config.period
-        preds[("p_tot", None)] = (cf.expected_ptot(m), cf.var_pN(p, 0, m), None, True)
         for n in config.n_list:
             preds[("p_n", float(n))] = (cf.expected_pn(p, n, m), cf.var_pn(p, n, m), None, True)
         for N in config.N_list:
@@ -615,17 +622,14 @@ def _predictions(config: MonteCarloConfig) -> dict:
             preds[("near_zero_count", float(config.epsilon))] = (p * q, p * q * (1.0 - q), note, True)
     else:
         M = config.cells
-        preds[("p_tot", None)] = (cf.expected_ptot(m), cf.var_pN(M, 0, m), None, True)
-        # p_n on the line is w_n = |line_factor|^2 = sinc^2(pi(n-1/2)/M) times p_c of the same
-        # draws read as period M, c = (n-1) mod M + 1, and p_N = p_tot - 2 sum_{n<=N} p_n
-        ns = np.concatenate((np.array(config.n_list, np.int64), np.arange(1, max(config.N_list, default=0) + 1)))
-        w, cells = np.abs(line_factor(M, ns)) ** 2, (ns - 1) % M + 1
-        mean = w * cf.expected_pn(M, cells, m)
-        for n, wn, c, mn in zip(config.n_list, w.tolist(), cells.tolist(), mean.tolist()):
-            preds[("p_n", float(n))] = (mn, wn * wn * cf.var_pn(M, c, m), None, True)
-        near = mean[len(config.n_list):]
+        # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
+        cells = (np.array(config.n_list, np.int64) - 1) % M + 1
+        for n, c, mn in zip(config.n_list, cells.tolist(), cf.expected_pn(M, cells, m).tolist()):
+            wn = weights[("p_n", float(n))]
+            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(M, c, m), None, True)
+        half = cf.expected_pn(M, np.arange(1, (M + 1) // 2 + 1) if bins is True else np.array(bins, np.int64), m)
         for N in config.N_list:  # no variance prediction until an oracle checks one
-            preds[("p_N", float(N))] = (m.m2 - 2.0 * float(near[:N].sum()), None, None, True)
+            preds[("p_N", float(N))] = (m.m2 - 2.0 * float(weights[("p_N", float(N))] @ half), None, None, True)
         for r in config.r_list:
             preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
     return preds
@@ -642,12 +646,12 @@ def run_monte_carlo(
     `chunk_range` restricts the run to chunk ordinals [lo, hi); partial
     reports over disjoint ranges merge back to the single-pass report.
     """
-    preds = _predictions(config)
+    bins = _spectrum_bins(config)
+    weights = _weights(config, bins)
+    preds = _predictions(config, weights, bins)
     keys = list(preds)
     near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
-    bins = _spectrum_bins(config)
     chunk = _chunks(config.dist, config.size, config.trials, _bin_matrix(config, bins))
-    weights = {r: _half_moment_weights(config, r) for r in config.r_list}
     width, local = min(CHUNK, config.trials), threading.local()
 
     def worker(run):

@@ -168,14 +168,12 @@ def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
     return half
 
 
-def half_step_phase_matrix(p: int, bins, factor=None) -> np.ndarray:
+def half_step_phase_matrix(p: int, bins) -> np.ndarray:
     """Real (p, 2K) W with y @ W = [Re alpha_n | Im alpha_n] for the K half bins
     n_j in `bins`: W[k, j] + i*W[k, K+j] = exp(-i*pi*(2n_j-1)*k/p) / p, each
-    read from `half_step_roots` at the exact index (2n_j-1)*k mod 2p; times factor[j] if given."""
+    read from `half_step_roots` at the exact index (2n_j-1)*k mod 2p."""
     odd = 2 * np.asarray(bins, dtype=np.int64) - 1
     phase = half_step_roots(p)[np.outer(np.arange(p), odd) % (2 * p)] / p
-    if factor is not None:
-        phase *= factor
     return np.concatenate((phase.real, phase.imag), axis=1)
 
 

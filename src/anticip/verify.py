@@ -53,9 +53,14 @@ def _line(label, measured, expected, tolerance, ok) -> CheckLine:
     return CheckLine(label, float(measured), float(expected), tolerance, bool(ok))
 
 
-def _within_se(label, measured, expected, se, mult) -> CheckLine:
-    ok = abs(measured - expected) <= mult * se
-    return _line(label, measured, expected, f"{mult}*SE={mult * se:.3g}", ok)
+def _z_gate(label, row, mult, var=False) -> CheckLine:
+    """|z| <= mult on the row's own z_mean, or z_var with `var`; a NaN z fails."""
+    acc = row.acc
+    if var:
+        measured, expected, se, z = acc.variance, row.pred_var, acc.variance_std_error, row.z_var
+    else:
+        measured, expected, se, z = acc.mean, row.pred_mean, acc.std_error, row.z_mean
+    return _line(label, measured, expected, f"{mult}*SE={mult * se:.3g}", abs(z) <= mult)
 
 
 def unit_kernel_mass(seed: int = 0) -> CriterionResult:
@@ -115,13 +120,9 @@ def mean_statistics(seed: int = 42) -> CriterionResult:
     )
     rep = run_monte_carlo(cfg)
     lines = []
-    for n in (1, 16, 32):
-        row = rep.row("p_n", float(n))
-        lines.append(_within_se(f"mean p_{n} vs 1/192", row.acc.mean, 1.0 / 192.0,
-                                row.acc.std_error, 4))
-    tot = rep.row("p_tot")
-    lines.append(_within_se("mean p_tot vs 1/3", tot.acc.mean, 1.0 / 3.0,
-                            tot.acc.std_error, 4))
+    for n in (1, 16, 32):  # each row pairs its mean with 1/192, p_tot with 1/3
+        lines.append(_z_gate(f"mean p_{n} vs 1/192", rep.row("p_n", float(n)), 4))
+    lines.append(_z_gate("mean p_tot vs 1/3", rep.row("p_tot"), 4))
     return CriterionResult("C3", "sampled means vs closed forms", lines)
 
 
@@ -134,10 +135,8 @@ def variance_statistics(seed: int = 7) -> CriterionResult:
                                n_list=(1, 32), N_list=(0, 8, 16))
         rep = run_monte_carlo(cfg)
         for stat, idx in [("p_n", 1), ("p_n", 32), ("p_N", 0), ("p_N", 8), ("p_N", 16)]:
-            row = rep.row(stat, float(idx))
-            lines.append(_within_se(f"{dist.label} var {stat}[{idx}]",
-                                    row.acc.variance, row.pred_var,
-                                    row.acc.variance_std_error, 5))
+            lines.append(_z_gate(f"{dist.label} var {stat}[{idx}]", rep.row(stat, float(idx)),
+                                 5, var=True))
     point = SamplingDistribution.table([1.0], [1.0], label="point-mass:1")
     cfg = MonteCarloConfig(dist=point, trials=100_000, seed=seed, period=p,
                            n_list=(1, 32), N_list=(0, 8, 16))
@@ -212,7 +211,7 @@ def mass_escape(seed: int = 5) -> CriterionResult:
     lines = [
         _line("mean sum over |n| <= 8", window_mean, m2 / 10.0, "< m2/10",
               window_mean < m2 / 10.0),
-        _within_se("mean p_tot vs m2", tot.acc.mean, m2, tot.acc.std_error, 4),
+        _z_gate("mean p_tot vs m2", tot, 4),
     ]
     return CriterionResult("C7", "mass escape to large indices", lines)
 
@@ -263,9 +262,8 @@ def near_zero_binomial(seed: int = 3) -> CriterionResult:
     row = near_zero_statistics(SamplingDistribution.uniform(), 100, 0.1, 10_000,
                                seed).row("near_zero_count", 0.1)
     lines = [
-        _within_se("count mean vs p*q", row.acc.mean, row.pred_mean, row.acc.std_error, 4),
-        _within_se("count variance vs p*q*(1-q)", row.acc.variance, row.pred_var,
-                   row.acc.variance_std_error, 5),
+        _z_gate("count mean vs p*q", row, 4),
+        _z_gate("count variance vs p*q*(1-q)", row, 5, var=True),
     ]
     return CriterionResult("C10", "near-zero count binomial statistic", lines)
 

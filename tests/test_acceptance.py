@@ -13,7 +13,8 @@ import math
 
 from anticip import closed_form as cf
 from anticip import verify
-from anticip.sampling import SamplingDistribution, tail_exceedance
+from anticip.sampling import (MomentAccumulator, MonteCarloConfig, SamplingDistribution, StatRow,
+                              run_monte_carlo, tail_exceedance)
 
 
 def _run(cid: str) -> verify.CriterionResult:
@@ -110,3 +111,21 @@ def test_suite_map_covers_all_criteria():
     for name in ("identities", "statistics", "bounds"):
         spread |= set(verify.SUITES[name])
     assert spread == set(verify.CRITERIA)
+
+
+def test_z_gates_read_the_literal_values():
+    # C3, C4, C7 and C10 gate each row on its own z-score: the values their labels
+    # name are the rows' predictions, bit for bit
+    uniform = SamplingDistribution.uniform()
+    rep = run_monte_carlo(MonteCarloConfig(dist=uniform, trials=1, seed=0, period=64, n_list=(1, 16, 32)))
+    assert [rep.row("p_n", float(n)).pred_mean for n in (1, 16, 32)] == [1.0 / 192.0] * 3
+    assert rep.row("p_tot").pred_mean == 1.0 / 3.0
+    line = run_monte_carlo(MonteCarloConfig(dist=uniform, trials=1, seed=0, cells=256, N_list=(8,)))
+    assert line.row("p_tot").pred_mean == uniform.moments.m2
+
+
+def test_z_gate_fails_on_nan():
+    row = StatRow("p_n", 1.0, MomentAccumulator(count=10, mean=0.5, m2=1.0), pred_mean=math.nan,
+                  pred_var=math.nan, exact_pred=True)
+    assert not verify._z_gate("mean", row, 4).ok
+    assert not verify._z_gate("variance", row, 5, var=True).ok

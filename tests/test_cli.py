@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from click.testing import CliRunner
 from anticip.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
+_SRC_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
 
 
 def run_cli(*args):
@@ -189,21 +191,30 @@ class TestSample:
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")
         assert res.exit_code == 2
 
-    def test_line_over_a_gib_of_phase_matrix_exits_2(self):
-        # 10^6 half bins on 16 cells: 64 x 17 x 10^6 bytes to build the phase matrix pass 1 GiB
-        # by one cell (15 cells fit), refused before any is built
-        res = run_cli("sample", "--cells", "16", "--trials", "10", "--N", "1000000")
-        assert res.exit_code == 2
-        assert "16 cells x 1000000 half bins: the phase matrix and its buffers pass 1 GiB" in res.output
-
     @pytest.mark.parametrize("args", [
-        ("--trials", "300", "--N", "200000"),  # a 25.6 MB W, but 1.2 GB of 256-row chunk buffers
-        ("--trials", "10", "--N", "8388608"),  # a 1 GiB W, more to build it
+        ("--cells", "16", "--trials", "10", "--N", "1000000"),
+        ("--cells", "8", "--trials", "300", "--N", "200000"),
+        ("--cells", "8", "--trials", "10", "--N", "8388608"),
     ])
-    def test_line_over_a_gib_of_chunk_buffers_or_kernel_exits_2(self, args):
-        res = run_cli("sample", "--cells", "8", *args)
-        assert res.exit_code == 2
-        assert "the phase matrix and its buffers pass 1 GiB" in res.output
+    def test_line_runs_past_the_old_gib_guard(self, args):
+        # a line run reads the period-M half bins, at most ceil(M/2) of them whatever
+        # N is, so these runs, once refused for a phase matrix over 1 GiB, now run
+        res = run_cli("sample", *args, "--format", "json")
+        assert res.exit_code == 0
+        [row] = [r for r in json.loads(res.output)["results"] if r["statistic"] == "p_N"]
+        assert row["index"] == float(args[-1]) and 0.0 < row["mean"] < 1e-4
+
+    def test_line_memory_is_bounded_at_any_cut_off(self):
+        # 10^7 indices folded onto 4 half bins: O(M + block) memory. A small Python
+        # starts the run and reads its peak RSS by wait4: a child's peak counts the
+        # pages of the process it was spawned from, here this test process
+        spawn = ("import os, subprocess, sys; p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL);"
+                 " _, status, usage = os.wait4(p.pid, 0); print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)")
+        proc = subprocess.run([sys.executable, "-c", spawn, sys.executable, "-m", "anticip", "sample", "--cells", "8",
+                               "--trials", "10", "--N", "10000000"], capture_output=True, text=True, env=_SRC_ENV)
+        code, peak_kb = map(int, proc.stdout.split())
+        assert code == 0
+        assert peak_kb < 100 * 1024  # under 100 MB
 
     def test_line_under_a_gib_of_phase_matrix_runs(self):
         res = run_cli("sample", "--cells", "8", "--trials", "10", "--N", "1000000", "--format", "json")
@@ -413,12 +424,10 @@ class TestGolden:
 
 
 def test_module_invocation_smoke():
-    src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-m", "anticip", "model", "--kind", "const-periodic",
          "--period", "2", "--y", "1"],
-        capture_output=True, text=True,
-        env={"PYTHONPATH": str(src), "PATH": "/usr/bin:/bin"},
+        capture_output=True, text=True, env=_SRC_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,tilde_n,")

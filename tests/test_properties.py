@@ -13,6 +13,8 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from anticip import (
     MomentAccumulator,
+    MonteCarloConfig,
+    SamplingDistribution,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,
@@ -22,7 +24,7 @@ from anticip import (
     folded_index,
     probabilities,
 )
-from anticip.sampling import _batch_moments, _chunks
+from anticip.sampling import _batch_moments, _bin_matrix, _chunks, _spectrum_bins, _trial_stats, _weights
 from anticip.spectral import half_step_phase_matrix, line_factor
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -151,6 +153,36 @@ def test_line_amplitudes_are_the_factor_times_the_exact_period(values, n_min, wi
     exact = amplitudes_periodic(SpectralDifferencePeriodic(values), "exact-sum").values
     amps = amplitudes_continuous(sd, n_min, n_min + width).values
     assert np.max(np.abs(amps - line_factor(M, n) * exact[(n - 1) % M])) <= 1e-15
+
+
+def _engine_rows(rows, **size_and_stats):
+    """Per-trial statistics of the engine's chunk and reduction for the given rows."""
+    cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=len(rows), seed=0, **size_and_stats)
+    bins = _spectrum_bins(cfg)
+    [(_, *drawn)] = _chunks(_Rows(np.array(rows)), cfg.size, len(rows), _bin_matrix(cfg, bins))(None, len(rows))
+    return _trial_stats(cfg, *drawn, _weights(cfg, bins), bins)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.integers(min_value=2, max_value=64).flatmap(lambda M: st.tuples(
+           st.lists(st.lists(component, min_size=M, max_size=M), min_size=1, max_size=4),
+           st.lists(st.integers(-10**7, 10**7), min_size=1, max_size=4, unique=True))))
+@example(case=([[1.0, -1.0] * 32], [1, 0, 33, -10**7]))
+@example(case=([[1.0] * 64, [(-1) ** k * k / 64 for k in range(64)]], [1, 2, 64, 10**7]))
+def test_line_rows_are_the_weight_times_the_period_rows(case):
+    # the engine's line p_n of the drawn rows is |line_factor(M, n)|^2 times the p_c,
+    # c = (n-1) mod M + 1, of its period-M run of the same rows, and so within
+    # 1e-15 * w_n of the exact-sum p_c
+    rows, ns = case
+    M = len(rows[0])
+    cs = [(n - 1) % M + 1 for n in ns]
+    line = _engine_rows(rows, cells=M, n_list=tuple(ns))
+    period = _engine_rows(rows, period=M, n_list=tuple(sorted(set(cs))))
+    exact = np.abs([amplitudes_periodic(SpectralDifferencePeriodic(row), "exact-sum").values for row in rows]) ** 2
+    for n, c, w in zip(ns, cs, np.abs(line_factor(M, ns)) ** 2):
+        got, want = line[("p_n", float(n))], w * period[("p_n", float(c))]
+        assert np.all(np.abs(got - want) <= 1e-15 * want), (M, n)
+        assert np.max(np.abs(got - w * exact[:, c - 1])) <= 1e-15 * w, (M, n)
 
 
 @given(n=st.integers(min_value=-10_000, max_value=10_000),

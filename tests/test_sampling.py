@@ -34,10 +34,10 @@ from anticip.sampling import (
     _chunk_sizes,
     _chunks,
     _batch_moments,
-    _half_moment_weights,
     _predictions,
     _spectrum_bins,
     _trial_stats,
+    _weights,
     resolve_threads,
 )
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
@@ -54,6 +54,30 @@ def _complex_kernel(cells: int, indices) -> np.ndarray:
     lo = np.exp(-1j * np.outer(omega, edges[:-1]))
     hi = np.exp(-1j * np.outer(omega, edges[1:]))
     return (lo - hi) / (2j * np.pi * omega[:, None])
+
+
+def _folded_line_weights(cfg, bins) -> dict:
+    """The line's row weights over the p_n columns of the half `bins` (True: all
+    ceil(M/2)), built index by index: w_n = |line_factor(M, n)|^2 per p_n row, and
+    per p_N row the sum of w_n over n = 1..N, per moment row of (n^r + (n-1)^r) w_n
+    over n = 1..32, each term added from the last index down into the period-M
+    half bin min(c, M+1-c), c = (n-1) mod M + 1."""
+    M = cfg.cells
+
+    def fold(stop, coef):
+        n = np.arange(stop, 0, -1)
+        g = np.zeros((M + 1) // 2)
+        for k, term in zip(n.tolist(), (coef(n) * np.abs(line_factor(M, n)) ** 2).tolist()):
+            c = (k - 1) % M + 1
+            g[min(c, M + 1 - c) - 1] += term
+        return g
+
+    cols = slice(None) if bins is True else np.array(bins, dtype=np.intp) - 1
+    w = np.abs(line_factor(M, np.array(cfg.n_list, dtype=np.int64))) ** 2
+    weights = {("p_n", float(n)): wn for n, wn in zip(cfg.n_list, w.tolist())}
+    weights.update({("p_N", float(N)): fold(N, lambda n: 1.0)[cols] for N in cfg.N_list})
+    weights.update({("moment", float(r)): fold(32, lambda n: n**r + (n - 1.0) ** r) for r in cfg.r_list})
+    return weights
 
 
 class TestDistributions:
@@ -342,26 +366,27 @@ class TestEngine:
                          n_list=(1,), N_list=(0, 3), r_list=(1.0,), epsilon=0.5),
         MonteCarloConfig(dist=UNIFORM, trials=300, seed=2, cells=24, n_list=(1, 3),
                          N_list=(0, 2), r_list=(1.0,)),
-    ], ids=["p64-partial-chunk", "two-point-constant-rows", "continuous"])
+        # a moment puts the line on the FFT: n <= 0, N >= M/2, several chunks
+        MonteCarloConfig(dist=UNIFORM, trials=3 * 256 + 17, seed=67, cells=64, n_list=(0, 1, -5, 9),
+                         N_list=(0, 4, 40), r_list=(1.0, 2.5)),
+        MonteCarloConfig(dist=SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3]), trials=300,
+                         seed=27, cells=24, n_list=(1, 3, -2), N_list=(0, 2), r_list=(0.0, 1.0)),
+        MonteCarloConfig(dist=UNIFORM, trials=600, seed=3, cells=256, n_list=(0, 1, 9), N_list=(0, 8),
+                         r_list=(1.0,)),  # the CI command's rows
+    ], ids=["p64-partial-chunk", "two-point-constant-rows", "continuous", "line-M64-moments",
+            "line-M24-table", "line-M256-ci"])
     def test_rows_equal_per_statistic_reduction(self, cfg):
-        # one add_batch per statistic per chunk, folded in ordinal order
+        # one add_batch per statistic per chunk, folded in ordinal order; p_n from the
+        # allocating period-size transform, squared, with the index-by-index line weights
         rep = run_monte_carlo(cfg)
         keys = [row.key for row in rep.rows]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
-        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
-        if cfg.mode == "continuous":
-            bins = _spectrum_bins(cfg)
-            draw = _chunks(cfg.dist, cfg.size, cfg.trials, _bin_matrix(cfg, bins))
+        weights = _weights(cfg, True) if cfg.mode == "periodic" else _folded_line_weights(cfg, True)
         for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
-            if cfg.mode == "periodic":  # the allocating transform, squared
-                y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
-                half = half_step_amplitudes(y)
-                stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
-                                     half.real**2 + half.imag**2, weights)
-            else:  # the matrix path's one block, rows 0..n_trials
-                [(_, *drawn)] = draw(stream(cfg.seed, c), n_trials)
-                stats = _trial_stats(cfg, *drawn, weights, bins)
+            y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
+            half = half_step_amplitudes(y)
+            stats = _trial_stats(cfg, y, (y * y).mean(axis=1), half.real**2 + half.imag**2, weights)
             for key in keys:
                 chunk = MomentAccumulator()
                 chunk.add_batch(stats[key])
@@ -529,8 +554,10 @@ class TestEngine:
         assert [row.key for row in rep.rows] == [*expected]
         for key, values in expected.items():
             acc = rep.row(*key).acc
-            assert math.isclose(acc.mean, values.mean(), rel_tol=1e-14), key
-            assert math.isclose(acc.variance, values.var(ddof=1), rel_tol=1e-14), key
+            # p_N is p_tot less the near window: both sides round on the scale of p_tot
+            tol = 1e-14 * (ptot.mean() / values.mean() if key[0] == "p_N" else 1.0)
+            assert math.isclose(acc.mean, values.mean(), rel_tol=tol), key
+            assert math.isclose(acc.variance, values.var(ddof=1), rel_tol=tol), key
 
 
 class TestNearZero:
@@ -639,8 +666,8 @@ class TestChunkBuffers:
     def _allocating(cfg, chunks):
         """Accumulators and histogram of the given chunk ordinals, each chunk's
         statistics from freshly allocated arrays, folded in ordinal order."""
-        keys = [*_predictions(cfg)]
-        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
+        weights = _weights(cfg, True)
+        keys = [*_predictions(cfg, weights, True)]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.period + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
@@ -738,7 +765,7 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("trials", [777, 801, 808])  # last chunks of 9, 33 and 40 rows
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
-        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
+        weights = _weights(cfg, True)
         chunk = _chunks(cfg.dist, p, trials, W=None)
         for c, n in enumerate(_chunk_sizes(trials)):
             blocks = [(i, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(cfg.seed, c), n)]
@@ -802,18 +829,12 @@ class TestPhaseMatrixPath:
     def _matrix_fold(cfg, chunks):
         """Accumulators and histogram of the given chunk ordinals, each chunk
         drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
-        folded in ordinal order. On the line W is [Re | Im] of the period-M phases
-        of the bins times their `line_factor`."""
-        keys = [*_predictions(cfg)]
+        folded in ordinal order. W is the phase matrix of period `size`, on the
+        line too, whose rows take the index-by-index `_folded_line_weights`."""
         bins = _spectrum_bins(cfg)
-        if cfg.mode == "periodic":
-            W = half_step_phase_matrix(cfg.period, bins)
-        else:
-            M, odd = cfg.cells, 2 * np.array(bins, dtype=np.int64) - 1
-            phase = half_step_roots(M)[np.outer(np.arange(M), odd) % (2 * M)] / M * line_factor(M, bins)
-            W = np.concatenate((phase.real, phase.imag), axis=1)
-        K = len(bins)
-        weights = {r: _half_moment_weights(cfg, r) for r in cfg.r_list}
+        W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
+        weights = _weights(cfg, bins) if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
+        keys = [*_predictions(cfg, weights, bins)]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
@@ -847,15 +868,17 @@ class TestPhaseMatrixPath:
         (SamplingDistribution.two_point(1.0), 16, 300, (1, 8, 16), (0, 3), 0.5, (), False),
         (TABLE, 4096, 300, (1, 2048), (0, 16), 0.3, (), False),
         (UNIFORM, 2, 257, (1, 2), (0,), None, (), False),
-        # the line: n <= 0 shares the half bin of 1-n, N >= M/2, moments, partial last chunks
-        (UNIFORM, 64, 3 * 256 + 17, (0, 1, -5, 9), (0, 4, 40), None, (1.0, 2.5), True),
-        (TABLE, 24, 300, (1, 3, -2), (0, 2), None, (0.0, 1.0), True),
+        # the line, on the bins of period M: n <= 0 shares the half bin of 1-n, n > M and
+        # N >= M/2 fold by residue, partial last chunks (a moment takes the FFT; see
+        # `test_rows_equal_per_statistic_reduction`)
+        (UNIFORM, 64, 3 * 256 + 17, (0, 1, -5, 9, 67), (0, 4, 40), None, (), True),
+        (TABLE, 24, 300, (1, 3, -2), (0, 2, 1000), None, (), True),
         (SamplingDistribution.two_point(1.0), 16, 513, (-7,), (12,), None, (), True),
-        (UNIFORM, 256, 600, (0, 1, 9), (0, 8), None, (1.0,), True),  # the CI command's rows
+        (UNIFORM, 256, 600, (0, 1, 9), (0, 8), None, (), True),  # the CI command's bins
         (UNIFORM, 2, 257, (), (0,), None, (), True),  # no bin: p_0 alone
         # several runs, a partial last run and chunk, on a period and on the line
         (UNIFORM, 64, (2 * RUN + 3) * 256 + 17, (1, 32), (0, 4), 0.1, (), False),
-        (TABLE, 32, (2 * RUN + 3) * 256 + 17, (0, 5), (0, 3), None, (1.0,), True),
+        (TABLE, 32, (2 * RUN + 3) * 256 + 17, (0, 5), (0, 3), None, (), True),
     ])
     def test_engine_rows_equal_a_matrix_fold(self, dist, size, trials, n_list, N_list, epsilon,
                                              r_list, line):
@@ -894,10 +917,15 @@ class TestPhaseMatrixPath:
         assert bins((1, 17, 33), (2,), period=33) == [1, 2, 17]  # n and p+1-n share a bin
         assert bins((), (0,), period=16) == []
         assert bins((1,), (), (0.0,), period=64) is True
-        # the line: n and 1-n share a bin, a moment reads 1..32, no FFT at any width
+        # the line reads the bins of period M: n and 1-n share a bin, n folds by residue,
+        # N stops at ceil(M/2), and a moment or over 32 bins takes the FFT
         assert bins((0, -3, 9, 1), (2,), cells=64) == [1, 2, 4, 9]
-        assert bins((40,), (), (1.0,), cells=8) == [*range(1, 33), 40]
-        assert bins((), (100,), cells=8) == [*range(1, 101)]
+        assert bins((67, 70, -31), (30,), cells=64) == [*range(1, 31), 32]
+        assert bins((9, -7), (), cells=8) == [1]
+        assert bins((), (100,), cells=8) == [1, 2, 3, 4]
+        assert bins((), (10**9,), cells=9) == [1, 2, 3, 4, 5]
+        assert bins((40,), (), (1.0,), cells=8) is True
+        assert bins((), (33,), cells=1024) is True
 
     @pytest.mark.parametrize("n_list, N_list, r_list", [
         ((), (), ()), ((), (0,), ()), ((1,), (), ()), ((0, 1, -5, 9), (4,), ()), ((40,), (), (1.0,)),
@@ -905,23 +933,20 @@ class TestPhaseMatrixPath:
         ((), (150000,), ()),
     ])
     def test_line_matrix_is_bounded_by_arithmetic(self, n_list, N_list, r_list):
-        # K from max N, the n's and the moment's 32 bins, as `_spectrum_bins` counts them
-        def config(cells, trials=1):
-            return MonteCarloConfig(dist=UNIFORM, trials=trials, seed=0, cells=cells, n_list=n_list,
-                                    N_list=N_list, r_list=r_list)
-
-        K = len(_spectrum_bins(config(8)))
-        if K == 0:
-            config(2**40, 300)  # no bins, no matrix
-            return
-        # the most cells whose K x max(64 (cells + 1), 16 cells + 24 rows) bytes fit 1 GiB: the
-        # kernel binds, except at K = 150000 with 256 rows, where the chunk buffers do
-        for trials in (1, 300):
-            rows = min(CHUNK, trials)
-            cells = min((1 << 30) // K // 64 - 1, ((1 << 30) // K - 24 * rows) // 16)
-            config(cells, trials)
-            with pytest.raises(ValueError, match="phase matrix and its buffers pass 1 GiB"):
-                config(cells + 1, trials)
+        # a line run reads the half bins of period M: K <= min(32, ceil(M/2)) on the matrix
+        # path, a 16*M*K-byte W, whatever N is; the FFT's half spectrum otherwise
+        for cells in (2, 3, 8, 64, 1023, 1 << 20):
+            bins = _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=300, seed=0, cells=cells,
+                                                   n_list=n_list, N_list=N_list, r_list=r_list))
+            if bins is True:
+                assert r_list or min(max(N_list, default=0), (cells + 1) // 2) > 32
+                continue
+            assert len(bins) <= min(32, (cells + 1) // 2)
+            assert set(bins) <= set(range(1, (cells + 1) // 2 + 1))
+            if max(N_list, default=0) < cells / 2:  # the period-M run of the same rows reads them too
+                assert bins == _spectrum_bins(MonteCarloConfig(
+                    dist=UNIFORM, trials=300, seed=0, period=cells, N_list=N_list,
+                    n_list=tuple((n - 1) % cells + 1 for n in n_list)))
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32

@@ -22,7 +22,7 @@ from anticip import (
     stream,
     truncation_window,
 )
-from anticip.sampling import _chunks, _half_moment_weights, _trial_stats
+from anticip.sampling import _chunks, _trial_stats, _weights
 from anticip.spectral import folded_index, line_factor
 
 PI = np.pi
@@ -298,7 +298,7 @@ class TestMomentObservable:
         exact = np.array([probabilities(amplitudes_periodic(SpectralDifferencePeriodic(row),
                                                             "exact-sum")).values for row in y])
         chunk = _chunks(cfg.dist, p, cfg.trials, W=None)
-        weights = {r: _half_moment_weights(cfg, r) for r in cls.R_LIST}
+        weights = _weights(cfg, True)
         [(_, *drawn)] = chunk(stream(cfg.seed, 0), cfg.trials)  # 5 rows: one block
         stats = _trial_stats(cfg, *drawn, weights)
         return {r: stats[("moment", r)] for r in cls.R_LIST}, exact, stats[("p_tot", None)]
