@@ -125,6 +125,8 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
     hi = n_max if n_max is not None else (size if periodic else truncation_window(sd))
     if lo > hi:
         raise click.UsageError("--n-min must not exceed --n-max")
+    if not periodic and max(-lo, hi) >= 1 << 62:  # line_factor forms 2n - 1 in int64
+        raise click.UsageError(f"line indices {lo}..{hi} outside |n| < 2^62")
     ns = range(lo, hi + 1)
     if periodic:  # alpha_{n+p} = alpha_n; Python's complex abs, not numpy's, keeps p_n's bits
         alpha = amplitudes_periodic(sd).values[[(n - 1) % size for n in ns]].tolist()

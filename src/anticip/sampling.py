@@ -10,9 +10,9 @@ with its histogram. A line of M cells runs as period M: its p_n is w_n =
 |line_factor|^2 times the period-M p_c of the same draws, c = (n-1) mod M + 1,
 so its p_N (outside n = 1-N..N) and moment (n = -31..32) are fixed weights over
 period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
-and those of the n's; the FFT (for any moment or over 32 bins) in row blocks of
-<= 4 MiB or 32 rows, else one real product with the bins' phase matrix, or no
-transform at all. Chunks go to the worker threads in runs of
+and those of the n's by one real product with their phase matrix (of no columns
+for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
+row blocks of <= 4 MiB or 32 rows. Chunks go to the worker threads in runs of
 up to RUN consecutive ordinals; each thread allocates its buffers once per call.
 One call reduces the statistics of a run's chunks, row by row, to each chunk's
 mean and central moments up to order four; the per-chunk accumulators merge
@@ -112,6 +112,8 @@ class SamplingDistribution:
         order = np.argsort(pts)
         pts, ms = pts[order], ms[order]
         mom = MomentTuple(*(float((ms * pts**r).sum()) for r in (1, 2, 3, 4)))
+        if symmetric and np.array_equal(pts, -pts[::-1]) and np.array_equal(ms, ms[::-1]):
+            mom = replace(mom, m1=0.0, m3=0.0)  # mirrored atoms: exact zeros the float sums can miss
         return cls(
             family="table",
             label=label or "table",
@@ -299,6 +301,9 @@ class MonteCarloConfig:
             for N in self.N_list:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
+            for n in (*self.n_list, *self.N_list):  # line_factor forms 2n - 1 in int64
+                if abs(n) >= 1 << 62:
+                    raise ValueError(f"line index {n} outside |n| < 2^62")
         for r in self.r_list:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
@@ -474,81 +479,59 @@ def _half_bin(size: int, n):
 
 
 def _spectrum_bins(config: MonteCarloConfig):
-    """The sorted half bins read, 1..min(max N, ceil(size/2)) and those of the n's;
-    True (the FFT's whole half spectrum) for a moment or over `_MATRIX_BINS` bins."""
+    """(bins, W): the sorted half bins whose p_n a chunk returns, 1..min(max N,
+    ceil(size/2)) and those of the n's, with W their `half_step_phase_matrix`; for
+    a moment or over `_MATRIX_BINS` bins, all ceil(size/2) of them and W None (the FFT)."""
     top = min(max(config.N_list, default=0), (config.size + 1) // 2)
     bins = sorted({*range(1, top + 1), *(int(_half_bin(config.size, n)) for n in config.n_list)})
-    return True if config.r_list or len(bins) > _MATRIX_BINS else bins
-
-
-def _bin_matrix(config: MonteCarloConfig, bins):
-    """Real (size, 2K) W, y @ W = [Re alpha | Im alpha] of the K half `bins`, from
-    `half_step_phase_matrix`; None (the FFT) for bins True."""
-    if bins is True:
-        return None
-    return half_step_phase_matrix(config.size, bins) if bins else np.empty((config.size, 0))
+    if config.r_list or len(bins) > _MATRIX_BINS:
+        return range(1, (config.size + 1) // 2 + 1), None
+    return bins, half_step_phase_matrix(config.size, bins)
 
 
 def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
     """`chunk(rng, n_trials)` draws one chunk of `size` components per trial and
     yields (i, y, p_tot, p_n) per block of rows i.. in draw order: p_n of W's half
-    bins by one y @ W, or of n = 1..ceil(p/2) by `half_step_bins` for W None, in
-    blocks of CHUNK rows halved while 24*p*rows bytes pass _FFT_BYTES, never below
-    32; per-row FFT steps and the moment dgemv's 4-row groups keep the chunk's bits.
-    Blocks live in the thread's buffers until its next block; the FFT keeps y*y in
-    `z`. Odd p flips the signs of y's odd-k components in place, unseen by statistics
-    reading only y*y and |y|, and reverses the bins, p_n = |A[(p+1)/2-n]|^2; even p
-    interleaves the odd bins with the mirrored rest."""
+    bins by one y @ W in one CHUNK-row block, or for W None of n = 1..ceil(p/2) by
+    `half_step_bins`, in blocks of CHUNK rows halved while 24*p*rows bytes pass
+    _FFT_BYTES, never below 32; per-row FFT steps and the moment dgemv's 4-row groups
+    keep the chunk's bits. Blocks live in the thread's buffers until its next block;
+    `z` holds y*y, then the FFT. Odd p flips the signs of y's odd-k components in
+    place, unseen by statistics reading only y*y and |y|, and reverses the bins,
+    p_n = |A[(p+1)/2-n]|^2; even p interleaves the odd bins with the mirrored rest."""
     rows, local = CHUNK, threading.local()
     while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
         rows //= 2
+    K = (size + 1) // 2 if W is None else W.shape[1] // 2  # the p_n columns
+    q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
 
     def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
         if not hasattr(local, name):
             setattr(local, name, np.empty((min(rows, trials), width), dtype))
         return getattr(local, name)[:n]
 
-    if W is not None:
-        K = W.shape[1] // 2
-
-        def matrix_chunk(rng: np.random.Generator, n: int):
-            y = dist.sample(rng, (n, size), out=buf("y", n, size))
-            a, pn = buf("a", n, 2 * K), buf("pn", n, K)
-            ptot = np.multiply(y, y, out=buf("sq", n, size)).mean(axis=1)  # the same pairwise row mean
-            if K:
-                re, im = np.matmul(y, W, out=a)[:, :K], a[:, K:]
-                np.multiply(re, re, out=pn)
-                pn += np.multiply(im, im, out=im)
-            return [(0, y, ptot, pn)]
-
-        return matrix_chunk
-    p, half = size, (size + 1) // 2
-    q, twiddle = (p // 2 + 1) // 2, half_step_roots(p, p // 2) / p
-
-    def fft_chunk(rng: np.random.Generator, n: int):
+    def chunk(rng: np.random.Generator, n: int):
         # no 1-row last block: numpy takes a 1-row moment by dot, not by dgemv's row kernel
         starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
         for i, j in zip(starts, starts[1:] + [n]):
-            y = dist.sample(rng, (m := j - i, p), out=buf("y", m, p))
-            z, po, pn = buf("z", m, half, complex), buf("po", m, half), buf("pn", m, half)
-            ptot = np.multiply(y, y, out=z.view(float)[:, :p]).mean(axis=1)  # the same pairwise row mean
-            amps = half_step_bins(y, z, twiddle)
-            np.multiply(amps.real, amps.real, out=po)
-            amps.imag *= amps.imag  # conjugation flips no square
-            po += amps.imag
-            if p % 2:
-                pn[:] = po[:, ::-1]
+            y = dist.sample(rng, (m := j - i, size), out=buf("y", m, size))
+            z, pn = buf("z", m, (size + 1) // 2, complex), buf("pn", m, K)
+            ptot = np.multiply(y, y, out=z.view(float)[:, :size]).mean(axis=1)  # the same pairwise row mean
+            if W is None:
+                amps = half_step_bins(y, z, twiddle)
+                re, im, po = amps.real, amps.imag, buf("po", m, K)  # squares in transform order
             else:
+                a = np.matmul(y, W, out=buf("a", m, 2 * K))
+                re, im, po = a[:, :K], a[:, K:], pn
+            np.multiply(re, re, out=po)
+            po += np.multiply(im, im, out=im)  # conjugation flips no square
+            if W is None and size % 2:
+                pn[:] = po[:, ::-1]
+            elif W is None:
                 pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
             yield i, y, ptot, pn
 
-    return fft_chunk
-
-
-def _tail_probability(pn: np.ndarray, ptot: np.ndarray, N: int) -> np.ndarray:
-    """p_N = p_tot - 2 * sum_{n<=N} p_n on a period: the near window n = 1..N and
-    its mirror p+1-N..p, disjoint because N < p/2."""
-    return ptot - 2.0 * pn[:, :N].sum(axis=1)
+    return chunk
 
 
 def _fold(size: int, stop: int, term) -> np.ndarray:
@@ -562,77 +545,67 @@ def _fold(size: int, stop: int, term) -> np.ndarray:
     return g
 
 
-def _weights(config: MonteCarloConfig, bins) -> dict:
-    """Fixed row weights by key over the p_n columns of the half `bins` (True: all
-    ceil(size/2)): a moment folds tilde(n)^r over a period, on the line (n^r +
+def _rows(config: MonteCarloConfig, bins) -> tuple[dict, dict]:
+    """Fixed weights over the p_n columns of the half `bins`, and the closed-form
+    pairings (mean, var, note, exact), by key in row order: p_tot, p_n, p_N, moment,
+    near-zero count. A moment folds tilde(n)^r over a period, on the line (n^r +
     (n-1)^r) w_n over n = 1.._MOMENT_TOP (p_{1-n} = p_n); a line p_n row takes w_n
     = |line_factor|^2, a p_N row g_N, the fold of w_n over n = 1..N."""
-    size = config.size
+    size, m = config.size, config.dist.moments
+    preds = {("p_tot", None): (cf.expected_ptot(m), cf.var_pN(size, 0, m), None, True)}
     if config.period is not None:
-        return {("moment", float(r)): _fold(size, size, lambda n: folded_index(n, size).astype(float) ** r)
-                for r in config.r_list}
+        weights = {("moment", float(r)): _fold(size, size, lambda n: folded_index(n, size).astype(float) ** r)
+                   for r in config.r_list}
+        for n in config.n_list:
+            preds[("p_n", float(n))] = (cf.expected_pn(size, n, m), cf.var_pn(size, n, m), None, True)
+        for N in config.N_list:
+            preds[("p_N", float(N))] = (cf.expected_pN(size, N, m), cf.var_pN(size, N, m), None, True)
+        for r in config.r_list:
+            lead = cf.expected_moment_observable(size, r, m)
+            preds[("moment", float(r))] = (lead.value, None, f"leading order, error {lead.error_order}", False)
+    else:
+        def w(n):
+            return np.abs(line_factor(size, n)) ** 2
 
-    def w(n):
-        return np.abs(line_factor(size, n)) ** 2
+        # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
+        cells = (np.array(config.n_list, np.int64) - 1) % size + 1
+        weights = {}
+        for n, wn, c, mn in zip(config.n_list, w(config.n_list).tolist(), cells.tolist(),
+                                cf.expected_pn(size, cells, m).tolist()):
+            weights[("p_n", float(n))] = wn
+            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(size, c, m), None, True)
+        half = cf.expected_pn(size, np.array(bins, np.int64), m)
+        for N in config.N_list:  # no variance prediction until an oracle checks one
+            key = ("p_N", float(N))
+            weights[key] = _fold(size, N, w)[np.array(bins, dtype=np.intp) - 1]
+            preds[key] = (m.m2 - 2.0 * float(weights[key] @ half), None, None, True)
+        for r in config.r_list:
+            weights[("moment", float(r))] = _fold(size, _MOMENT_TOP, lambda n: (n**r + (n - 1.0) ** r) * w(n))
+            preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
+    if config.epsilon is not None:
+        q = config.dist.mass_within(config.epsilon)
+        note = f"epsilon={config.epsilon:g} q={q:.17g}"
+        preds[("near_zero_count", float(config.epsilon))] = (size * q, size * q * (1.0 - q), note, True)
+    return weights, preds
 
-    cols = slice(None) if bins is True else np.array(bins, dtype=np.intp) - 1
-    weights = {("moment", float(r)): _fold(size, _MOMENT_TOP, lambda n: (n**r + (n - 1.0) ** r) * w(n))
-               for r in config.r_list}
-    weights.update(zip([("p_n", float(n)) for n in config.n_list], w(config.n_list).tolist()))
-    weights.update({("p_N", float(N)): _fold(size, N, w)[cols] for N in config.N_list})
-    return weights
 
-
-def _trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins=True) -> dict:
-    """Per-trial statistics from pn over the half `bins` (True: 1..ceil(size/2))
-    and the `_weights` of those columns."""
+def _trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins) -> dict:
+    """Per-trial statistics from pn over the half `bins` and the `_rows` weights
+    of those columns. A period's p_N subtracts its near window n = 1..N and the
+    mirror p+1-N..p, disjoint as N < p/2: twice the bins 1..N, with which `bins` starts."""
     out = {("p_tot", None): ptot}
     line = config.period is None
     for n in config.n_list:
-        b = int(_half_bin(config.size, n))
-        col = pn[:, b - 1 if bins is True else bins.index(b)]
+        col = pn[:, bins.index(int(_half_bin(config.size, n)))]
         out[("p_n", float(n))] = weights[("p_n", float(n))] * col if line else col
     for N in config.N_list:
         key = ("p_N", float(N))
-        out[key] = ptot - 2.0 * (pn @ weights[key]) if line else _tail_probability(pn, ptot, N)
+        out[key] = ptot - 2.0 * (pn @ weights[key] if line else pn[:, :N].sum(axis=1))
     for r in config.r_list:
         out[("moment", float(r))] = pn @ weights[("moment", float(r))]
     if config.epsilon is not None:
         out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
     return out
-
-
-def _predictions(config: MonteCarloConfig, weights: dict, bins) -> dict:
-    """Closed-form pairings per statistic, (mean, var, note, exact), with the
-    line's `_weights` over the half `bins`."""
-    m = config.dist.moments
-    preds = {("p_tot", None): (cf.expected_ptot(m), cf.var_pN(config.size, 0, m), None, True)}
-    if config.mode == "periodic":
-        p = config.period
-        for n in config.n_list:
-            preds[("p_n", float(n))] = (cf.expected_pn(p, n, m), cf.var_pn(p, n, m), None, True)
-        for N in config.N_list:
-            preds[("p_N", float(N))] = (cf.expected_pN(p, N, m), cf.var_pN(p, N, m), None, True)
-        for r in config.r_list:
-            lead = cf.expected_moment_observable(p, r, m)
-            preds[("moment", float(r))] = (lead.value, None, f"leading order, error {lead.error_order}", False)
-        if config.epsilon is not None:
-            q = config.dist.mass_within(config.epsilon)
-            note = f"epsilon={config.epsilon:g} q={q:.17g}"
-            preds[("near_zero_count", float(config.epsilon))] = (p * q, p * q * (1.0 - q), note, True)
-    else:
-        M = config.cells
-        # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
-        cells = (np.array(config.n_list, np.int64) - 1) % M + 1
-        for n, c, mn in zip(config.n_list, cells.tolist(), cf.expected_pn(M, cells, m).tolist()):
-            wn = weights[("p_n", float(n))]
-            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(M, c, m), None, True)
-        half = cf.expected_pn(M, np.arange(1, (M + 1) // 2 + 1) if bins is True else np.array(bins, np.int64), m)
-        for N in config.N_list:  # no variance prediction until an oracle checks one
-            preds[("p_N", float(N))] = (m.m2 - 2.0 * float(weights[("p_N", float(N))] @ half), None, None, True)
-        for r in config.r_list:
-            preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
-    return preds
 
 
 def run_monte_carlo(
@@ -646,12 +619,11 @@ def run_monte_carlo(
     `chunk_range` restricts the run to chunk ordinals [lo, hi); partial
     reports over disjoint ranges merge back to the single-pass report.
     """
-    bins = _spectrum_bins(config)
-    weights = _weights(config, bins)
-    preds = _predictions(config, weights, bins)
+    bins, W = _spectrum_bins(config)
+    weights, preds = _rows(config, bins)
     keys = list(preds)
     near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
-    chunk = _chunks(config.dist, config.size, config.trials, _bin_matrix(config, bins))
+    chunk = _chunks(config.dist, config.size, config.trials, W)
     width, local = min(CHUNK, config.trials), threading.local()
 
     def worker(run):
@@ -708,11 +680,12 @@ def tail_exceedance(
     config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, N_list=(N,))
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite (got {delta})")
-    chunk = _chunks(dist, p, trials, _bin_matrix(config, _spectrum_bins(config)))
+    bins, W = _spectrum_bins(config)
+    chunk, key = _chunks(dist, p, trials, W), ("p_N", float(N))
 
-    def worker(run):  # one count per run, summed over its row blocks
-        return [sum(int(np.count_nonzero(_tail_probability(pn, ptot, N) > delta))
-                    for _, rng, n in run for _, _, ptot, pn in chunk(rng, n))]
+    def worker(run):  # one count per run, summed over its row blocks; a period's p_N takes no weights
+        return [sum(int(np.count_nonzero(_trial_stats(config, y, ptot, pn, {}, bins)[key] > delta))
+                    for _, rng, n in run for _, y, ptot, pn in chunk(rng, n))]
 
     return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
 

@@ -287,13 +287,12 @@ def determinism_and_merge(seed: int = 13) -> CriterionResult:
     cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=4096,
                            seed=seed, period=64, n_list=(1, 32), N_list=(0, 16),
                            r_list=(1.0,))
+
+    def fields(rep):
+        return [(r.acc.count, r.acc.mean, r.acc.m2, r.acc.m3, r.acc.m4) for r in rep.rows]
+
     rep1 = run_monte_carlo(cfg)
-    rep2 = run_monte_carlo(cfg)
-    identical = all(
-        a.acc.count == b.acc.count and a.acc.mean == b.acc.mean
-        and a.acc.m2 == b.acc.m2 and a.acc.m3 == b.acc.m3 and a.acc.m4 == b.acc.m4
-        for a, b in zip(rep1.rows, rep2.rows)
-    )
+    identical = fields(rep1) == fields(run_monte_carlo(cfg))
     lines = [_line("repeated run bit-identical", 0.0 if identical else 1.0, 0.0,
                    "exact", identical)]
 
@@ -309,9 +308,7 @@ def determinism_and_merge(seed: int = 13) -> CriterionResult:
                 worst = max(worst, abs(x - y))
     lines.append(_line("merged partitions vs single pass", worst, 0.0, "1e-12",
                        worst == 0.0 or worst <= 1e-12))
-    threaded = run_monte_carlo(cfg, threads=4)
-    same = all(a.acc.mean == b.acc.mean and a.acc.m2 == b.acc.m2
-               for a, b in zip(rep1.rows, threaded.rows))
+    same = fields(rep1) == fields(run_monte_carlo(cfg, threads=4))
     lines.append(_line("threaded run bit-identical", 0.0 if same else 1.0, 0.0,
                        "exact", same))
     return CriterionResult("C12", "determinism and partition invariance", lines)

@@ -11,6 +11,8 @@ of E(p_N), rather than C5's verdict.
 
 import math
 
+import pytest
+
 from anticip import closed_form as cf
 from anticip import verify
 from anticip.sampling import (MomentAccumulator, MonteCarloConfig, SamplingDistribution, StatRow,
@@ -103,6 +105,23 @@ def test_c11_moment_scaling():
 
 def test_c12_determinism_and_merge():
     _assert_passed(_run("C12"))
+
+
+@pytest.mark.parametrize("field", ["count", "m3", "m4"])
+def test_c12_threaded_line_compares_every_field(monkeypatch, field):
+    # a threaded run that moves one field the mean and m2 do not show fails C12's third line
+    real = verify.run_monte_carlo
+
+    def run(cfg, threads=None, **kwargs):
+        rep = real(cfg, threads=threads, **kwargs)
+        if threads == 4:
+            for row in rep.rows:
+                value = getattr(row.acc, field)
+                setattr(row.acc, field, value + 1 if field == "count" else math.nextafter(value, math.inf))
+        return rep
+
+    monkeypatch.setattr(verify, "run_monte_carlo", run)
+    assert [line.ok for line in verify.CRITERIA["C12"]().lines] == [True, True, False]
 
 
 def test_suite_map_covers_all_criteria():

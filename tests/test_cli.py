@@ -187,6 +187,32 @@ class TestSample:
         assert res.exit_code == 2
         assert "JSON object with lists 'points' and 'masses'" in res.output
 
+    @pytest.mark.parametrize("points, masses, code", [
+        ([-0.9, -0.2, 0.2, 0.9], [0.25] * 4, 0),  # mirrored: m1 = m3 = 0 exactly
+        ([-0.5022385584334831, 0.5022385584334831], [0.5, 0.5], 0),
+        ([-0.9, 0.2, 0.9], [0.25, 0.5, 0.25], 2),  # m1 = 0.1: not symmetric
+    ])
+    def test_table_law_declared_symmetric(self, tmp_path, points, masses, code):
+        table = tmp_path / "law.json"
+        table.write_text(json.dumps({"points": points, "masses": masses, "symmetric": True}))
+        res = run_cli("sample", "--period", "8", "--trials", "300", "--dist", f"table:{table}")
+        assert res.exit_code == code
+        assert ("a symmetric law must have m1 = m3 = 0" in res.output) == (code == 2)
+
+    @pytest.mark.parametrize("args", [
+        ("sample", "--cells", "8", "--n", "100000000000000000000"),
+        ("sample", "--cells", "8", "--N", "100000000000000000000"),
+        ("sample", "--cells", "8", "--n", "-4611686018427387904"),
+        ("model", "--kind", "alt-continuous", "--cells", "6", "--y", "1",
+         "--n-min", "9223372036854775806", "--n-max", "9223372036854775807"),
+        ("model", "--kind", "alt-continuous", "--cells", "6", "--y", "1",
+         "--n-min", "-4611686018427387904", "--n-max", "0"),
+    ])
+    def test_line_indices_past_2_to_62_exit_2(self, args):
+        res = run_cli(*args)
+        assert res.exit_code == 2
+        assert "< 2^62" in res.output
+
     def test_epsilon_needs_periodic_mode(self):
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")
         assert res.exit_code == 2
@@ -404,6 +430,27 @@ class TestGolden:
                       "--N", "0,1024", "--r", "1,2", "--seed", "3", "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "sample_p4096_seed3.csv").read_bytes()
+
+    @pytest.mark.parametrize("args, golden", [
+        # the line: n <= 0 and n > M, N past M/2; a moment puts it on the FFT
+        (("--cells", "24", "--trials", "1000", "--n", "1,25,67,-5", "--N", "0,3,12,1000",
+          "--r", "0,1", "--seed", "5"), "sample_c24_seed5.csv"),
+        # an odd period on the FFT: the sign-flipped length-p real transform
+        (("--period", "255", "--trials", "600", "--n", "1,128", "--N", "0,100", "--r", "1",
+          "--seed", "3"), "sample_p255_seed3.csv"),
+    ])
+    def test_line_and_odd_period_sample_golden(self, tmp_path, args, golden):
+        out = tmp_path / "sample.csv"
+        res = run_cli("sample", *args, "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_verify_golden(self, tmp_path):
+        # every criterion's status and worst check; C5 is the one known FAIL, so exit 1
+        out = tmp_path / "verify.csv"
+        res = run_cli("verify", "--suite", "all", "--seed", "0", "--out", str(out))
+        assert res.exit_code == 1
+        assert out.read_bytes() == (GOLDEN / "verify_all_seed0.csv").read_bytes()
 
     def test_bound_golden(self, tmp_path):
         out = tmp_path / "bound.csv"

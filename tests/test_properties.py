@@ -24,7 +24,7 @@ from anticip import (
     folded_index,
     probabilities,
 )
-from anticip.sampling import _batch_moments, _bin_matrix, _chunks, _spectrum_bins, _trial_stats, _weights
+from anticip.sampling import _batch_moments, _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import half_step_phase_matrix, line_factor
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
@@ -158,9 +158,9 @@ def test_line_amplitudes_are_the_factor_times_the_exact_period(values, n_min, wi
 def _engine_rows(rows, **size_and_stats):
     """Per-trial statistics of the engine's chunk and reduction for the given rows."""
     cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=len(rows), seed=0, **size_and_stats)
-    bins = _spectrum_bins(cfg)
-    [(_, *drawn)] = _chunks(_Rows(np.array(rows)), cfg.size, len(rows), _bin_matrix(cfg, bins))(None, len(rows))
-    return _trial_stats(cfg, *drawn, _weights(cfg, bins), bins)
+    bins, W = _spectrum_bins(cfg)
+    [(_, *drawn)] = _chunks(_Rows(np.array(rows)), cfg.size, len(rows), W)(None, len(rows))
+    return _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
 
 
 @settings(max_examples=60, deadline=None)

@@ -30,14 +30,12 @@ from anticip.sampling import (
     CHUNK,
     RUN,
     StatRow,
-    _bin_matrix,
     _chunk_sizes,
     _chunks,
     _batch_moments,
-    _predictions,
+    _rows,
     _spectrum_bins,
     _trial_stats,
-    _weights,
     resolve_threads,
 )
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
@@ -57,8 +55,7 @@ def _complex_kernel(cells: int, indices) -> np.ndarray:
 
 
 def _folded_line_weights(cfg, bins) -> dict:
-    """The line's row weights over the p_n columns of the half `bins` (True: all
-    ceil(M/2)), built index by index: w_n = |line_factor(M, n)|^2 per p_n row, and
+    """The line's row weights over the p_n columns of the half `bins`, built index by index: w_n = |line_factor(M, n)|^2 per p_n row, and
     per p_N row the sum of w_n over n = 1..N, per moment row of (n^r + (n-1)^r) w_n
     over n = 1..32, each term added from the last index down into the period-M
     half bin min(c, M+1-c), c = (n-1) mod M + 1."""
@@ -72,7 +69,7 @@ def _folded_line_weights(cfg, bins) -> dict:
             g[min(c, M + 1 - c) - 1] += term
         return g
 
-    cols = slice(None) if bins is True else np.array(bins, dtype=np.intp) - 1
+    cols = np.array(bins, dtype=np.intp) - 1
     w = np.abs(line_factor(M, np.array(cfg.n_list, dtype=np.int64))) ** 2
     weights = {("p_n", float(n)): wn for n, wn in zip(cfg.n_list, w.tolist())}
     weights.update({("p_N", float(N)): fold(N, lambda n: 1.0)[cols] for N in cfg.N_list})
@@ -148,6 +145,20 @@ class TestDistributions:
             SamplingDistribution.table([0.0, 1.0], [0.9, 0.3])
         with pytest.raises(ValueError):
             SamplingDistribution.table([0.0, 1.0], [0.5, 0.5], symmetric=True)
+
+    @pytest.mark.parametrize("points, masses", [
+        ([-0.9, -0.2, 0.2, 0.9], [0.25] * 4),  # float sums give m1 = -2.8e-17
+        ([-0.5022385584334831, 0.5022385584334831], [0.5, 0.5]),  # (-x)**3 one ulp off -(x**3)
+    ])
+    def test_mirrored_table_declared_symmetric_has_zero_odd_moments(self, points, masses):
+        plain = SamplingDistribution.table(points, masses)
+        assert (plain.moments.m1, plain.moments.m3) != (0.0, 0.0)  # undeclared: the float sums stand
+        sym = SamplingDistribution.table(points[::-1], masses, symmetric=True)
+        assert (sym.moments.m1, sym.moments.m3) == (0.0, 0.0)
+        assert (sym.moments.m2, sym.moments.m4) == (plain.moments.m2, plain.moments.m4)
+        uneven = np.arange(1.0, len(points) + 1)
+        with pytest.raises(ValueError, match="m1 = m3 = 0"):  # mirrored points, unequal masses
+            SamplingDistribution.table(points, uneven / uneven.sum(), symmetric=True)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_table_rejects_non_finite(self, bad):
@@ -280,6 +291,21 @@ class TestEngine:
         with pytest.raises(ValueError):
             MonteCarloConfig(dist=UNIFORM, trials=0, seed=0, period=8)
 
+    @pytest.mark.parametrize("stats", [{"n_list": (1 << 62,)}, {"n_list": (-(1 << 62),)},
+                                       {"n_list": (10**20,)}, {"N_list": (1 << 62,)}, {"N_list": (10**20,)}])
+    def test_line_indices_stay_inside_int64(self, stats):
+        # line_factor forms 2n - 1 in int64: at n = -2^62 it wraps, and w_n read 1/4 of its value
+        with pytest.raises(ValueError, match=r"outside \|n\| < 2\^62"):
+            MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, **stats)
+
+    def test_line_weights_hold_at_the_index_limit(self):
+        # w_n (n - 1/2)^2 = (M/pi)^2 sin^2(pi (n - 1/2)/M) depends only on n mod M: 2^62 - 1 = 3 mod 3
+        top = (1 << 62) - 1
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, n_list=(top, 1 - top, 3))
+        weights = _rows(cfg, _spectrum_bins(cfg)[0])[0]
+        scaled = [weights[("p_n", float(n))] * (n - 0.5) ** 2 for n in (top, 1 - top)]
+        assert scaled == pytest.approx([weights[("p_n", 3.0)] * 2.5**2] * 2, rel=1e-14)
+
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("mode", [{"period": 8}, {"cells": 8}])
     def test_moment_orders_must_be_finite_and_nonnegative(self, r, mode):
@@ -382,11 +408,13 @@ class TestEngine:
         keys = [row.key for row in rep.rows]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
-        weights = _weights(cfg, True) if cfg.mode == "periodic" else _folded_line_weights(cfg, True)
+        bins, W = _spectrum_bins(cfg)  # a moment: all ceil(size/2) half bins, from the FFT
+        assert W is None and bins == range(1, (cfg.size + 1) // 2 + 1)
+        weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
         for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
             y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
             half = half_step_amplitudes(y)
-            stats = _trial_stats(cfg, y, (y * y).mean(axis=1), half.real**2 + half.imag**2, weights)
+            stats = _trial_stats(cfg, y, (y * y).mean(axis=1), half.real**2 + half.imag**2, weights, bins)
             for key in keys:
                 chunk = MomentAccumulator()
                 chunk.add_batch(stats[key])
@@ -597,13 +625,15 @@ class TestNearZero:
     def test_near_zero_alone_needs_no_transform(self, monkeypatch):
         import anticip.sampling as sampling
 
-        def refuse(name):
+        def refuse(name, fn):
             def call(*args):
-                raise AssertionError(f"{name} transform computed")
+                if name == "FFT" or len(args[1]):  # no bin: a (p, 0) matrix, an empty product
+                    raise AssertionError(f"{name} transform computed")
+                return fn(*args)
             return call
 
-        monkeypatch.setattr(sampling, "half_step_bins", refuse("FFT"))
-        monkeypatch.setattr(sampling, "half_step_phase_matrix", refuse("matrix"))
+        monkeypatch.setattr(sampling, "half_step_bins", refuse("FFT", None))
+        monkeypatch.setattr(sampling, "half_step_phase_matrix", refuse("matrix", half_step_phase_matrix))
         rep = near_zero_statistics(UNIFORM, 16, 0.2, 300, 1)
         assert rep.histogram.sum() == 300
         # p_0 = p_tot - 2 * (sum of no bins) needs no transform either
@@ -666,8 +696,9 @@ class TestChunkBuffers:
     def _allocating(cfg, chunks):
         """Accumulators and histogram of the given chunk ordinals, each chunk's
         statistics from freshly allocated arrays, folded in ordinal order."""
-        weights = _weights(cfg, True)
-        keys = [*_predictions(cfg, weights, True)]
+        bins = range(1, (cfg.period + 1) // 2 + 1)
+        weights, preds = _rows(cfg, bins)
+        keys = [*preds]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.period + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
@@ -675,7 +706,7 @@ class TestChunkBuffers:
             y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
             half = half_step_amplitudes(y)
             stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
-                                 half.real**2 + half.imag**2, weights)
+                                 half.real**2 + half.imag**2, weights, bins)
             block = np.array([stats[key] for key in keys], dtype=float)
             for key, moments in zip(keys, _batch_moments(block).tolist()):
                 totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
@@ -765,8 +796,8 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("trials", [777, 801, 808])  # last chunks of 9, 33 and 40 rows
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
-        weights = _weights(cfg, True)
-        chunk = _chunks(cfg.dist, p, trials, W=None)
+        bins, W = _spectrum_bins(cfg)
+        weights, chunk = _rows(cfg, bins)[0], _chunks(cfg.dist, p, trials, W)
         for c, n in enumerate(_chunk_sizes(trials)):
             blocks = [(i, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(cfg.seed, c), n)]
             starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 4 MiB
@@ -778,8 +809,8 @@ class TestChunkBuffers:
                 got = np.concatenate([arrays[k] for _, arrays in blocks])
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, k)
             # statistics per block, the moment dgemv included, against the whole chunk's
-            stats = [_trial_stats(cfg, *arrays, weights) for _, arrays in blocks]
-            for key, want in _trial_stats(cfg, *whole, weights).items():
+            stats = [_trial_stats(cfg, *arrays, weights, bins) for _, arrays in blocks]
+            for key, want in _trial_stats(cfg, *whole, weights, bins).items():
                 got = np.concatenate([s[key] for s in stats])
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, key)
         self._assert_bits(run_monte_carlo(cfg), cfg, range(len(_chunk_sizes(trials))))
@@ -831,10 +862,11 @@ class TestPhaseMatrixPath:
         drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
         folded in ordinal order. W is the phase matrix of period `size`, on the
         line too, whose rows take the index-by-index `_folded_line_weights`."""
-        bins = _spectrum_bins(cfg)
+        bins = _spectrum_bins(cfg)[0]
         W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
-        weights = _weights(cfg, bins) if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
-        keys = [*_predictions(cfg, weights, bins)]
+        weights, preds = _rows(cfg, bins)
+        weights = weights if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
+        keys = [*preds]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
         sizes = _chunk_sizes(cfg.trials)
@@ -885,7 +917,7 @@ class TestPhaseMatrixPath:
         cfg = MonteCarloConfig(dist=dist, trials=trials, seed=size + 3, n_list=n_list,
                                N_list=N_list, r_list=r_list, epsilon=epsilon,
                                **{"cells" if line else "period": size})
-        assert _spectrum_bins(cfg) is not True
+        assert _spectrum_bins(cfg)[1] is not None
         chunks = range(len(_chunk_sizes(trials)))
         for threads in (1, 2, 4):
             self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
@@ -902,7 +934,7 @@ class TestPhaseMatrixPath:
         # --N 0,2 --seed 4`: 8- and 16-row products of these moved bits in a small-matrix dgemm
         cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=4096,
                                n_list=n_list, N_list=N_list)
-        chunk = _chunks(UNIFORM, 4096, trials, _bin_matrix(cfg, _spectrum_bins(cfg)))
+        chunk = _chunks(UNIFORM, 4096, trials, _spectrum_bins(cfg)[1])
         [(i, y, _, _)] = chunk(stream(seed, 0), 256)
         assert (i, y.shape) == (0, (256, 4096))
         for threads in (1, 2):
@@ -910,13 +942,19 @@ class TestPhaseMatrixPath:
 
     def test_bins_follow_the_statistics(self):
         def bins(n_list=(), N_list=(), r_list=(), **size):
-            return _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, n_list=n_list,
-                                                   N_list=N_list, r_list=r_list, **size))
+            cfg = MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, n_list=n_list, N_list=N_list,
+                                   r_list=r_list, **size)
+            bins, W = _spectrum_bins(cfg)
+            if W is None:  # the FFT returns every half bin
+                assert bins == range(1, (cfg.size + 1) // 2 + 1)
+                return "FFT"
+            assert np.array_equal(W, half_step_phase_matrix(cfg.size, bins))  # (size, 0) for no bin
+            return bins
 
         assert bins((1, 32), (0, 4), period=64) == [1, 2, 3, 4, 32]
         assert bins((1, 17, 33), (2,), period=33) == [1, 2, 17]  # n and p+1-n share a bin
         assert bins((), (0,), period=16) == []
-        assert bins((1,), (), (0.0,), period=64) is True
+        assert bins((1,), (), (0.0,), period=64) == "FFT"
         # the line reads the bins of period M: n and 1-n share a bin, n folds by residue,
         # N stops at ceil(M/2), and a moment or over 32 bins takes the FFT
         assert bins((0, -3, 9, 1), (2,), cells=64) == [1, 2, 4, 9]
@@ -924,29 +962,35 @@ class TestPhaseMatrixPath:
         assert bins((9, -7), (), cells=8) == [1]
         assert bins((), (100,), cells=8) == [1, 2, 3, 4]
         assert bins((), (10**9,), cells=9) == [1, 2, 3, 4, 5]
-        assert bins((40,), (), (1.0,), cells=8) is True
-        assert bins((), (33,), cells=1024) is True
+        assert bins((40,), (), (1.0,), cells=8) == "FFT"
+        assert bins((), (33,), cells=1024) == "FFT"
 
     @pytest.mark.parametrize("n_list, N_list, r_list", [
         ((), (), ()), ((), (0,), ()), ((1,), (), ()), ((0, 1, -5, 9), (4,), ()), ((40,), (), (1.0,)),
         ((-31, 33), (), (2.0,)), ((7, -6), (100,), (1.0,)), ((), (20,), (1.0,)),
         ((), (150000,), ()),
     ])
-    def test_line_matrix_is_bounded_by_arithmetic(self, n_list, N_list, r_list):
+    def test_line_matrix_is_bounded_by_arithmetic(self, monkeypatch, n_list, N_list, r_list):
         # a line run reads the half bins of period M: K <= min(32, ceil(M/2)) on the matrix
-        # path, a 16*M*K-byte W, whatever N is; the FFT's half spectrum otherwise
+        # path, a 16*M*K-byte W, whatever N is; the FFT's half spectrum otherwise. W is only
+        # named here: at 2^20 cells it would take up to 512 MiB
+        import anticip.sampling as sampling
+
+        monkeypatch.setattr(sampling, "half_step_phase_matrix", lambda p, bins: ("W", p, bins))
         for cells in (2, 3, 8, 64, 1023, 1 << 20):
-            bins = _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=300, seed=0, cells=cells,
-                                                   n_list=n_list, N_list=N_list, r_list=r_list))
-            if bins is True:
+            bins, W = _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=300, seed=0, cells=cells,
+                                                      n_list=n_list, N_list=N_list, r_list=r_list))
+            if W is None:
                 assert r_list or min(max(N_list, default=0), (cells + 1) // 2) > 32
+                assert bins == range(1, (cells + 1) // 2 + 1)
                 continue
+            assert W == ("W", cells, bins)
             assert len(bins) <= min(32, (cells + 1) // 2)
             assert set(bins) <= set(range(1, (cells + 1) // 2 + 1))
             if max(N_list, default=0) < cells / 2:  # the period-M run of the same rows reads them too
                 assert bins == _spectrum_bins(MonteCarloConfig(
                     dist=UNIFORM, trials=300, seed=0, period=cells, N_list=N_list,
-                    n_list=tuple((n - 1) % cells + 1 for n in n_list)))
+                    n_list=tuple((n - 1) % cells + 1 for n in n_list)))[0]
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32
@@ -973,12 +1017,15 @@ class TestPhaseMatrixPath:
 
     @staticmethod
     def _record_paths(monkeypatch) -> set:
-        """Wrap the engine's transforms so that each call adds its path to the set."""
+        """Wrap the engine's transforms so that each call adds its path to the set; a
+        phase matrix of no bins, (p, 0), leaves an empty product and adds nothing."""
         import anticip.sampling as sampling
 
         called = set()
         for name, attr in (("FFT", "half_step_bins"), ("matrix", "half_step_phase_matrix")):
-            fn = getattr(sampling, attr)
-            monkeypatch.setattr(sampling, attr,
-                                lambda *args, fn=fn, name=name: called.add(name) or fn(*args))
+            def call(*args, fn=getattr(sampling, attr), name=name):
+                if name == "FFT" or len(args[1]):
+                    called.add(name)
+                return fn(*args)
+            monkeypatch.setattr(sampling, attr, call)
         return called

@@ -22,7 +22,7 @@ from anticip import (
     stream,
     truncation_window,
 )
-from anticip.sampling import _chunks, _trial_stats, _weights
+from anticip.sampling import _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import folded_index, line_factor
 
 PI = np.pi
@@ -297,10 +297,10 @@ class TestMomentObservable:
         y = cfg.dist.sample(stream(cfg.seed, 0), (cfg.trials, p))
         exact = np.array([probabilities(amplitudes_periodic(SpectralDifferencePeriodic(row),
                                                             "exact-sum")).values for row in y])
-        chunk = _chunks(cfg.dist, p, cfg.trials, W=None)
-        weights = _weights(cfg, True)
+        bins, W = _spectrum_bins(cfg)  # a moment: the FFT, W None
+        chunk = _chunks(cfg.dist, p, cfg.trials, W)
         [(_, *drawn)] = chunk(stream(cfg.seed, 0), cfg.trials)  # 5 rows: one block
-        stats = _trial_stats(cfg, *drawn, weights)
+        stats = _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
         return {r: stats[("moment", r)] for r in cls.R_LIST}, exact, stats[("p_tot", None)]
 
     def test_r0_is_total(self):
