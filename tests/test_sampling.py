@@ -55,10 +55,11 @@ def _complex_kernel(cells: int, indices) -> np.ndarray:
 
 
 def _folded_line_weights(cfg, bins) -> dict:
-    """The line's row weights over the p_n columns of the half `bins`, built index by index: w_n = |line_factor(M, n)|^2 per p_n row, and
-    per p_N row the sum of w_n over n = 1..N, per moment row of (n^r + (n-1)^r) w_n
-    over n = 1..32, each term added from the last index down into the period-M
-    half bin min(c, M+1-c), c = (n-1) mod M + 1."""
+    """The line's row weights over the p_n columns of the half `bins`, built index
+    by index: w_n = |line_factor(M, n)|^2 per p_n row, and per p_N row the sum of
+    w_n over n = 1..N, per moment row of (n^r + (n-1)^r) w_n over n = 1..32, each
+    term added from the last index down into the period-M half bin min(c, M+1-c),
+    c = (n-1) mod M + 1."""
     M = cfg.cells
 
     def fold(stop, coef):
@@ -865,7 +866,8 @@ class TestPhaseMatrixPath:
         bins = _spectrum_bins(cfg)[0]
         W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
         weights, preds = _rows(cfg, bins)
-        weights = weights if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
+        if cfg.mode == "continuous":
+            weights = _folded_line_weights(cfg, bins)
         keys = [*preds]
         totals = {key: MomentAccumulator() for key in keys}
         histogram = np.zeros(cfg.size + 1, dtype=np.int64)
