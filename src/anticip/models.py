@@ -1,7 +1,8 @@
 """Extremal model states and their closed-form probabilities.
 
 Constant differences minimize anticipation; alternating ones maximize it.
-Both have closed forms that serve as oracles for the transform pipeline.
+Both have closed forms that serve as oracles for the transform pipeline;
+the periodic ones reduce n mod p in integers first, so they hold at any n.
 Alternating models need an even size: an odd alternating difference
 degenerates to an orthogonal evolution at half the step size.
 """
@@ -59,16 +60,18 @@ def make_model(spec: ModelSpec):
 def closed_form_pn(spec: ModelSpec, n):
     """Closed-form p_n for the model; n may be an integer or an array.
 
-    The periodic constant model takes the value (y/p)^2 whenever 2n-1 is a
-    multiple of p; that index is handled by case analysis rather than by a
-    limit of the sine formula.
+    The periodic constant model takes (y/p)^2 wherever p divides 2n-1, by case
+    analysis rather than as a limit of the sine formula. Both periodic forms
+    have period p in n: n is reduced to ((n-1) mod p) + 1 in integers first.
     """
     y = spec.amplitude
     size = spec.size
     n_arr = np.asarray(n)
     scalar = n_arr.ndim == 0
-    n_arr = np.atleast_1d(n_arr).astype(float)
-    omega = n_arr - 0.5
+    n_arr = np.atleast_1d(n_arr)
+    if spec.periodic:  # ((n-1) mod p) + 1 in integers; n % p first, so int64 n never wraps
+        n_arr = (n_arr % size - 1) % size + 1
+    omega = n_arr.astype(float) - 0.5
 
     if spec.kind == "const-periodic":
         vals = (y / (size * np.sin(np.pi * omega / size))) ** 2

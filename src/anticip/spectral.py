@@ -19,7 +19,8 @@ Z_2p = Z_2 x Z_p (Good-Thomas): the odd frequency 2n-1 is 2g+p mod 2p with
 g = n-(p+1)/2, so alpha_n = conj(A[(p+1)/2-n]) for A the length-p real FFT of
 (-1)^k yhat_k / p. That matrix and the O(p^2) `exact-sum` oracle read
 exp(-i*pi*(2n-1)*k/p) from one table of the 2p-th roots of unity at the exact
-integer index (2n-1)*k mod 2p. On M cells alpha_n is `line_factor` times the
+integer index (2n-1)*k mod 2p; the oracle reads it once for each pair k, p-k,
+whose phases are w and -conj(w). On M cells alpha_n is `line_factor` times the
 period-M alpha_n: each cell's integral in closed form, with no quadrature.
 """
 from __future__ import annotations
@@ -196,24 +197,30 @@ def amplitudes_periodic(
     `fast-transform` computes alpha_1..alpha_ceil(p/2) with
     `half_step_amplitudes` and mirrors them, alpha_{p+1-n} = conj(alpha_n),
     so the symmetry holds exactly; `exact-sum` is the O(p^2) direct sum over
-    all p indices, no transform and no mirror, with each phase read from the
+    all p indices, no transform and no mirror, with each phase w read from the
     table of 2p-th roots at the exact index (2n-1)*k mod 2p, so no float phase
-    exceeds 2*pi. The two agree to about 1e-17.
+    exceeds 2*pi; k and p-k share w up to -conj, so k = 1..(p-1)/2 carry
+    (y_k - y_{p-k}) Re w and (y_k + y_{p-k}) Im w. The two agree to ~1e-17.
     """
     p = sd.period
     if mode == "fast-transform":
         half = half_step_amplitudes(sd.values)
         amps = np.concatenate([half, half[: p // 2][::-1].conj()])
     elif mode == "exact-sum":
-        two_p, block, k = 2 * p, 8, np.arange(p)
-        roots = half_step_roots(p)
-        idx = np.outer(2 * np.arange(1, block + 1) - 1, k) % two_p  # rows n = 1..block
+        y, two_p, block, h = sd.values, 2 * p, 8, (p - 1) // 2
+        roots, k, odd = half_step_roots(p), np.arange(1, h + 1), 2 * np.arange(1, p + 1) - 1
+        diff, total = y[1 : h + 1] - y[: -h - 1 : -1], y[1 : h + 1] + y[: -h - 1 : -1]  # y_k -/+ y_{p-k}
+        amps = np.full(p, y[0], dtype=complex)
+        if p % 2 == 0:  # k = p/2 pairs with itself
+            amps += y[p // 2] * roots[odd * (p // 2) % two_p]
+        idx = np.outer(odd[:block], k) % two_p  # rows n = 1..block, columns k = 1..h
         u, step = idx.view(np.uint64), (2 * block * k % two_p).astype(np.uint64)
-        amps = np.empty(p, dtype=complex)
         for lo in range(0, p, block):
-            amps[lo : lo + block] = roots[idx[: p - lo]] @ sd.values / p
+            amps.real[lo : lo + block] += roots.real[idx[: p - lo]] @ diff
+            amps.imag[lo : lo + block] += roots.imag[idx[: p - lo]] @ total
             u += step  # rows n + block; now u < 4p, and u - 2p wraps past 2^63 if u < 2p,
             np.minimum(u, u - np.uint64(two_p), out=u)  # so this is u mod 2p
+        amps /= p
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {AMPLITUDE_MODES}")
     return AmplitudeSeries(n_start=1, values=amps, period=p)

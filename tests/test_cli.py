@@ -52,6 +52,24 @@ class TestModel:
         res = run_cli("model", "--kind", "alt-continuous", "--y", "1")
         assert res.exit_code == 2
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind, period, n_min", [
+        ("const-periodic", 4, 10**6), ("const-periodic", 4, 10**12),
+        ("const-periodic", 4, 2**53 + 1), ("const-periodic", 4, 10**20),
+        ("alt-periodic", 8, 10**12),
+    ])
+    def test_periodic_closed_form_holds_at_any_n(self, kind, period, n_min):
+        # one period from n_min reproduces rows 1..p exactly: an unreduced float
+        # phase pi*(n-1/2)/p loses digits as n grows (abs_err 1.5e-10 at 10^6)
+        # and cannot be cast past int64
+        args = ("model", "--kind", kind, "--period", str(period), "--y", "1", "--format", "json")
+        base = {r["n"]: r for r in json.loads(run_cli(*args).output)["results"]}
+        res = run_cli(*args, "--n-min", str(n_min), "--n-max", str(n_min + period - 1))
+        assert res.exit_code == 0, res.output
+        for row in json.loads(res.output)["results"]:
+            ref = base[(row["n"] - 1) % period + 1]
+            assert (row["p_n"], row["closed_form_p_n"]) == (ref["p_n"], ref["closed_form_p_n"])
+
 
 class TestSample:
     def test_json_schema_and_pairing(self):

@@ -22,6 +22,7 @@ from anticip import (
     stream,
     truncation_window,
 )
+from anticip import spectral
 from anticip.sampling import _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import folded_index, line_factor
 
@@ -82,16 +83,35 @@ class TestAmplitudesPeriodic:
 
     def test_exact_sum_matches_reduced_angle_fsum(self):
         # alpha_n = p^-1 sum_k yhat_k exp(-i*pi*j/p), j = (2n-1)k mod 2p reduced
-        # in Python integers and each part summed exactly by math.fsum
+        # in Python integers and each part summed exactly by math.fsum; every
+        # row up to p = 33, and at p = 64..1025 the rows beside the middle
+        # (where k = p/2 pairs with itself at even p) and the ends, plus 4 more
         rng = np.random.default_rng(3)
-        for p in range(2, 34):
+        for p in [*range(2, 34), 64, 65, 1024, 1025]:
             y = [float(v) for v in rng.uniform(-1, 1, p)]
             exact = amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values
-            for n in range(1, p + 1):
+            rows = range(1, p + 1) if p < 34 else {
+                1, 2, p // 2, p // 2 + 1, p - 1, p, *(int(n) for n in rng.integers(1, p + 1, 4))}
+            for n in rows:
                 angles = [math.pi * ((2 * n - 1) * k % (2 * p)) / p for k in range(p)]
                 re = math.fsum(v * math.cos(a) for v, a in zip(y, angles)) / p
                 im = -math.fsum(v * math.sin(a) for v, a in zip(y, angles)) / p
                 assert abs(exact[n - 1] - complex(re, im)) <= 1e-15, (p, n)
+
+    @pytest.mark.parametrize("p", [2, 3, 8, 9])
+    def test_exact_sum_calls_no_transform(self, monkeypatch, p):
+        sd = SpectralDifferencePeriodic(np.random.default_rng(p).uniform(-1, 1, p))
+        before = amplitudes_periodic(sd, "exact-sum").values
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact-sum oracle called a transform")
+
+        monkeypatch.setattr(np.fft, "fft", refuse)
+        monkeypatch.setattr(np.fft, "rfft", refuse)
+        monkeypatch.setattr(spectral, "half_step_bins", refuse)
+        with pytest.raises(AssertionError):  # the patches reach the fast transform
+            amplitudes_periodic(sd, "fast-transform")
+        assert np.array_equal(amplitudes_periodic(sd, "exact-sum").values, before)
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
