@@ -13,7 +13,6 @@ from .bounds import (
     DiscreteMeasure,
     OrthogonalityError,
     abs_moment,
-    autocorrelation,
     build_orthogonal_measure,
     check_bounds,
     median_minimizer,
@@ -52,11 +51,9 @@ from .spectral import (
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
-    cumulative_probability,
     folded_index,
     half_step_amplitudes,
     probabilities,
-    spectral_difference_from_measure,
     truncation_window,
 )
 

@@ -1,7 +1,6 @@
-"""Measure-level toolkit: absolute energy moment, median minimizer,
-autocorrelation, the frequency bounds obeyed by orthogonal evolutions, and
-the orthogonal measure of a spectral difference (`build_orthogonal_measure`,
-the inverse of `spectral.spectral_difference_from_measure`).
+"""Measure-level toolkit: absolute energy moment, median minimizer, the
+frequency bounds obeyed by orthogonal evolutions, and the orthogonal measure
+of a spectral difference (`build_orthogonal_measure`).
 
 Everything is in the standard scale (step size over hbar equal to one), where
 one evolution step multiplies the spectral component at lambda by
@@ -76,15 +75,6 @@ def median_minimizer(measure: DiscreteMeasure) -> tuple[float, float]:
     return lam, abs_moment(measure, lam)
 
 
-def autocorrelation(measure: DiscreteMeasure, t):
-    """Fourier transform of the measure at time(s) t: sum w_j exp(-i lambda_j t)."""
-    t_arr = np.asarray(t, dtype=float)
-    flat = np.exp(-1j * np.outer(t_arr.ravel(), measure.points)) @ measure.weights
-    if t_arr.ndim == 0:
-        return complex(flat[0])
-    return flat.reshape(t_arr.shape)
-
-
 def grid_indices(measure: DiscreteMeasure, p: int) -> np.ndarray:
     """Integer index j of each point lambda = 2*pi*j/p on the grid.
 
@@ -140,7 +130,8 @@ class BoundReport:
 
 def _phase_products(measures, x: np.ndarray):
     """(k, x[i:j], exp(-1j*outer(x[i:j], points_k)) @ weights_k) for each measure k
-    of every row block i:j of x, the bits of `autocorrelation(measure_k, x)[i:j]`.
+    of every row block i:j of x: the autocorrelation sum_l w_l exp(-i lambda_l x),
+    the bits of that product over all of x at once.
 
     One table exp(-1j*outer(x[i:j], union)) over the sorted union of the points
     serves every measure: a measure on all of the union multiplies it, any other a
@@ -194,11 +185,10 @@ def check_bounds(measures, p: int) -> list[BoundReport]:
 def build_orthogonal_measure(yhat) -> DiscreteMeasure:
     """Orthogonal-evolution measure of the spectral difference yhat, p = yhat.size.
 
-    The inverse of `spectral.spectral_difference_from_measure`: class k puts
-    mass (1+yhat_k)/2 at shift 0 and (1-yhat_k)/2 at shift 1, as weight mass/p
-    at lambda = 2*pi*(shift + k/p); masses <= 1e-15 are dropped. The folded
-    measure is exactly uniform by construction, so autocorrelation(m, n) =
-    delta_{n mod p} for integer n.
+    Class k puts mass (1+yhat_k)/2 at shift 0 and (1-yhat_k)/2 at shift 1, as
+    weight mass/p at lambda = 2*pi*(shift + k/p); masses <= 1e-15 are dropped.
+    The folded measure is exactly uniform by construction, so its
+    autocorrelation at integer n is delta_{n mod p}.
     """
     yhat = np.asarray(yhat, dtype=float)
     if yhat.ndim != 1 or yhat.size < 2:

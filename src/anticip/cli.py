@@ -98,9 +98,9 @@ def main():
 @click.option("--period", type=int, default=None, help="Size for periodic kinds.")
 @click.option("--cells", type=int, default=None, help="Size for continuous kinds.")
 @click.option("--y", "amplitude", type=float, required=True, help="Difference amplitude in [-1, 1].")
-@click.option("--n-min", type=int, default=None, help="First index (continuous kinds).")
+@click.option("--n-min", type=int, default=None, help="First index; defaults to 1.")
 @click.option("--n-max", type=int, default=None,
-              help="Last index; defaults to the tail-bound window for continuous kinds.")
+              help="Last index; defaults to the period, or to the tail-bound window for continuous kinds.")
 @format_option
 @out_option
 def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):

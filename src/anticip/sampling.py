@@ -164,10 +164,13 @@ def parse_distribution(text: str) -> SamplingDistribution:
             spec = json.load(fh)
         if not (isinstance(spec, dict) and all(isinstance(spec.get(k), list) for k in ("points", "masses"))):
             raise ValueError(f"{path} must hold a JSON object with lists 'points' and 'masses'")
+        symmetric = spec.get("symmetric", False)
+        if not isinstance(symmetric, bool):
+            raise ValueError(f"{path}: 'symmetric' must be true or false (got {symmetric!r})")
         return SamplingDistribution.table(
             spec["points"],
             spec["masses"],
-            symmetric=bool(spec.get("symmetric", False)),
+            symmetric=symmetric,
             label=text,
         )
     raise ValueError(f"unknown distribution {text!r}")
@@ -269,9 +272,9 @@ class MonteCarloConfig:
     """What to estimate: p_n for n in n_list, p_N for N in N_list, p_tot
     always, windowed tilde(n)^r for r in r_list, and (periodic mode) the
     near-zero count #{k : |yhat_k| < epsilon} when epsilon is set. On the line,
-    p_N is the mass outside n = 1-N..N, as `cumulative_probability` sums it,
-    and a moment sums |n|^r p_n over n = -31..32, whatever other rows are set;
-    a line run reads at most ceil(M/2) half bins whatever N is."""
+    p_N is the mass outside n = 1-N..N, and a moment sums |n|^r p_n over
+    n = -31..32, whatever other rows are set; a line run reads at most
+    ceil(M/2) half bins whatever N is."""
 
     dist: SamplingDistribution
     trials: int

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import DiscreteMeasure, _frozen, grid_indices
+from .bounds import _frozen
 
 _BOUND_SLACK = 1e-12
 _TAIL_TOL = 1e-6  # the tail estimate that sets `truncation_window`
@@ -76,11 +76,10 @@ class SpectralDifferenceContinuous(_SpectralDifference):
 
 @dataclass(frozen=True)
 class AmplitudeSeries:
-    """Amplitudes over a contiguous index range; p-periodic when period is set."""
+    """Amplitudes over a contiguous index range."""
 
     n_start: int
     values: np.ndarray
-    period: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, complex))
@@ -97,7 +96,6 @@ class ProbabilitySeries:
     n_start: int
     values: np.ndarray
     p_tot: float
-    period: int | None = None
 
     def __post_init__(self):
         arr = _frozen(self.values, float)
@@ -223,7 +221,7 @@ def amplitudes_periodic(
         amps /= p
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {AMPLITUDE_MODES}")
-    return AmplitudeSeries(n_start=1, values=amps, period=p)
+    return AmplitudeSeries(n_start=1, values=amps)
 
 
 def amplitudes_continuous(
@@ -236,7 +234,7 @@ def amplitudes_continuous(
     indices = np.arange(n_min, n_max + 1)
     period = amplitudes_periodic(SpectralDifferencePeriodic(sd.values)).values
     amps = line_factor(sd.cells, indices) * period[(indices - 1) % sd.cells]
-    return AmplitudeSeries(n_start=n_min, values=amps, period=None)
+    return AmplitudeSeries(n_start=n_min, values=amps)
 
 
 def probabilities(amps: AmplitudeSeries) -> ProbabilitySeries:
@@ -246,7 +244,6 @@ def probabilities(amps: AmplitudeSeries) -> ProbabilitySeries:
         n_start=amps.n_start,
         values=vals,
         p_tot=float(vals.sum()),
-        period=amps.period,
     )
 
 
@@ -269,46 +266,3 @@ def folded_index(n, p: int) -> np.ndarray:
     m = np.abs(np.asarray(n)) % p
     return np.where(2 * m <= p + 1, m, p + 1 - m)
 
-
-def cumulative_probability(probs: ProbabilitySeries, N: int) -> float:
-    """Tail probability p_N: the mass outside the near window n = 1-N..N.
-
-    Periodic series need the full period n = 1..p and N < p/2, and the window
-    wraps, leaving n = N+1 .. p-N; a continuous series sums its window indices
-    n < 1-N and n > N. Both are the p_N that `sampling` estimates.
-    """
-    if N < 0:
-        raise ValueError("N must be nonnegative")
-    offset = probs.indices - (1 - N)  # 0..2N-1 inside the near window
-    if probs.period is not None:
-        p = probs.period
-        if probs.n_start != 1 or probs.values.size != p:
-            raise ValueError("periodic tail sums need the full-period series n = 1..p")
-        if N >= p / 2:
-            raise ValueError(f"N must be below p/2 = {p / 2} (got {N})")
-        offset %= p
-    return float(probs.values[(offset < 0) | (offset >= 2 * N)].sum())
-
-
-def spectral_difference_from_measure(
-    measure: DiscreteMeasure, p: int
-) -> SpectralDifferencePeriodic:
-    """Fold a measure modulo 4*pi into the per-class normalized difference.
-
-    Points must sit on the grid 2*pi*(n + k/p) and every residue class must
-    carry total mass 1/p within 1e-9 (the uniform-reduction constraint,
-    checked by `bounds.grid_indices`, which raises OrthogonalityError); the
-    class difference is then p * (even-shift mass - odd-shift mass).
-    """
-    if p < 2:
-        raise ValueError("period must be at least 2")
-    flat = grid_indices(measure, p)
-    classes = flat % p
-    odd = flat // p % 2 == 1
-    w = measure.weights
-    # even- and odd-shift masses are summed apart; one signed sum rounds differently
-    even_mass = np.bincount(classes[~odd], weights=w[~odd], minlength=p)
-    odd_mass = np.bincount(classes[odd], weights=w[odd], minlength=p)
-    # class masses were verified to 1e-9, so any unit-band overshoot is fuzz
-    yhat = np.clip(p * (even_mass - odd_mass), -1.0, 1.0)
-    return SpectralDifferencePeriodic(yhat)

@@ -12,11 +12,9 @@ from anticip import (
     OrthogonalityError,
     SamplingDistribution,
     abs_moment,
-    autocorrelation,
     build_orthogonal_measure,
     check_bounds,
     median_minimizer,
-    spectral_difference_from_measure,
     stream,
 )
 
@@ -97,11 +95,11 @@ def test_median_is_grid_minimum():
 
 
 def test_autocorrelation_examples():
+    # orthogonality_dev is max |sum_l w_l exp(-i lambda_l n) - delta_{n mod p}| over
+    # n = 0..2p: this measure's autocorrelation is 1, 0, 1, 0, 1 at n = 0..4
     m = DiscreteMeasure([0.0, PI], [0.5, 0.5])
-    assert autocorrelation(m, 0.0) == pytest.approx(1.0)
-    assert autocorrelation(m, 1.0) == pytest.approx(0.0, abs=1e-15)
-    assert autocorrelation(m, 2.0) == pytest.approx(1.0)
-    assert abs(autocorrelation(m, 0.37)) <= 1.0 + 1e-15
+    [rep] = check_bounds([m], 2)
+    assert rep.orthogonality_dev <= 1e-15
 
 
 def test_check_bounds_p2_equality():
@@ -126,8 +124,14 @@ def test_check_bounds_p4_equality():
 
 def test_check_bounds_rejects_non_orthogonal():
     m = DiscreteMeasure([0.0, PI], [0.7, 0.3])
-    with pytest.raises(OrthogonalityError):
+    with pytest.raises(OrthogonalityError, match="residue class"):
         check_bounds([build_orthogonal_measure(np.ones(2)), m], 2)
+
+
+def test_check_bounds_rejects_off_grid():
+    m = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
+    with pytest.raises(OrthogonalityError, match="grid"):
+        check_bounds([m], 2)
 
 
 def test_evenly_spread_slack_at_every_period():
@@ -149,18 +153,21 @@ def test_build_orthogonal_single_shift():
 def test_build_orthogonal_odd_shift_class():
     m = build_orthogonal_measure([1.0, -1.0])
     assert m.points == pytest.approx([0.0, 3 * PI])
-    sd = spectral_difference_from_measure(m, 2)
-    assert sd.values == pytest.approx([1.0, -1.0])
+    assert m.weights == pytest.approx([0.5, 0.5])
+
+
+def test_build_orthogonal_split_shift_class():
+    m = build_orthogonal_measure([0.0, 1.0])
+    assert m.points == pytest.approx([0.0, PI, 2 * PI])
+    assert m.weights == pytest.approx([0.25, 0.5, 0.25])
 
 
 def test_build_orthogonal_autocorrelation_is_delta():
     dist = SamplingDistribution.uniform()
     gen = stream(5, 0)
     for p in (2, 3, 8):
-        m = build_orthogonal_measure(dist.sample(gen, (p,)))
-        n = np.arange(0, 2 * p + 1, dtype=float)
-        target = (np.arange(0, 2 * p + 1) % p == 0).astype(float)
-        assert np.max(np.abs(autocorrelation(m, n) - target)) <= 1e-9
+        [rep] = check_bounds([build_orthogonal_measure(dist.sample(gen, (p,)))], p)
+        assert rep.orthogonality_dev <= 1e-9
 
 
 def _per_class_measure(yhat):
@@ -189,8 +196,10 @@ def test_round_trip_recovers_drawn_difference(p, law):
     m = build_orthogonal_measure(drawn)
     points, weights = _per_class_measure(drawn)
     assert np.array_equal(m.points, points) and np.array_equal(m.weights, weights)
-    sd = spectral_difference_from_measure(m, p)
-    assert sd.values == pytest.approx(drawn, abs=1e-12)
+    # fold back: yhat_k = p * (shift-0 mass - shift-1 mass) of residue class k
+    j = bounds.grid_indices(m, p)
+    yhat = p * np.bincount(j % p, weights=np.where(j // p % 2, -m.weights, m.weights), minlength=p)
+    assert yhat == pytest.approx(drawn, abs=1e-12)
 
 
 @pytest.mark.parametrize("bad, match", [

@@ -217,6 +217,17 @@ class TestSample:
         assert res.exit_code == code
         assert ("a symmetric law must have m1 = m3 = 0" in res.output) == (code == 2)
 
+    @pytest.mark.parametrize("points", [[-0.5, 0.5], [0.0, 1.0]], ids=["mirrored", "skewed"])
+    @pytest.mark.parametrize("flag", ["no", 1, None, [True]])
+    def test_table_law_symmetric_flag_must_be_a_json_boolean(self, tmp_path, points, flag):
+        # bool("no") is true: a mirrored law would silently run as symmetric, a
+        # skewed one fail the symmetric law's moment check
+        table = tmp_path / "law.json"
+        table.write_text(json.dumps({"points": points, "masses": [0.5, 0.5], "symmetric": flag}))
+        res = run_cli("sample", "--period", "8", "--trials", "300", "--dist", f"table:{table}")
+        assert res.exit_code == 2
+        assert "'symmetric' must be true or false" in res.output
+
     @pytest.mark.parametrize("args", [
         ("sample", "--cells", "8", "--n", "100000000000000000000"),
         ("sample", "--cells", "8", "--N", "100000000000000000000"),

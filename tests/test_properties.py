@@ -19,7 +19,6 @@ from anticip import (
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
-    cumulative_probability,
     half_step_amplitudes,
     folded_index,
     probabilities,
@@ -110,6 +109,16 @@ def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
         re = math.fsum(v * math.cos(t) for v, t in zip(values, angles)) / p
         im = math.fsum(v * math.sin(t) for v, t in zip(values, angles)) / p
         assert abs(got - (re * re + im * im)) <= 1e-15, (p, n)
+    # p_N for every N < p/2 from the matrix chunk (at most 31 bins, no moment) and the
+    # FFT chunk (a moment): the exact-sum mass of n = N+1..p-N, nonincreasing in N
+    Ns = tuple(range((p + 1) // 2))
+    for moments in ((), (0.0,)):
+        stats = _engine_rows([y], period=p, N_list=Ns, r_list=moments)
+        tails = [stats[("p_N", float(N))][0] for N in Ns]
+        assert tails[0] == ptot[0]
+        for N, tail in zip(Ns, tails):
+            assert abs(tail - math.fsum(exact[N : p - N])) <= 1e-15, (p, N, moments)
+        assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
 
 
 @given(values=periodic_values)
@@ -118,14 +127,6 @@ def test_probabilities_in_unit_interval(values):
     assert pr.values.min() >= 0.0
     assert pr.values.max() <= 1.0 + 1e-12
     assert pr.p_tot <= 1.0 + 1e-9
-
-
-@given(values=periodic_values)
-def test_tails_nonincreasing(values):
-    sd = SpectralDifferencePeriodic(values)
-    pr = probabilities(amplitudes_periodic(sd))
-    tails = [cumulative_probability(pr, N) for N in range((sd.period - 1) // 2 + 1)]
-    assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
 
 
 @settings(max_examples=40)

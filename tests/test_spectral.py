@@ -7,18 +7,15 @@ import numpy as np
 import pytest
 
 from anticip import (
-    DiscreteMeasure,
     MonteCarloConfig,
-    OrthogonalityError,
     SamplingDistribution,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
-    cumulative_probability,
     half_step_amplitudes,
     probabilities,
-    spectral_difference_from_measure,
+    run_monte_carlo,
     stream,
     truncation_window,
 )
@@ -253,41 +250,54 @@ class TestParseval:
         assert gaps[2] < gaps[1] < gaps[0]
 
 
+def _chunk_stats(cfg):
+    """Per-trial statistics of the engine's first chunk, for trials that fit one row block."""
+    bins, W = _spectrum_bins(cfg)
+    [(_, *drawn)] = _chunks(cfg.dist, cfg.size, cfg.trials, W)(stream(cfg.seed, 0), cfg.trials)
+    return _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
+
+
 class TestCumulative:
+    """p_N, the mass outside n = 1-N..N, as the engine computes it per trial."""
+
     def test_full_window_is_total(self):
-        rng = np.random.default_rng(6)
-        sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, 10))
-        pr = probabilities(amplitudes_periodic(sd))
-        assert cumulative_probability(pr, 0) == pr.p_tot
+        cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=5, seed=6, period=10,
+                               N_list=(0,))
+        stats = _chunk_stats(cfg)
+        assert np.array_equal(stats[("p_N", 0.0)], stats[("p_tot", None)])
 
     def test_p4_constant_tail(self):
-        pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(np.ones(4))))
-        assert cumulative_probability(pr, 1) == pytest.approx(0.14644660940672619, abs=1e-14)
+        # a one-atom table law draws yhat = (1, 1, 1, 1) in every trial: p_1 = p_4 =
+        # (2 + sqrt 2)/8, so p_N at N = 1 is p_2 + p_3 = (2 - sqrt 2)/4
+        law = SamplingDistribution.table([1.0], [1.0])
+        rep = run_monte_carlo(MonteCarloConfig(dist=law, trials=3, seed=0, period=4, N_list=(1,)))
+        assert rep.row("p_N", 1.0).acc.mean == pytest.approx(0.14644660940672619, abs=1e-14)
 
     def test_nonincreasing(self):
-        rng = np.random.default_rng(7)
-        sd = SpectralDifferencePeriodic(rng.uniform(-1, 1, 32))
-        pr = probabilities(amplitudes_periodic(sd))
-        tails = [cumulative_probability(pr, N) for N in range(16)]
-        assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
+        cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=5, seed=7, period=32,
+                               N_list=tuple(range(16)))
+        stats = _chunk_stats(cfg)
+        for a, b in zip(cfg.N_list, cfg.N_list[1:]):
+            assert np.all(stats[("p_N", float(b))] <= stats[("p_N", float(a))] + 1e-15)
 
     def test_domain_error(self):
-        pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(np.ones(4))))
-        with pytest.raises(ValueError):
-            cumulative_probability(pr, 2)
+        with pytest.raises(ValueError, match="outside"):
+            MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=5, seed=0, period=4,
+                             N_list=(2,))
 
     def test_continuous_window_tail(self):
-        # the mass outside n = 1-N..N, the engine's p_N: p_{-N} is in the tail
-        sd = SpectralDifferenceContinuous(SamplingDistribution.uniform().sample(stream(3, 0), 32))
-        amps = amplitudes_continuous(sd, -200, 201)
-        pr = probabilities(amps)
-        for N in (0, 2, 4, 200):
-            expect = sum(abs(v) ** 2 for n, v in zip(pr.indices, amps.values) if not 1 - N <= n <= N)
-            assert cumulative_probability(pr, N) == pytest.approx(expect, rel=1e-12)
-        # |n| > N would leave out p_{-4} = 0.0015611 and give 0.2999869
-        assert cumulative_probability(pr, 4) == pytest.approx(0.3015480, abs=1e-7)
-        assert cumulative_probability(pr, 0) == pr.p_tot
-        assert cumulative_probability(pr, 201) == 0.0
+        # on the line the window is n = 1-N..N, so p_{-N} is in the tail: raising
+        # N by one moves p_{-N} and p_{N+1} from the tail into the window
+        cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=1, seed=3, cells=32,
+                               N_list=(0, 1, 2, 3, 4, 5))
+        stats = _chunk_stats(cfg)
+        tails = [stats[("p_N", float(N))][0] for N in cfg.N_list]
+        assert tails[0] == stats[("p_tot", None)][0]
+        sd = SpectralDifferenceContinuous(cfg.dist.sample(stream(cfg.seed, 0), 32))
+        pn = dict(zip(range(-5, 7), probabilities(amplitudes_continuous(sd, -5, 6)).values))
+        for N in cfg.N_list[:-1]:
+            assert tails[N] - tails[N + 1] == pytest.approx(pn[-N] + pn[N + 1], abs=1e-15)
+        assert pn[-4] == pytest.approx(0.0015611, abs=1e-7)  # |n| > N would leave it out
 
 
 class TestTilde:
@@ -317,10 +327,7 @@ class TestMomentObservable:
         y = cfg.dist.sample(stream(cfg.seed, 0), (cfg.trials, p))
         exact = np.array([probabilities(amplitudes_periodic(SpectralDifferencePeriodic(row),
                                                             "exact-sum")).values for row in y])
-        bins, W = _spectrum_bins(cfg)  # a moment: the FFT, W None
-        chunk = _chunks(cfg.dist, p, cfg.trials, W)
-        [(_, *drawn)] = chunk(stream(cfg.seed, 0), cfg.trials)  # 5 rows: one block
-        stats = _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
+        stats = _chunk_stats(cfg)  # a moment: the FFT
         return {r: stats[("moment", r)] for r in cls.R_LIST}, exact, stats[("p_tot", None)]
 
     def test_r0_is_total(self):
@@ -348,29 +355,3 @@ class TestMomentObservable:
         assert max(residuals) - min(residuals) < 0.05
         assert all(abs(r) < 1.0 for r in residuals)
 
-
-class TestFromMeasure:
-    def test_two_point_measure(self):
-        m = DiscreteMeasure([0.0, PI], [0.5, 0.5])
-        sd = spectral_difference_from_measure(m, 2)
-        assert sd.values == pytest.approx([1.0, 1.0])
-
-    def test_split_shift_measure(self):
-        m = DiscreteMeasure([0.0, PI, 2 * PI], [0.25, 0.5, 0.25])
-        sd = spectral_difference_from_measure(m, 2)
-        assert sd.values == pytest.approx([0.0, 1.0])
-
-    def test_odd_shift_measure(self):
-        m = DiscreteMeasure([0.0, 3 * PI], [0.5, 0.5])
-        sd = spectral_difference_from_measure(m, 2)
-        assert sd.values == pytest.approx([1.0, -1.0])
-
-    def test_non_uniform_reduction_rejected(self):
-        m = DiscreteMeasure([0.0, PI], [0.75, 0.25])
-        with pytest.raises(OrthogonalityError, match="residue class"):
-            spectral_difference_from_measure(m, 2)
-
-    def test_off_grid_rejected(self):
-        m = DiscreteMeasure([0.0, 1.0], [0.5, 0.5])
-        with pytest.raises(OrthogonalityError, match="grid"):
-            spectral_difference_from_measure(m, 2)
