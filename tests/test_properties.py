@@ -129,6 +129,18 @@ def test_probabilities_in_unit_interval(values):
     assert pr.p_tot <= 1.0 + 1e-9
 
 
+@settings(deadline=None)
+@given(values=periodic_values)
+def test_tails_nonincreasing(values):
+    # the engine's p_N = sum of p_n over n = N+1..p-N starts at p_tot and never grows with N
+    p = len(values)
+    Ns = tuple(range((p - 1) // 2 + 1))
+    stats = _engine_rows([values], period=p, N_list=Ns)
+    tails = [stats[("p_N", float(N))][0] for N in Ns]
+    assert tails[0] == pytest.approx(float(np.mean(np.square(values))), rel=1e-12, abs=1e-15)
+    assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
+
+
 @settings(max_examples=40)
 @given(values=continuous_values, half=st.integers(min_value=2, max_value=40))
 def test_continuous_symmetry_and_band(values, half):

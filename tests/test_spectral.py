@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from anticip import (
+    DiscreteMeasure,
     MonteCarloConfig,
+    OrthogonalityError,
     SamplingDistribution,
     SpectralDifferenceContinuous,
     SpectralDifferencePeriodic,
@@ -20,6 +22,7 @@ from anticip import (
     truncation_window,
 )
 from anticip import spectral
+from anticip.bounds import grid_indices
 from anticip.sampling import _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import folded_index, line_factor
 
@@ -355,3 +358,10 @@ class TestMomentObservable:
         assert max(residuals) - min(residuals) < 0.05
         assert all(abs(r) < 1.0 for r in residuals)
 
+
+class TestFromMeasure:
+    def test_non_uniform_reduction_rejected(self):
+        # on the grid, but residue class 0 of period 2 carries 0.75, not 1/2
+        m = DiscreteMeasure([0.0, PI], [0.75, 0.25])
+        with pytest.raises(OrthogonalityError, match="residue class"):
+            grid_indices(m, 2)
