@@ -52,7 +52,6 @@ from .spectral import (
     amplitudes_continuous,
     amplitudes_periodic,
     folded_index,
-    half_step_amplitudes,
     probabilities,
     truncation_window,
 )

@@ -164,6 +164,9 @@ def parse_distribution(text: str) -> SamplingDistribution:
             spec = json.load(fh)
         if not (isinstance(spec, dict) and all(isinstance(spec.get(k), list) for k in ("points", "masses"))):
             raise ValueError(f"{path} must hold a JSON object with lists 'points' and 'masses'")
+        for key in ("points", "masses"):  # a JSON true is a Python int, but not a JSON number
+            if not all(type(v) in (int, float) for v in spec[key]):
+                raise ValueError(f"{path}: every entry of '{key}' must be a JSON number")
         symmetric = spec.get("symmetric", False)
         if not isinstance(symmetric, bool):
             raise ValueError(f"{path}: 'symmetric' must be true or false (got {symmetric!r})")
@@ -304,9 +307,9 @@ class MonteCarloConfig:
             for N in self.N_list:
                 if N < 0:
                     raise ValueError("N must be nonnegative")
-            for n in (*self.n_list, *self.N_list):  # line_factor forms 2n - 1 in int64
-                if abs(n) >= 1 << 62:
-                    raise ValueError(f"line index {n} outside |n| < 2^62")
+            for n in (*self.n_list, *self.N_list):  # rows are keyed by float(n), exact to 2^53
+                if abs(n) > 1 << 53:
+                    raise ValueError(f"line index {n} outside |n| <= 2^53")
         for r in self.r_list:
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")

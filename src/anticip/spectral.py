@@ -11,17 +11,18 @@ Half-step amplitudes use half-integer frequencies:
     continuous:  alpha_n = (2*pi)^-1 integral yhat(kappa) exp(-i*(n-1/2)*kappa) dkappa
 
 For real yhat the periodic amplitudes are conjugate-symmetric,
-alpha_{p+1-n} = conj(alpha_n), so only alpha_1..alpha_ceil(p/2) are computed:
-all from one FFT of half the doubled length (`half_step_bins`), or a few of
-them from one real matrix product with `half_step_phase_matrix`. Even p = 2h
-packs each row into a length-h complex FFT. Odd p uses the index map
-Z_2p = Z_2 x Z_p (Good-Thomas): the odd frequency 2n-1 is 2g+p mod 2p with
-g = n-(p+1)/2, so alpha_n = conj(A[(p+1)/2-n]) for A the length-p real FFT of
-(-1)^k yhat_k / p. That matrix and the O(p^2) `exact-sum` oracle read
-exp(-i*pi*(2n-1)*k/p) from one table of the 2p-th roots of unity at the exact
-integer index (2n-1)*k mod 2p; the oracle reads it once for each pair k, p-k,
-whose phases are w and -conj(w). On M cells alpha_n is `line_factor` times the
-period-M alpha_n: each cell's integral in closed form, with no quadrature.
+alpha_{p+1-n} = conj(alpha_n), so only ceil(p/2) of them are computed: all
+from one FFT of half the doubled length (`half_step_bins`, whose bins give all
+p by copies and conjugations), or a few from one real matrix product with
+`half_step_phase_matrix`. Even p = 2h packs each row into a length-h complex
+FFT. Odd p uses the index map Z_2p = Z_2 x Z_p (Good-Thomas): the odd
+frequency 2n-1 is 2g+p mod 2p with g = n-(p+1)/2, so alpha_n =
+conj(A[(p+1)/2-n]) for A the length-p real FFT of (-1)^k yhat_k / p. That
+matrix and the O(p^2) `exact-sum` oracle read exp(-i*pi*(2n-1)*k/p) from one
+table of the 2p-th roots of unity at the exact integer index (2n-1)*k mod 2p;
+the oracle reads it once for each pair k, p-k, whose phases are w and
+-conj(w). On M cells alpha_n is `line_factor` times the period-M alpha_n:
+each cell's integral in closed form, with no quadrature.
 """
 from __future__ import annotations
 
@@ -84,10 +85,6 @@ class AmplitudeSeries:
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen(self.values, complex))
 
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_start, self.n_start + self.values.size)
-
 
 @dataclass(frozen=True)
 class ProbabilitySeries:
@@ -104,10 +101,6 @@ class ProbabilitySeries:
         if self.p_tot > 1.0 + 1e-9:
             raise ValueError("total probability exceeds 1")
         object.__setattr__(self, "values", arr)
-
-    @property
-    def indices(self) -> np.ndarray:
-        return np.arange(self.n_start, self.n_start + self.values.size)
 
 
 def half_step_roots(p: int, count: int | None = None) -> np.ndarray:
@@ -147,26 +140,6 @@ def half_step_bins(y: np.ndarray, z: np.ndarray, twiddle: np.ndarray) -> np.ndar
     return np.fft.fft(z, out=z)
 
 
-def half_step_amplitudes(y: np.ndarray) -> np.ndarray:
-    """alpha_1..alpha_ceil(p/2) of each real row of y, shape (..., p), from
-    `half_step_bins` on a copy of y. Even p = 2h puts alpha_{2m+1} in place
-    and mirrors the rest, alpha_{2m+2} = conj(alpha_{2(h-1-m)+1}); odd p
-    reverses and conjugates all bins. Every row is transformed on its own, so
-    a batched call returns each row's single-row result bit for bit.
-    """
-    y = np.array(y, dtype=float)  # a copy: odd p flips signs in place
-    p = y.shape[-1]
-    bins = half_step_bins(y, np.empty(y.shape[:-1] + ((p + 1) // 2,), complex),
-                          half_step_roots(p, p // 2) / p)
-    half = np.empty_like(bins)
-    if p % 2:
-        return np.conjugate(bins[..., ::-1], out=half)
-    q = (p // 2 + 1) // 2
-    half[..., 0::2] = bins[..., :q]
-    np.conjugate(bins[..., q:][..., ::-1], out=half[..., 1::2])
-    return half
-
-
 def half_step_phase_matrix(p: int, bins) -> np.ndarray:
     """Real (p, 2K) W with y @ W = [Re alpha_n | Im alpha_n] for the K half bins
     n_j in `bins`: W[k, j] + i*W[k, K+j] = exp(-i*pi*(2n_j-1)*k/p) / p, each
@@ -192,18 +165,25 @@ def amplitudes_periodic(
 ) -> AmplitudeSeries:
     """Amplitudes for n = 1..p.
 
-    `fast-transform` computes alpha_1..alpha_ceil(p/2) with
-    `half_step_amplitudes` and mirrors them, alpha_{p+1-n} = conj(alpha_n),
-    so the symmetry holds exactly; `exact-sum` is the O(p^2) direct sum over
-    all p indices, no transform and no mirror, with each phase w read from the
-    table of 2p-th roots at the exact index (2n-1)*k mod 2p, so no float phase
-    exceeds 2*pi; k and p-k share w up to -conj, so k = 1..(p-1)/2 carry
-    (y_k - y_{p-k}) Re w and (y_k + y_{p-k}) Im w. The two agree to ~1e-17.
+    `fast-transform` takes the ceil(p/2) bins of one `half_step_bins` call and
+    fills the rest by alpha_{p+1-n} = conj(alpha_n), so the symmetry holds
+    exactly; `exact-sum` is the O(p^2) direct sum over all p indices, no
+    transform and no mirror, with each phase w read from the table of 2p-th
+    roots at the exact index (2n-1)*k mod 2p, so no float phase exceeds 2*pi;
+    k and p-k share w up to -conj, so k = 1..(p-1)/2 carry (y_k - y_{p-k}) Re w
+    and (y_k + y_{p-k}) Im w. The two agree to ~1e-17.
     """
     p = sd.period
     if mode == "fast-transform":
-        half = half_step_amplitudes(sd.values)
-        amps = np.concatenate([half, half[: p // 2][::-1].conj()])
+        y, K = sd.values.copy(), (p + 1) // 2  # a copy: odd p flips signs in place
+        bins = half_step_bins(y, np.empty(K, complex), half_step_roots(p, p // 2) / p)
+        amps = np.empty(p, complex)
+        if p % 2:  # alpha_n = conj(A[K-n]), so alpha_{K+j} = conj(alpha_{K-j}) = A[j]
+            np.conjugate(bins[::-1], out=amps[:K])
+            amps[K:] = bins[1:]
+        else:  # alpha_{2m+1} = b_m, alpha_{2m} = conj(alpha_{p+1-2m}) = conj(b_{h-m})
+            amps[0::2] = bins
+            np.conjugate(bins[::-1], out=amps[1::2])
     elif mode == "exact-sum":
         y, two_p, block, h = sd.values, 2 * p, 8, (p - 1) // 2
         roots, k, odd = half_step_roots(p), np.arange(1, h + 1), 2 * np.arange(1, p + 1) - 1

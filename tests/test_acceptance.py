@@ -9,6 +9,7 @@ central-limit value, and the concentration of p_N at thresholds either side
 of E(p_N), rather than C5's verdict.
 """
 
+import dataclasses
 import math
 
 import pytest
@@ -122,6 +123,43 @@ def test_c12_threaded_line_compares_every_field(monkeypatch, field):
 
     monkeypatch.setattr(verify, "run_monte_carlo", run)
     assert [line.ok for line in verify.CRITERIA["C12"]().lines] == [True, True, False]
+
+
+def test_c06_identity_line_fails_on_nan(monkeypatch):
+    # one NaN among the 21 identity errors, past the first: Python's max would drop it
+    real = cf.expected_pn
+    monkeypatch.setattr(cf, "expected_pn", lambda p, n, m: math.nan if (p, n) == (128, 2) else real(p, n, m))
+    assert not verify.CRITERIA["C6"]().lines[0].ok
+
+
+@pytest.mark.parametrize("field, line", [("autocorr_slack_min", 1), ("corollary2_slack", 2)])
+def test_c09_slack_lines_fail_on_nan(monkeypatch, field, line):
+    # one measure's slack is NaN, after finite ones: Python's min would drop it
+    real = verify.fb.check_bounds
+
+    def check_bounds(measures, p):
+        reports = real(measures, p)
+        reports[7] = dataclasses.replace(reports[7], **{field: math.nan})
+        return reports
+
+    monkeypatch.setattr(verify.fb, "check_bounds", check_bounds)
+    lines = verify.CRITERIA["C9"]().lines
+    assert [lines[i].ok for i in (line, line + 3, line + 6)] == [False] * 3
+    assert all(lines[i].ok for i in range(len(lines)) if i % 3 != line)
+
+
+def test_c12_merge_line_fails_on_nan(monkeypatch):
+    # the second partition's first mean is NaN, so the merged mean is NaN
+    real = verify.run_monte_carlo
+
+    def run(cfg, threads=None, chunk_range=None):
+        rep = real(cfg, threads=threads, chunk_range=chunk_range)
+        if chunk_range is not None and chunk_range[0] > 0:
+            rep.rows[0].acc.mean = math.nan
+        return rep
+
+    monkeypatch.setattr(verify, "run_monte_carlo", run)
+    assert [line.ok for line in verify.CRITERIA["C12"]().lines] == [True, False, True]
 
 
 def test_suite_map_covers_all_criteria():

@@ -228,6 +228,18 @@ class TestSample:
         assert res.exit_code == 2
         assert "'symmetric' must be true or false" in res.output
 
+    @pytest.mark.parametrize("points, masses, key", [
+        ([False, True], [0.5, 0.5], "points"), ([0.0, 1.0], ["0.5", "0.5"], "masses"),
+        ([0.0, "1"], [0.5, 0.5], "points"), ([0.0, 1.0], [0.5, None], "masses"),
+        ([0.0, 1.0], [True, 0], "masses")])
+    def test_table_law_entries_must_be_json_numbers(self, tmp_path, points, masses, key):
+        # numpy converts booleans and numeric strings to floats: [false, true] ran as the law on (0, 1)
+        table = tmp_path / "law.json"
+        table.write_text(json.dumps({"points": points, "masses": masses}))
+        res = run_cli("sample", "--period", "8", "--trials", "300", "--dist", f"table:{table}")
+        assert res.exit_code == 2
+        assert f"every entry of '{key}' must be a JSON number" in res.output
+
     @pytest.mark.parametrize("args", [
         ("sample", "--cells", "8", "--n", "100000000000000000000"),
         ("sample", "--cells", "8", "--N", "100000000000000000000"),
@@ -236,11 +248,18 @@ class TestSample:
          "--n-min", "9223372036854775806", "--n-max", "9223372036854775807"),
         ("model", "--kind", "alt-continuous", "--cells", "6", "--y", "1",
          "--n-min", "-4611686018427387904", "--n-max", "0"),
+        # 2^53 + 1 and 2^53 are one float: they once printed as one row, and exited 0
+        ("sample", "--cells", "8", "--trials", "300", "--n", "9007199254740993,9007199254740992"),
+        ("sample", "--cells", "8", "--trials", "300", "--n", "-9007199254740993"),
     ])
     def test_line_indices_past_2_to_62_exit_2(self, args):
+        # `sample` keys its rows by float index, exact to 2^53; `model` prints n as an exact int
         res = run_cli(*args)
         assert res.exit_code == 2
-        assert "< 2^62" in res.output
+        if args[0] == "model":
+            assert "< 2^62" in res.output
+        else:
+            assert f"line index {args[-1].split(',')[0]} outside |n| <= 2^53" in res.output
 
     def test_epsilon_needs_periodic_mode(self):
         res = run_cli("sample", "--cells", "8", "--epsilon", "0.1")

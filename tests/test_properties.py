@@ -19,12 +19,11 @@ from anticip import (
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
-    half_step_amplitudes,
     folded_index,
     probabilities,
 )
 from anticip.sampling import _batch_moments, _chunks, _rows, _spectrum_bins, _trial_stats
-from anticip.spectral import half_step_phase_matrix, line_factor
+from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 periodic_values = st.lists(component, min_size=2, max_size=48)
@@ -59,21 +58,28 @@ def test_transform_modes_agree(values):
 @given(values=periodic_values)
 def test_half_step_amplitudes_match_exact_sum_and_mirror(values):
     sd = SpectralDifferencePeriodic(values)
-    half = half_step_amplitudes(sd.values)
-    exact = amplitudes_periodic(sd, "exact-sum").values
-    assert half.shape == ((sd.period + 1) // 2,)
-    assert np.max(np.abs(half - exact[: half.size])) <= 1e-12
     full = amplitudes_periodic(sd).values
+    exact = amplitudes_periodic(sd, "exact-sum").values
+    assert full.shape == (sd.period,)
+    assert np.max(np.abs(full - exact)) <= 1e-12
     assert np.array_equal(full[::-1], full.conj())  # alpha_{p+1-n} = conj(alpha_n)
+
+
+def _bins(y):
+    """`half_step_bins` of a copy of y, in a fresh output array."""
+    y = np.array(y, dtype=float)
+    p = y.shape[-1]
+    return half_step_bins(y, np.empty(y.shape[:-1] + ((p + 1) // 2,), complex), half_step_roots(p, p // 2) / p)
 
 
 @given(rows=st.integers(min_value=2, max_value=48).flatmap(
     lambda p: st.lists(st.lists(component, min_size=p, max_size=p), min_size=1, max_size=6)))
 @example(rows=[[0.0, 0.0], [-5e-324, 1.0]])  # a subnormal product that rounds to zero
 def test_half_step_amplitudes_batched_rows_bit_identical(rows):
-    batch = half_step_amplitudes(np.array(rows))
+    # the engine transforms a chunk's rows in one batch; each row's bins are its single-row bins
+    batch = _bins(rows)
     for row, out in zip(rows, batch):
-        assert half_step_amplitudes(np.array(row)).tobytes() == out.tobytes()
+        assert _bins(row).tobytes() == out.tobytes()
 
 
 class _Rows:

@@ -18,7 +18,6 @@ from anticip import (
     amplitudes_periodic,
     build_orthogonal_measure,
     folded_index,
-    half_step_amplitudes,
     merge_accumulators,
     near_zero_statistics,
     run_monte_carlo,
@@ -38,6 +37,7 @@ from anticip.sampling import (
     resolve_threads,
 )
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
+from packed_reference import packed_formula
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -292,19 +292,26 @@ class TestEngine:
             MonteCarloConfig(dist=UNIFORM, trials=0, seed=0, period=8)
 
     @pytest.mark.parametrize("stats", [{"n_list": (1 << 62,)}, {"n_list": (-(1 << 62),)},
-                                       {"n_list": (10**20,)}, {"N_list": (1 << 62,)}, {"N_list": (10**20,)}])
+                                       {"n_list": (10**20,)}, {"N_list": (1 << 62,)}, {"N_list": (10**20,)},
+                                       {"n_list": ((1 << 53) + 1, 1 << 53)}, {"n_list": (-(1 << 53) - 1,)},
+                                       {"N_list": ((1 << 53) + 1,)}])
     def test_line_indices_stay_inside_int64(self, stats):
-        # line_factor forms 2n - 1 in int64: at n = -2^62 it wraps, and w_n read 1/4 of its value
-        with pytest.raises(ValueError, match=r"outside \|n\| < 2\^62"):
+        # rows are keyed by float(n): 2^53 + 1 would share 2^53's row; this bound also keeps
+        # line_factor's 2n - 1 inside int64, which wraps at n = -2^62
+        with pytest.raises(ValueError, match=r"outside \|n\| <= 2\^53"):
             MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, **stats)
 
     def test_line_weights_hold_at_the_index_limit(self):
-        # w_n (n - 1/2)^2 = (M/pi)^2 sin^2(pi (n - 1/2)/M) depends only on n mod M: 2^62 - 1 = 3 mod 3
-        top = (1 << 62) - 1
-        cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, n_list=(top, 1 - top, 3))
+        # w_n (n - 1/2)^2 = (M/pi)^2 sin^2(pi (n - 1/2)/M) depends only on n mod M: a line run
+        # reaches |n| = 2^53 = 2 mod 3, and `model` reaches line_factor at 2^62 - 1 = 3 mod 3
+        top = 1 << 53
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, n_list=(top, 1 - top, 2))
         weights = _rows(cfg, _spectrum_bins(cfg)[0])[0]
         scaled = [weights[("p_n", float(n))] * (n - 0.5) ** 2 for n in (top, 1 - top)]
-        assert scaled == pytest.approx([weights[("p_n", 3.0)] * 2.5**2] * 2, rel=1e-14)
+        assert scaled == pytest.approx([weights[("p_n", 2.0)] * 1.5**2] * 2, rel=1e-14)
+        top = (1 << 62) - 1
+        w = np.abs(line_factor(3, [top, 1 - top, 3])) ** 2
+        assert [w[0] * (top - 0.5) ** 2, w[1] * (0.5 - top) ** 2] == pytest.approx([w[2] * 2.5**2] * 2, rel=1e-14)
 
     @pytest.mark.parametrize("r", [math.nan, math.inf, -math.inf, -1.0])
     @pytest.mark.parametrize("mode", [{"period": 8}, {"cells": 8}])
@@ -413,7 +420,7 @@ class TestEngine:
         weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
         for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
             y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
-            half = half_step_amplitudes(y)
+            half = packed_formula(y)
             stats = _trial_stats(cfg, y, (y * y).mean(axis=1), half.real**2 + half.imag**2, weights, bins)
             for key in keys:
                 chunk = MomentAccumulator()
@@ -684,7 +691,7 @@ def _bits(acc: MomentAccumulator) -> np.ndarray:
 
 class TestChunkBuffers:
     """The engine's buffered chunk pipeline gives the bits of the allocating
-    path: `half_step_amplitudes`, squared, and (y*y).mean(axis=1)."""
+    path: the packed formula, squared, and (y*y).mean(axis=1)."""
 
     TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
 
@@ -707,7 +714,7 @@ class TestChunkBuffers:
         sizes = _chunk_sizes(cfg.trials)
         for c in chunks:
             y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
-            half = half_step_amplitudes(y)
+            half = packed_formula(y)
             stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
                                  half.real**2 + half.imag**2, weights, bins)
             block = np.array([stats[key] for key in keys], dtype=float)

@@ -15,7 +15,6 @@ from anticip import (
     SpectralDifferencePeriodic,
     amplitudes_continuous,
     amplitudes_periodic,
-    half_step_amplitudes,
     probabilities,
     run_monte_carlo,
     stream,
@@ -25,6 +24,7 @@ from anticip import spectral
 from anticip.bounds import grid_indices
 from anticip.sampling import _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import folded_index, line_factor
+from packed_reference import packed_formula
 
 PI = np.pi
 
@@ -117,27 +117,9 @@ class TestAmplitudesPeriodic:
         with pytest.raises(ValueError):
             amplitudes_periodic(SpectralDifferencePeriodic([1.0, 0.0]), "magic")
 
-    @staticmethod
-    def _packed_formula(y):
-        # the packing as first written: y_hi * -1j + y_lo, twiddled, one
-        # allocating FFT, then the conjugate mirror into the spent input; odd p
-        # by Z_2p = Z_2 x Z_p, alpha_n = conj(A[(p+1)/2-n]) with A the length-p
-        # real FFT of (-1)^k y_k / p
-        p = y.shape[-1]
-        if p % 2:
-            return np.fft.rfft(y * (-1.0) ** np.arange(p), norm="forward")[..., ::-1].conj()
-        h = p // 2
-        z = y[..., h:] * -1j
-        z += y[..., :h]
-        z *= np.exp(-1j * np.pi * np.arange(h) / p) / p
-        odd = np.fft.fft(z)
-        q = (h + 1) // 2
-        z[..., 0::2] = odd[..., :q]
-        np.conjugate(odd[..., q:][..., ::-1], out=z[..., 1::2])
-        return z
-
     @pytest.mark.parametrize("p", [*range(2, 19), 33, 64, 4095, 4096])
     def test_half_step_bits_match_the_packed_formula(self, p):
+        # all p amplitudes: the packed formula's ceil(p/2) and their conjugate mirror
         rng = np.random.default_rng(p)
         y = rng.uniform(-1, 1, (5, p))
         y[0] = 0.0
@@ -145,11 +127,14 @@ class TestAmplitudesPeriodic:
         y[2, ::2] = -0.0  # signed zeros among nonzero components
         y[3, 1::3] = 0.0
         before = y.copy()
-        for rows in (y, y[4]):  # batched and one 1-d row
-            got = half_step_amplitudes(rows)
-            assert np.array_equal(y.view(np.uint64), before.view(np.uint64))  # odd p flips a copy
-            assert got.shape == rows.shape[:-1] + ((p + 1) // 2,)
-            assert np.array_equal(got.view(np.uint64), self._packed_formula(rows).view(np.uint64))
+        for row in y:
+            sd = SpectralDifferencePeriodic(row)
+            got = amplitudes_periodic(sd).values
+            assert np.array_equal(sd.values.view(np.uint64), row.view(np.uint64))  # odd p flips a copy
+            half = packed_formula(row)
+            want = np.concatenate([half, half[: p // 2][::-1].conj()])
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(y.view(np.uint64), before.view(np.uint64))
 
     def test_periodicity_exact(self):
         rng = np.random.default_rng(2)
@@ -189,7 +174,7 @@ class TestAmplitudesContinuous:
         rng = np.random.default_rng(3)
         sd = SpectralDifferenceContinuous(rng.uniform(-1, 1, 6))
         pr = probabilities(amplitudes_continuous(sd, -8, 9))
-        idx = {int(n): v for n, v in zip(pr.indices, pr.values)}
+        idx = {int(n): v for n, v in zip(np.arange(-8, 10), pr.values)}
         for n in range(-7, 9):
             assert idx[n] == pytest.approx(idx[1 - n], abs=1e-12)
 
@@ -353,7 +338,7 @@ class TestMomentObservable:
         for k in range(6, 15):
             p = 2**k
             pr = probabilities(amplitudes_periodic(SpectralDifferencePeriodic(np.ones(p))))
-            val = float(folded_index(pr.indices, p) @ pr.values)
+            val = float(folded_index(np.arange(1, p + 1), p) @ pr.values)
             residuals.append(val - (2 / PI**2) * np.log(p))
         assert max(residuals) - min(residuals) < 0.05
         assert all(abs(r) < 1.0 for r in residuals)
