@@ -13,11 +13,17 @@ period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
 and those of the n's by one real product with their phase matrix (of no columns
 for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
 row blocks of <= 4 MiB or 32 rows. Chunks go to the worker threads in runs of
-up to RUN consecutive ordinals; each thread allocates its buffers once per call.
-One call reduces the statistics of a run's chunks, row by row, to each chunk's
-mean and central moments up to order four; the per-chunk accumulators merge
-associatively, in ordinal order, which makes chunked, threaded and
-single-pass runs agree to rounding.
+up to RUN consecutive ordinals; each thread allocates its buffers once per call
+and re-keys one Philox generator per chunk. A run's rows pass in stages: whole
+chunks up to the run within _STAGE_BYTES, or one FFT block where blocks are cut
+below a chunk. Each block writes p_tot and the near-zero count into a
+(statistic, row) block and its p_n columns into the stage, from which the
+other per-row statistics join the block once per stage. BLAS rounds a row by
+the row count of its product, so products keep their rows: y @ W is one gemm
+per chunk, the moment and line p_N dgemv's one per block. One call reduces a
+run's rows to each chunk's mean and central moments up to order four; the
+per-chunk accumulators merge associatively, in ordinal order, which makes
+chunked, threaded and single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
@@ -221,22 +227,22 @@ class MomentAccumulator:
 
 
 def _batch_moments(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
-    """Mean and central sums M2, M3, M4 of each row of a 2-d array, as an
-    (n_rows, 4) array. Every sum is a pairwise sum along a contiguous row, so
-    a row gives the same bits alone or stacked with others. Given `work`, an
-    array of x's shape, the two temporaries are x itself and `work`."""
-    mean = x.mean(axis=1)
+    """Mean and central sums M2, M3, M4 along the last axis of x, stacked on a new
+    last axis. Every sum is a pairwise sum along a contiguous row, so a row gives
+    the same bits alone or stacked with others. Given `work`, an array of x's
+    shape, the two temporaries are x itself and `work`."""
+    mean = x.mean(axis=-1)
     # constant rows carry exactly zero central moments; computing them through
     # the rounded row mean would leave ~eps^2 residue
-    const = (x == x[:, :1]).all(axis=1)
-    first = x[const, 0]
-    d = np.subtract(x, mean[:, np.newaxis], out=None if work is None else x)
+    const = (x == x[..., :1]).all(axis=-1)
+    first = x[..., 0][const]
+    d = np.subtract(x, mean[..., np.newaxis], out=None if work is None else x)
     d2 = np.multiply(d, d, out=work)
-    m2 = d2.sum(axis=1)
+    m2 = d2.sum(axis=-1)
     d *= d2
-    m3 = d.sum(axis=1)
+    m3 = d.sum(axis=-1)
     d2 *= d2
-    out = np.stack((mean, m2, m3, d2.sum(axis=1)), axis=1)
+    out = np.stack((mean, m2, m3, d2.sum(axis=-1)), axis=-1)
     out[const] = 0.0
     out[const, 0] = first
     return out
@@ -438,28 +444,21 @@ def resolve_threads(threads: int | None) -> int:
     return n
 
 
-def _chunk_sizes(trials: int) -> list[int]:
-    full, rest = divmod(trials, CHUNK)
-    sizes = [CHUNK] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
-
-
-def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
+def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
     """Hand worker(run) the selected chunks in runs of up to RUN consecutive
-    (ordinal, rng, n_trials) triples, fewer if a thread would idle, and yield
-    the items of the lists it returns in ordinal order, to fold as they come."""
-    sizes = _chunk_sizes(trials)
-    lo, hi = (0, len(sizes)) if chunk_range is None else chunk_range
-    if not 0 <= lo <= hi <= len(sizes):
-        raise ValueError(f"chunk range {(lo, hi)} outside 0..{len(sizes)}")
+    (ordinal, n_trials) pairs, fewer if a thread would idle, and yield the items
+    of the lists it returns in ordinal order, to fold as they come. Chunk c holds
+    min(CHUNK, trials - c*CHUNK) trials, by arithmetic, not from a list of every chunk."""
+    count = -(-trials // CHUNK)
+    lo, hi = (0, count) if chunk_range is None else chunk_range
+    if not 0 <= lo <= hi <= count:
+        raise ValueError(f"chunk range {(lo, hi)} outside 0..{count}")
     n_threads = resolve_threads(threads)
     step = max(1, min(RUN, -(-(hi - lo) // n_threads)))
     runs = [range(c, min(c + step, hi)) for c in range(lo, hi, step)]
 
     def call(run: range):
-        return worker([(c, rng_mod.stream(seed, c), sizes[c]) for c in run])
+        return worker([(c, min(CHUNK, trials - c * CHUNK)) for c in run])
 
     if n_threads == 1 or len(runs) <= 1:
         yield from itertools.chain.from_iterable(map(call, runs))
@@ -473,7 +472,8 @@ def _run_chunked(worker, trials: int, seed: int, threads: int, chunk_range):
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
 _MOMENT_TOP = 32  # a moment on the line sums |n|^r p_n over n = -31..32
-_FFT_BYTES = 4 << 20  # most bytes of a thread's FFT buffers above 32 rows, 24 per row component
+_FFT_BYTES = 4 << 20  # an FFT block halves its rows while 24 bytes per component pass this, to 32
+_STAGE_BYTES = 1 << 20  # most bytes of a stage of whole chunks, 8 per p_n column: a run at 32 bins
 _FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
 
 
@@ -493,51 +493,6 @@ def _spectrum_bins(config: MonteCarloConfig):
     if config.r_list or len(bins) > _MATRIX_BINS:
         return range(1, (config.size + 1) // 2 + 1), None
     return bins, half_step_phase_matrix(config.size, bins)
-
-
-def _chunks(dist: SamplingDistribution, size: int, trials: int, W):
-    """`chunk(rng, n_trials)` draws one chunk of `size` components per trial and
-    yields (i, y, p_tot, p_n) per block of rows i.. in draw order: p_n of W's half
-    bins by one y @ W in one CHUNK-row block, or for W None of n = 1..ceil(p/2) by
-    `half_step_bins`, in blocks of CHUNK rows halved while 24*p*rows bytes pass
-    _FFT_BYTES, never below 32; per-row FFT steps and the moment dgemv's 4-row groups
-    keep the chunk's bits. Blocks live in the thread's buffers until its next block;
-    `z` holds y*y, then the FFT. Odd p flips the signs of y's odd-k components in
-    place, unseen by statistics reading only y*y and |y|, and reverses the bins,
-    p_n = |A[(p+1)/2-n]|^2; even p interleaves the odd bins with the mirrored rest."""
-    rows, local = CHUNK, threading.local()
-    while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
-        rows //= 2
-    K = (size + 1) // 2 if W is None else W.shape[1] // 2  # the p_n columns
-    q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
-
-    def buf(name: str, n: int, width: int, dtype=float) -> np.ndarray:
-        if not hasattr(local, name):
-            setattr(local, name, np.empty((min(rows, trials), width), dtype))
-        return getattr(local, name)[:n]
-
-    def chunk(rng: np.random.Generator, n: int):
-        # no 1-row last block: numpy takes a 1-row moment by dot, not by dgemv's row kernel
-        starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
-        for i, j in zip(starts, starts[1:] + [n]):
-            y = dist.sample(rng, (m := j - i, size), out=buf("y", m, size))
-            z, pn = buf("z", m, (size + 1) // 2, complex), buf("pn", m, K)
-            ptot = np.multiply(y, y, out=z.view(float)[:, :size]).mean(axis=1)  # the same pairwise row mean
-            if W is None:
-                amps = half_step_bins(y, z, twiddle)
-                re, im, po = amps.real, amps.imag, buf("po", m, K)  # squares in transform order
-            else:
-                a = np.matmul(y, W, out=buf("a", m, 2 * K))
-                re, im, po = a[:, :K], a[:, K:], pn
-            np.multiply(re, re, out=po)
-            po += np.multiply(im, im, out=im)  # conjugation flips no square
-            if W is None and size % 2:
-                pn[:] = po[:, ::-1]
-            elif W is None:
-                pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]  # p_{2m+2} = p_{2(h-1-m)+1}
-            yield i, y, ptot, pn
-
-    return chunk
 
 
 def _fold(size: int, stop: int, term) -> np.ndarray:
@@ -595,23 +550,82 @@ def _rows(config: MonteCarloConfig, bins) -> tuple[dict, dict]:
     return weights, preds
 
 
-def _trial_stats(config: MonteCarloConfig, y, ptot, pn, weights: dict, bins) -> dict:
-    """Per-trial statistics from pn over the half `bins` and the `_rows` weights
-    of those columns. A period's p_N subtracts its near window n = 1..N and the
-    mirror p+1-N..p, disjoint as N < p/2: twice the bins 1..N, with which `bins` starts."""
-    out = {("p_tot", None): ptot}
-    line = config.period is None
-    for n in config.n_list:
-        col = pn[:, bins.index(int(_half_bin(config.size, n)))]
-        out[("p_n", float(n))] = weights[("p_n", float(n))] * col if line else col
-    for N in config.N_list:
-        key = ("p_N", float(N))
-        out[key] = ptot - 2.0 * (pn @ weights[key] if line else pn[:, :N].sum(axis=1))
-    for r in config.r_list:
-        out[("moment", float(r))] = pn @ weights[("moment", float(r))]
-    if config.epsilon is not None:
-        out[("near_zero_count", float(config.epsilon))] = (np.abs(y) < config.epsilon).sum(axis=1)
-    return out
+def _stages(config: MonteCarloConfig):
+    """(stages, preds): the `_rows` pairings by key, and `stages(run)`, which writes the
+    per-trial statistics of a run of (ordinal, n_trials) chunks into the thread's (key, row)
+    block, p_tot first and the near-zero count last, yielding (block, lo, hi) per stage of
+    rows lo..hi-1. Chunk c re-keys the thread's generator to stream (seed, c). A block writes
+    p_tot and the count from its spent draws, with no temporary of their size, its squared
+    p_n columns into the stage (odd p reverses A's bins, p_n = |A[(p+1)/2-n]|^2; even p
+    interleaves the odd bins with the mirrored rest) and its moment and line p_N dgemv's;
+    each stage adds the p_n picks and p_N = p_tot - 2*sum."""
+    bins, W = _spectrum_bins(config)
+    weights, preds = _rows(config, bins)
+    keys, size, eps, line = [*preds], config.size, config.epsilon, config.period is None
+    rows, local, K = CHUNK, threading.local(), len(bins)
+    while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
+        rows //= 2
+    stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _STAGE_BYTES // (8 * max(K, 1) * CHUNK)))
+    q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
+    # the plan: each statistic's row, with its p_n column and weight, or its near window
+    key_row, col = {key: k for k, key in enumerate(keys)}, {b: j for j, b in enumerate(bins)}
+    picks = [(key_row["p_n", float(n)], col[int(_half_bin(size, n))], weights.get(("p_n", float(n)), 1.0))
+             for n in config.n_list]
+    sums = [] if line else [(key_row["p_N", float(N)], N) for N in config.N_list]  # bins start 1..N
+    dots = [(key_row[key], weights[key]) for key in keys if key[0] == "moment" or line and key[0] == "p_N"]
+    tails = [key_row["p_N", float(N)] for N in config.N_list]
+
+    def block(b, y, o: int, g: int):  # the block's rows sit at stage row o, run row g
+        m, pn = len(y), b.pn[o:o + len(y)]
+        v = (half_step_bins(y, b.z[:m], twiddle) if W is None else np.matmul(y, W, out=b.z[:m])).view(float)
+        if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
+            np.abs(y, out=y)
+            for k in range(0, m, len(b.mask)):  # counted through <= _FFT_BYTES of mask
+                j = min(m, k + len(b.mask))
+                np.less(y[k:j], eps, out=b.mask[:j - k]).sum(axis=1, out=b.stats[-1, g + k:g + j])
+        ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=b.stats[0, g:g + m])
+        ptot /= size  # the bits of .mean(axis=1)
+        v *= v  # the squares in one contiguous pass; conjugation flips none
+        re, im = (v[:, 0::2], v[:, 1::2]) if W is None else (v[:, :K], v[:, K:])
+        if W is not None:
+            np.add(re, im, out=pn)
+        elif size % 2:
+            np.add(re[:, ::-1], im[:, ::-1], out=pn)
+        else:  # p_{2m+2} = p_{2(h-1-m)+1}
+            np.add(re[:, :q], im[:, :q], out=pn[:, 0::2])
+            np.add(re[:, q:][:, ::-1], im[:, q:][:, ::-1], out=pn[:, 1::2])
+        for k, w in dots:
+            np.matmul(pn, w, out=b.stats[k, g:g + m])
+
+    def finish(b, lo: int, hi: int):
+        pn, stats = b.pn[:hi - lo], b.stats[:, lo:hi]
+        for k, j, w in picks:
+            np.multiply(pn[:, j], w, out=stats[k])
+        for k, N in sums:
+            pn[:, :N].sum(axis=1, out=stats[k])
+        for k in tails:  # the row holds the near window's sum, or the line's product
+            np.subtract(stats[0], np.multiply(stats[k], 2.0, out=stats[k]), out=stats[k])
+
+    def stages(run):
+        b, lo, at, end = local, 0, 0, sum(n for _, n in run)
+        if not hasattr(b, "y") or b.stats.shape[1] < end:  # the thread's buffers, grown to its longest run
+            m, s = min(rows, end), min(stage, end)
+            b.y, b.pn, b.stats = np.empty((m, size)), np.empty((s, K)), np.empty((len(keys), end))
+            b.z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
+            b.mask = None if eps is None else np.empty((max(1, min(m, _FFT_BYTES // size)), size), bool)
+        for c, n in run:
+            b.gen = rng_mod.stream(config.seed, c, reuse=getattr(b, "gen", None))
+            # no 1-row last block: numpy takes a 1-row moment product by dot, not dgemv's row kernel
+            starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
+            for i, j in zip(starts, starts[1:] + [n]):
+                block(b, config.dist.sample(b.gen, (j - i, size), out=b.y[:j - i]), at - lo, at)
+                at += j - i
+                if at - lo + rows > stage or at == end:
+                    finish(b, lo, at)
+                    yield b.stats, lo, at
+                    lo = at
+
+    return stages, preds
 
 
 def run_monte_carlo(
@@ -625,35 +639,28 @@ def run_monte_carlo(
     `chunk_range` restricts the run to chunk ordinals [lo, hi); partial
     reports over disjoint ranges merge back to the single-pass report.
     """
-    bins, W = _spectrum_bins(config)
-    weights, preds = _rows(config, bins)
-    keys = list(preds)
-    near_zero = ("near_zero_count", float(config.epsilon)) if config.epsilon is not None else None
-    chunk = _chunks(config.dist, config.size, config.trials, W)
-    width, local = min(CHUNK, config.trials), threading.local()
+    stages, preds = _stages(config)
+    keys, width, local = list(preds), min(CHUNK, config.trials), threading.local()
 
     def worker(run):
-        if not hasattr(local, "blocks"):  # the thread's statistic rows and reduction scratch
-            local.blocks = np.empty((2, min(RUN, -(-config.trials // CHUNK)), len(keys), width))
-        block, work, hists = *local.blocks, []
-        for rows, (_, rng, n) in zip(block, run):
-            hists.append([])  # one near-zero bincount per row block
-            for i, y, ptot, pn in chunk(rng, n):
-                stats = _trial_stats(config, y, ptot, pn, weights, bins)
-                for row, key in zip(rows, keys):
-                    row[i:i + len(ptot)] = stats[key]
-                if near_zero is not None:
-                    hists[-1].append(np.bincount(stats[near_zero], minlength=config.size + 1))
-        n_last = run[-1][2]  # only the last chunk of all can be partial; it is reduced on its own
+        hists = [[] for _ in run]  # one near-zero bincount per stage, under the chunk it ends in
+        for stats, lo, hi in stages(run):
+            if config.epsilon is not None:
+                counts = stats[-1, lo:hi].astype(np.intp)
+                hists[(hi - 1) // width].append(np.bincount(counts, minlength=config.size + 1))
+        if not hasattr(local, "work") or local.work.shape != stats.shape:  # the thread's reduction scratch
+            local.work = np.empty_like(stats)
+        n_last = run[-1][1]  # only the last chunk of all can be partial; it is reduced on its own
         full = len(run) - (n_last < width)
-        moments = np.concatenate([_batch_moments(block[i:j, :, :n].reshape(-1, n), work[i:j, :, :n].reshape(-1, n))
-                                  for i, j, n in ((0, full, width), (full, len(run), n_last)) if i < j])
-        return [([MomentAccumulator(n, *m) for m in chunk_moments], hist) for (_, _, n), chunk_moments, hist
-                in zip(run, moments.reshape(len(run), len(keys), 4).tolist(), hists)]
+        moments = np.concatenate([_batch_moments(*(a[:, i * width:i * width + (j - i) * n].reshape(-1, j - i, n)
+                                                   for a in (stats, local.work)))
+                                  for i, j, n in ((0, full, width), (full, len(run), n_last)) if i < j], axis=1)
+        return [([MomentAccumulator(n, *m) for m in chunk_moments], hist) for (_, n), chunk_moments, hist
+                in zip(run, moments.transpose(1, 0, 2).tolist(), hists)]
 
     totals = {key: MomentAccumulator() for key in keys}
-    histogram = None if near_zero is None else np.zeros(config.size + 1, dtype=np.int64)
-    for accs, hist in _run_chunked(worker, config.trials, config.seed, threads, chunk_range):
+    histogram = None if config.epsilon is None else np.zeros(config.size + 1, dtype=np.int64)
+    for accs, hist in _run_chunked(worker, config.trials, threads, chunk_range):
         for key, acc in zip(keys, accs):
             totals[key] = merge_accumulators(totals[key], acc)
         for counts in hist:
@@ -686,14 +693,12 @@ def tail_exceedance(
     config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, N_list=(N,))
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite (got {delta})")
-    bins, W = _spectrum_bins(config)
-    chunk, key = _chunks(dist, p, trials, W), ("p_N", float(N))
+    stages = _stages(config)[0]
 
-    def worker(run):  # one count per run, summed over its row blocks; a period's p_N takes no weights
-        return [sum(int(np.count_nonzero(_trial_stats(config, y, ptot, pn, {}, bins)[key] > delta))
-                    for _, rng, n in run for _, y, ptot, pn in chunk(rng, n))]
+    def worker(run):  # one count per run, summed over its stages; row 1 is p_N
+        return [sum(int(np.count_nonzero(stats[1, lo:hi] > delta)) for stats, lo, hi in stages(run))]
 
-    return sum(_run_chunked(worker, trials, seed, threads, None)) / trials
+    return sum(_run_chunked(worker, trials, threads, None)) / trials
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:

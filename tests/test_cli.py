@@ -493,6 +493,21 @@ class TestGolden:
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
 
+    @pytest.mark.parametrize("args, golden", [
+        # a run of 16 chunks in one stage, then a 1-row chunk: numpy takes a 1-row y @ W
+        # and p_n @ w (line p_N, moments) by dot, so these products stay per block
+        (("--cells", "24", "--trials", "4097", "--n", "1,-5", "--N", "0,3,12,1000", "--seed", "5"),
+         "sample_c24_trials4097_seed5.csv"),
+        (("--period", "64", "--trials", "4097", "--n", "1", "--N", "0,4", "--r", "1,2", "--seed", "5"),
+         "sample_p64_trials4097_seed5.csv"),
+    ])
+    @pytest.mark.parametrize("threads", ["1", "3"])
+    def test_one_row_last_chunk_golden(self, tmp_path, args, golden, threads):
+        out = tmp_path / "sample.csv"
+        res = run_cli("sample", *args, "--threads", threads, "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
     def test_verify_golden(self, tmp_path):
         # every criterion's status and worst check; C5 is the one known FAIL, so exit 1
         out = tmp_path / "verify.csv"

@@ -13,6 +13,7 @@ except ModuleNotFoundError:  # pragma: no cover
 
 from anticip import (
     MomentAccumulator,
+    stream,
     MonteCarloConfig,
     SamplingDistribution,
     SpectralDifferenceContinuous,
@@ -22,8 +23,9 @@ from anticip import (
     folded_index,
     probabilities,
 )
-from anticip.sampling import _batch_moments, _chunks, _rows, _spectrum_bins, _trial_stats
+from anticip.sampling import _batch_moments
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
+from packed_reference import engine_rows
 
 component = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 periodic_values = st.lists(component, min_size=2, max_size=48)
@@ -85,6 +87,8 @@ def test_half_step_amplitudes_batched_rows_bit_identical(rows):
 class _Rows:
     """A stand-in component law whose draws are the given rows."""
 
+    moments = SamplingDistribution.uniform().moments  # for the predictions the engine pairs
+
     def __init__(self, rows):
         self.rows = rows
 
@@ -106,10 +110,12 @@ def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
     pn = a[:K] ** 2 + a[K:] ** 2
     exact = np.abs(amplitudes_periodic(SpectralDifferencePeriodic(y), "exact-sum").values) ** 2
     assert np.max(np.abs(pn - exact[np.array(bins) - 1])) <= 1e-15
-    # the engine's FFT chunk, both parities: p_n for the half bins n = 1..ceil(p/2), one block
-    [(_, _, ptot, fft_pn)] = _chunks(_Rows(y), p, 1, W=None)(None, 1)
-    assert np.max(np.abs(fft_pn[0] - exact[: (p + 1) // 2])) <= 1e-15
-    assert ptot[0] == float(np.mean(y * y))
+    # the engine's FFT chunk (a moment), both parities: p_n for the half bins n = 1..ceil(p/2)
+    half = range(1, (p + 1) // 2 + 1)
+    stats = _engine_rows([y], period=p, n_list=tuple(half), r_list=(0.0,))
+    fft_pn = np.array([stats[("p_n", float(n))][0] for n in half])
+    assert np.max(np.abs(fft_pn - exact[: (p + 1) // 2])) <= 1e-15
+    assert stats[("p_tot", None)][0] == float(np.mean(y * y))
     for n, got in zip(bins, pn):  # each phase reduced in Python integers, each part summed exactly
         angles = [math.pi * ((2 * n - 1) * k % (2 * p)) / p for k in range(p)]
         re = math.fsum(v * math.cos(t) for v, t in zip(values, angles)) / p
@@ -121,7 +127,7 @@ def test_phase_matrix_probabilities_match_exact_sum_and_fsum(case):
     for moments in ((), (0.0,)):
         stats = _engine_rows([y], period=p, N_list=Ns, r_list=moments)
         tails = [stats[("p_N", float(N))][0] for N in Ns]
-        assert tails[0] == ptot[0]
+        assert tails[0] == stats[("p_tot", None)][0]
         for N, tail in zip(Ns, tails):
             assert abs(tail - math.fsum(exact[N : p - N])) <= 1e-15, (p, N, moments)
         assert all(b <= a + 1e-15 for a, b in zip(tails, tails[1:]))
@@ -175,11 +181,8 @@ def test_line_amplitudes_are_the_factor_times_the_exact_period(values, n_min, wi
 
 
 def _engine_rows(rows, **size_and_stats):
-    """Per-trial statistics of the engine's chunk and reduction for the given rows."""
-    cfg = MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=len(rows), seed=0, **size_and_stats)
-    bins, W = _spectrum_bins(cfg)
-    [(_, *drawn)] = _chunks(_Rows(np.array(rows)), cfg.size, len(rows), W)(None, len(rows))
-    return _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
+    """The engine's per-trial statistic rows for the given rows, drawn as one chunk."""
+    return engine_rows(MonteCarloConfig(dist=_Rows(np.array(rows)), trials=len(rows), seed=0, **size_and_stats))
 
 
 @settings(max_examples=60, deadline=None)
@@ -251,3 +254,24 @@ def test_batch_moments_rows_equal_single_row_reductions(rows):
         assert acc.count == row.size
         assert got.tobytes() == np.array([acc.mean, acc.m2, acc.m3, acc.m4]).tobytes()
         assert got.tobytes() == np.array(_scalar_moments(row)).tobytes()
+
+
+_uint64 = st.integers(min_value=0, max_value=(1 << 64) - 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=_uint64, index=_uint64, prefix=st.lists(st.tuples(st.sampled_from(["random", "integers"]),
+                                                              st.integers(1, 9)), max_size=4),
+       old=st.tuples(_uint64, _uint64))
+@example(seed=0, index=0, prefix=[("random", 1)], old=(0, 1))
+@example(seed=(1 << 64) - 1, index=(1 << 64) - 1, prefix=[("integers", 3)], old=((1 << 64) - 1, 0))
+def test_rekeyed_stream_draws_a_fresh_stream(seed, index, prefix, old):
+    # the key and counter are a Philox stream's whole state: a generator re-keyed after
+    # any draws, buffered 32-bit halves included, draws what a fresh stream draws
+    gen = stream(*old)
+    for method, n in prefix:
+        gen.random(n) if method == "random" else gen.integers(0, 1 << 31, n, dtype=np.int32)
+    assert stream(seed, index, reuse=gen) is gen
+    assert np.array_equal(gen.random(1000), stream(seed, index).random(1000))
+    with pytest.raises(ValueError, match="seed must lie in"):
+        stream(1 << 64, index, reuse=gen)

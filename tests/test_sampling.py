@@ -4,6 +4,8 @@ import math
 import sys
 import threading
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,16 +30,14 @@ from anticip.sampling import (
     CHUNK,
     RUN,
     StatRow,
-    _chunk_sizes,
-    _chunks,
-    _batch_moments,
     _rows,
+    _run_chunked,
     _spectrum_bins,
-    _trial_stats,
+    _stages,
     resolve_threads,
 )
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
-from packed_reference import packed_formula
+from packed_reference import chunk_sizes, engine_rows, packed_formula, trial_stats
 
 UNIFORM = SamplingDistribution.uniform()
 
@@ -351,21 +351,54 @@ class TestEngine:
             assert whole.chi_square(0.2) == merged.chi_square(0.2) == threaded.chi_square(0.2)
 
     def test_chunks_are_folded_as_they_arrive(self):
-        from anticip.sampling import _run_chunked
-
         calls = []
         def worker(run):
-            calls.extend(c for c, _, _ in run)
-            return [(c, n) for c, _, n in run]
+            calls.extend(c for c, _ in run)
+            return run
 
         expected = [(c, 256) for c in range(RUN + 3)] + [(RUN + 3, 5)]
-        results = _run_chunked(worker, (RUN + 3) * 256 + 5, 0, 1, None)
+        results = _run_chunked(worker, (RUN + 3) * 256 + 5, 1, None)
         # the whole first run is yielded before any chunk of the second is computed
         assert [next(results) for _ in range(RUN)] == expected[:RUN]
         assert calls == [*range(RUN)]
         assert list(results) == expected[RUN:] and calls == [*range(RUN + 4)]
-        threaded = _run_chunked(worker, (RUN + 3) * 256 + 5, 0, 2, (1, RUN + 4))
+        threaded = _run_chunked(worker, (RUN + 3) * 256 + 5, 2, (1, RUN + 4))
         assert list(threaded) == expected[1:]
+
+    @pytest.mark.parametrize("size, stats, rows", [
+        ({"period": 64}, {"n_list": (1, 32), "N_list": (0, 4), "epsilon": 0.1}, 16 * 256),  # matrix, K = 5
+        ({"period": 64}, {"n_list": (1,), "r_list": (1.0,)}, 16 * 256),  # the FFT with a moment, K = 32
+        ({"cells": 24}, {"n_list": (1, -5), "N_list": (0, 3, 12, 1000)}, 16 * 256),  # a line run
+        ({"period": 80}, {"N_list": (31,), "n_list": (33,)}, 16 * 256),  # matrix, K = 32
+        ({"period": 682}, {"r_list": (1.0,)}, 256),  # K = 341: one chunk's p_n take 0.7 MB
+        ({"period": 4096}, {"r_list": (1.0,)}, 32),  # the FFT cuts blocks below a chunk
+    ])
+    def test_stages_span_whole_chunks_within_their_bytes(self, size, stats, rows):
+        # a stage holds whole chunks up to the run while 8 bytes per p_n column fit
+        # _STAGE_BYTES, or one transform block where blocks are cut below a chunk
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=16 * 256 + 1, seed=1, **size, **stats)
+        stages = _stages(cfg)[0]
+        spans = [(lo, hi) for _, lo, hi in stages([(c, 256) for c in range(RUN)])]
+        assert spans == [(lo, lo + rows) for lo in range(0, RUN * 256, rows)]
+        assert [(lo, hi) for _, lo, hi in stages([(RUN, 1)])] == [(0, 1)]
+
+    def test_two_chunks_of_a_huge_run_allocate_for_two(self):
+        # chunk sizes come by arithmetic: a list over the 2^32 chunks of 2^40 trials
+        # would take about 34 GB before the first draw
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=1 << 40, seed=3, period=64, n_list=(1, 32),
+                               N_list=(0, 4), epsilon=0.1)
+        run_monte_carlo(replace(cfg, trials=512))  # plans and imports, untraced
+        tracemalloc.start()
+        try:
+            rep = run_monte_carlo(cfg, chunk_range=(0, 2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.trials == 512 and rep.histogram.sum() == 512
+        assert peak < 2 << 20
+        whole = run_monte_carlo(replace(cfg, trials=512))  # the same two chunks, the same bits
+        for a, b in zip(rep.rows, whole.rows):
+            assert np.array_equal(_bits(a.acc), _bits(b.acc)), a.key
 
     def test_thread_env_variable(self, monkeypatch):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=1024, seed=6, period=16)
@@ -406,37 +439,24 @@ class TestEngine:
                          seed=27, cells=24, n_list=(1, 3, -2), N_list=(0, 2), r_list=(0.0, 1.0)),
         MonteCarloConfig(dist=UNIFORM, trials=600, seed=3, cells=256, n_list=(0, 1, 9), N_list=(0, 8),
                          r_list=(1.0,)),  # the CI command's rows
+        # stages spanning chunks: a run of 16 and a 1-row last chunk, on a period and the line
+        MonteCarloConfig(dist=UNIFORM, trials=16 * 256 + 1, seed=8, period=64, n_list=(1, 32),
+                         N_list=(0, 4), r_list=(1.0,), epsilon=0.1),
+        MonteCarloConfig(dist=UNIFORM, trials=16 * 256 + 1, seed=5, cells=24, n_list=(1, -5),
+                         N_list=(0, 3, 12, 1000), r_list=(1.0,)),
     ], ids=["p64-partial-chunk", "two-point-constant-rows", "continuous", "line-M64-moments",
-            "line-M24-table", "line-M256-ci"])
+            "line-M24-table", "line-M256-ci", "p64-one-row-last-chunk", "line-M24-one-row-last-chunk"])
     def test_rows_equal_per_statistic_reduction(self, cfg):
-        # one add_batch per statistic per chunk, folded in ordinal order; p_n from the
-        # allocating period-size transform, squared, with the index-by-index line weights
-        rep = run_monte_carlo(cfg)
-        keys = [row.key for row in rep.rows]
-        totals = {key: MomentAccumulator() for key in keys}
-        histogram = np.zeros(cfg.size + 1, dtype=np.int64)
+        # one add_batch per statistic per chunk; p_n from the allocating period-size
+        # transform, squared, with the index-by-index line weights
         bins, W = _spectrum_bins(cfg)  # a moment: all ceil(size/2) half bins, from the FFT
         assert W is None and bins == range(1, (cfg.size + 1) // 2 + 1)
         weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
-        for c, n_trials in enumerate(_chunk_sizes(cfg.trials)):
-            y = cfg.dist.sample(stream(cfg.seed, c), (n_trials, cfg.size))
-            half = packed_formula(y)
-            stats = _trial_stats(cfg, y, (y * y).mean(axis=1), half.real**2 + half.imag**2, weights, bins)
-            for key in keys:
-                chunk = MomentAccumulator()
-                chunk.add_batch(stats[key])
-                totals[key] = merge_accumulators(totals[key], chunk)
-            if cfg.epsilon is not None:
-                histogram += np.bincount(stats[keys[-1]], minlength=cfg.size + 1)
-        for row in rep.rows:
-            a, b = row.acc, totals[row.key]
-            assert (a.count, a.mean, a.m2, a.m3, a.m4) == (b.count, b.mean, b.m2, b.m3, b.m4)
-        if cfg.epsilon is None:
-            assert rep.histogram is None
-        else:
-            assert np.array_equal(rep.histogram, histogram)
+        reference = _chunk_reference(cfg, _packed_pn, weights, bins)
+        for threads in (1, 3):
+            _assert_chunk_bits(cfg, reference, threads=threads)
         if cfg.dist.family == "two-point":
-            assert rep.row("p_tot").acc.m2 == 0.0  # the constant-row rule
+            assert run_monte_carlo(cfg).row("p_tot").acc.m2 == 0.0  # the constant-row rule
 
     @pytest.mark.parametrize("p", [7, 8])
     def test_statistics_match_exact_sum_recomputation(self, p):
@@ -575,7 +595,7 @@ class TestEngine:
                                N_list=(0, 3, 40), r_list=(0.0, 1.0, 2.0))
         rep = run_monte_carlo(cfg)
         y = np.concatenate([dist.sample(stream(cfg.seed, c), (n, cells))
-                            for c, n in enumerate(_chunk_sizes(cfg.trials))])
+                            for c, n in enumerate(chunk_sizes(cfg.trials))])
         window = np.arange(1 - 40, 40 + 1)
         pn = np.abs(y @ _complex_kernel(cells, window).T) ** 2
         ptot = (y * y).mean(axis=1)
@@ -689,6 +709,67 @@ def _bits(acc: MomentAccumulator) -> np.ndarray:
     return np.array([acc.mean, acc.m2, acc.m3, acc.m4]).view(np.uint64)
 
 
+def _packed_pn(y):
+    """p_n of the half bins 1..ceil(p/2) by the allocating packed formula."""
+    half = packed_formula(y)
+    return half.real**2 + half.imag**2
+
+
+def _chunk_reference(cfg, pn_of, weights, bins):
+    """Per-chunk accumulators, one {key: acc} per chunk in ordinal order, and per-chunk
+    near-zero histograms: chunk c drawn afresh from stream(seed, c), p_n = pn_of(y) over
+    the half `bins`, `trial_stats` with `weights`, and one add_batch per statistic."""
+    accs, hists = [], []
+    for c, n in enumerate(chunk_sizes(cfg.trials)):
+        y = cfg.dist.sample(stream(cfg.seed, c), (n, cfg.size))
+        stats = trial_stats(cfg, y, (y * y).mean(axis=1), pn_of(y), weights, bins)
+        accs.append({key: MomentAccumulator() for key in stats})
+        for key, row in stats.items():
+            accs[-1][key].add_batch(row)
+        if cfg.epsilon is not None:
+            hists.append(np.bincount(stats[("near_zero_count", float(cfg.epsilon))], minlength=cfg.size + 1))
+    return accs, hists
+
+
+def _engine_chunks(cfg, **kwargs):
+    """The report of run_monte_carlo(cfg, **kwargs) and the per-chunk accumulators
+    that its fold merges, one {key: acc} per chunk in ordinal order."""
+    import anticip.sampling as sampling
+
+    merged = []
+
+    def record(a, b):
+        merged.append(b)
+        return merge_accumulators(a, b)
+
+    with mock.patch.object(sampling, "merge_accumulators", record):
+        rep = run_monte_carlo(cfg, **kwargs)
+    keys = [row.key for row in rep.rows]
+    return rep, [dict(zip(keys, merged[i:i + len(keys)])) for i in range(0, len(merged), len(keys))]
+
+
+def _assert_chunk_bits(cfg, reference, chunk_range=None, threads=None):
+    """Each chunk's accumulators from the engine have the bits of the `_chunk_reference`
+    chunk's; the report's rows are their fold in ordinal order, its histogram their sum."""
+    rep, accs = _engine_chunks(cfg, chunk_range=chunk_range, threads=threads)
+    lo, hi = chunk_range or (0, len(reference[0]))
+    assert len(accs) == hi - lo
+    for c, got in zip(range(lo, hi), accs):
+        want = reference[0][c]
+        assert [*got] == [*want]
+        for key, acc in want.items():
+            assert got[key].count == acc.count and np.array_equal(_bits(got[key]), _bits(acc)), (c, key)
+    for row in rep.rows:
+        total = MomentAccumulator()
+        for chunk in reference[0][lo:hi]:
+            total = merge_accumulators(total, chunk[row.key])
+        assert row.acc.count == total.count and np.array_equal(_bits(row.acc), _bits(total)), row.key
+    if cfg.epsilon is None:
+        assert rep.histogram is None
+    else:
+        assert np.array_equal(rep.histogram, sum(reference[1][lo:hi]))
+
+
 class TestChunkBuffers:
     """The engine's buffered chunk pipeline gives the bits of the allocating
     path: the packed formula, squared, and (y*y).mean(axis=1)."""
@@ -703,50 +784,26 @@ class TestChunkBuffers:
                                 epsilon=0.3)
 
     @staticmethod
-    def _allocating(cfg, chunks):
-        """Accumulators and histogram of the given chunk ordinals, each chunk's
-        statistics from freshly allocated arrays, folded in ordinal order."""
+    def _reference(cfg):
         bins = range(1, (cfg.period + 1) // 2 + 1)
-        weights, preds = _rows(cfg, bins)
-        keys = [*preds]
-        totals = {key: MomentAccumulator() for key in keys}
-        histogram = np.zeros(cfg.period + 1, dtype=np.int64)
-        sizes = _chunk_sizes(cfg.trials)
-        for c in chunks:
-            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.period))
-            half = packed_formula(y)
-            stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
-                                 half.real**2 + half.imag**2, weights, bins)
-            block = np.array([stats[key] for key in keys], dtype=float)
-            for key, moments in zip(keys, _batch_moments(block).tolist()):
-                totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
-            histogram += np.bincount(stats[keys[-1]], minlength=cfg.period + 1)
-        return totals, histogram
-
-    def _assert_bits(self, rep, cfg, chunks):
-        totals, histogram = self._allocating(cfg, chunks)
-        assert [row.key for row in rep.rows] == [*totals]
-        for row in rep.rows:
-            assert row.acc.count == totals[row.key].count
-            assert np.array_equal(_bits(row.acc), _bits(totals[row.key])), row.key
-        assert np.array_equal(rep.histogram, histogram)
+        return _chunk_reference(cfg, _packed_pn, _rows(cfg, bins)[0], bins)
 
     @pytest.mark.parametrize("p, trials", [
         (2, 513), (3, 300), (4, 257), (5, 300), (6, 300), (8, 600), (33, 300), (64, 3 * 256 + 17),
         (4096, 300),
+        (64, 16 * 256 + 1),  # a stage of a whole run, then a 1-row last chunk
         (64, (2 * RUN + 3) * 256 + 17),  # several runs, a partial last run and chunk
     ])
     @pytest.mark.parametrize("dist", [UNIFORM, SamplingDistribution.two_point(0.0), TABLE],
                              ids=lambda d: d.label)
     def test_engine_rows_equal_the_allocating_path(self, p, trials, dist):
         cfg = self._config(dist, p, trials)
-        chunks = range(len(_chunk_sizes(trials)))
+        reference, count = self._reference(cfg), len(chunk_sizes(trials))
         for threads in (1, 2, 4):
-            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
-        self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks))), cfg, chunks[1:])
-        inner = chunks[len(chunks) // 3 : -1]  # for several runs, both ends inside a run
-        self._assert_bits(run_monte_carlo(cfg, chunk_range=(inner[0], inner[-1] + 1), threads=2),
-                          cfg, inner)
+            _assert_chunk_bits(cfg, reference, threads=threads)
+        _assert_chunk_bits(cfg, reference, chunk_range=(1, count))
+        inner = range(count // 3, count - 1)  # for several runs, both ends inside a run
+        _assert_chunk_bits(cfg, reference, chunk_range=(inner[0], inner[-1] + 1), threads=2)
 
     @pytest.mark.parametrize("dist, p, N, delta, trials, seed, threads, exceeded", [
         (UNIFORM, 64, 4, 0.3, 1000, 0, None, 421),
@@ -764,27 +821,26 @@ class TestChunkBuffers:
 
     @pytest.mark.parametrize("p", [8, 9, 4096])
     def test_chunks_reuse_their_thread_buffers(self, p):
-        chunk, rows = _chunks(UNIFORM, p, 3 * 256, W=None), 256 if p < 683 else 32
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, n_list=(1,), r_list=(1.0,),
+                               epsilon=0.3)
+        stages, rows = _stages(cfg)[0], 256 if p < 683 else 32
 
-        def blocks(c):  # each block's start, arrays and copies taken before the next block
-            return [(i, arrays, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(0, c), 256)]
+        def run(c):  # per stage: its rows, the block, and a copy of its rows taken before the next stage
+            return [(lo, hi, stats, stats[:, lo:hi].copy()) for stats, lo, hi in stages([(c, 256)])]
 
-        first, second = blocks(0), blocks(1)
-        assert [i for i, _, _ in first] == [*range(0, 256, rows)]
-        (y0, ptot0, pn0), (y1, ptot1, pn1) = first[0][1], second[-1][1]
-        assert np.shares_memory(y0, y1)  # every block of every chunk
-        assert np.shares_memory(pn0, pn1)
-        assert not np.shares_memory(ptot0, ptot1)  # reduced statistics are fresh arrays
-        assert not np.array_equal(first[0][2][0], y1)  # the last block overwrote the first
+        first, second = run(0), run(1)
+        assert [(lo, hi) for lo, hi, *_ in first] == [(i, i + rows) for i in range(0, 256, rows)]
+        assert first[0][2] is second[-1][2]  # one statistic block for every stage of every run
+        lo, hi, block, rows0 = first[0]
+        assert not np.array_equal(rows0, block[:, lo:hi])  # the second run overwrote the first
         other = []
-        worker = threading.Thread(target=lambda: other.extend(blocks(0)))
+        worker = threading.Thread(target=lambda: other.extend(run(0)))
         worker.start()
         worker.join(timeout=60)
         assert not worker.is_alive()
-        assert not any(np.shares_memory(a, b) for a, b in zip(other[-1][1], (y1, ptot1, pn1)))
-        for (_, _, mine), (_, _, theirs) in zip(first, other, strict=True):
-            for a, b in zip(mine, theirs):  # another thread, its own buffers, the same bits
-                assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+        assert not np.shares_memory(other[-1][2], block)
+        for mine, theirs in zip(first, other, strict=True):  # another thread, its own buffers, the same bits
+            assert np.array_equal(mine[3].view(np.uint64), theirs[3].view(np.uint64))
 
     @staticmethod
     def _whole_chunk(dist, p, rng, n):
@@ -807,41 +863,36 @@ class TestChunkBuffers:
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
         bins, W = _spectrum_bins(cfg)
-        weights, chunk = _rows(cfg, bins)[0], _chunks(cfg.dist, p, trials, W)
-        for c, n in enumerate(_chunk_sizes(trials)):
-            blocks = [(i, [a.copy() for a in arrays]) for i, *arrays in chunk(stream(cfg.seed, c), n)]
-            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 4 MiB
+        weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
+        for c, n in enumerate(chunk_sizes(trials)):
+            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 4 MiB: a stage is one 32-row block
             if n == 33:  # no 1-row block, whose moment numpy takes by dot: 28 + 5 rows
                 starts[-1] = 28
-            assert [i for i, _ in blocks] == starts
+            assert [lo for _, lo, _ in stages([(c, n)])] == starts
+            # the statistics of the blocks, the moment dgemv included, against the whole chunk's
+            got = engine_rows(cfg, [(c, n)])
             whole = self._whole_chunk(cfg.dist, p, stream(cfg.seed, c), n)
-            for k, want in enumerate(whole):  # y, p_tot and p_n
-                got = np.concatenate([arrays[k] for _, arrays in blocks])
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, k)
-            # statistics per block, the moment dgemv included, against the whole chunk's
-            stats = [_trial_stats(cfg, *arrays, weights, bins) for _, arrays in blocks]
-            for key, want in _trial_stats(cfg, *whole, weights, bins).items():
-                got = np.concatenate([s[key] for s in stats])
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (c, key)
-        self._assert_bits(run_monte_carlo(cfg), cfg, range(len(_chunk_sizes(trials))))
+            for key, want in trial_stats(cfg, *whole, weights, bins).items():
+                assert np.array_equal(got[key].view(np.uint64), np.asarray(want, float).view(np.uint64)), (c, key)
+        _assert_chunk_bits(cfg, self._reference(cfg))
 
     @pytest.mark.parametrize("p, rows", [
         (4096, 32), (65536, 32), (682, 256), (683, 128), (2730, 64), (2731, 32), (8, 256),
     ])
     def test_fft_buffers_are_bounded_in_p(self, p, rows):
-        chunk = _chunks(UNIFORM, p, 3 * 256, W=None)
-        [*_chunks(UNIFORM, p, 1, W=None)(stream(1, 0), 1)]  # FFT plans and twiddles, untraced
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, r_list=(1.0,))
+        [*_stages(replace(cfg, trials=1))[0]([(0, 1)])]  # FFT plans and twiddles, untraced
+        stages = _stages(cfg)[0]
         tracemalloc.start()
         try:
-            blocks = chunk(stream(0, 0), 256)
-            _, y, _, pn = next(blocks)  # the first block only: no 256-row chunk at p = 65536
+            run = stages([(0, 256)])
+            _, lo, hi = next(run)  # the first stage only: no 256-row chunk at p = 65536
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        blocks.close()
-        assert y.base.shape == (rows, p)  # the thread's buffers, of which y and p_n are views
-        assert pn.base.shape == (rows, (p + 1) // 2)
-        assert held <= max(4 << 20, 24 * p * 32) + (64 << 10)  # y, z, |A|^2 and p_n: 24 B a component
+        run.close()
+        assert (lo, hi) == (0, rows)  # one FFT block, the stage where blocks are cut below a chunk
+        assert held <= max(4 << 20, 24 * p * 32) + (64 << 10)  # y, z and the stage's p_n: 20 B a component
 
     def test_threads_keep_the_bits_under_frequent_switches(self):
         # more workers than cores, switching every microsecond: a buffer shared
@@ -867,40 +918,18 @@ class TestPhaseMatrixPath:
     TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
 
     @staticmethod
-    def _matrix_fold(cfg, chunks):
-        """Accumulators and histogram of the given chunk ordinals, each chunk
-        drawn afresh from stream(seed, c) with p_n from an allocating y @ W,
-        folded in ordinal order. W is the phase matrix of period `size`, on the
-        line too, whose rows take the index-by-index `_folded_line_weights`."""
+    def _reference(cfg):
+        """The `_chunk_reference` with p_n from an allocating y @ W, W the phase matrix
+        of period `size`, on the line too, whose rows take `_folded_line_weights`."""
         bins = _spectrum_bins(cfg)[0]
         W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
-        weights, preds = _rows(cfg, bins)
-        if cfg.mode == "continuous":
-            weights = _folded_line_weights(cfg, bins)
-        keys = [*preds]
-        totals = {key: MomentAccumulator() for key in keys}
-        histogram = np.zeros(cfg.size + 1, dtype=np.int64)
-        sizes = _chunk_sizes(cfg.trials)
-        for c in chunks:
-            y = cfg.dist.sample(stream(cfg.seed, c), (sizes[c], cfg.size))
-            a = y @ W
-            stats = _trial_stats(cfg, y, (y * y).mean(axis=1),
-                                 a[:, :K] ** 2 + a[:, K:] ** 2, weights, bins)
-            block = np.array([stats[key] for key in keys], dtype=float)
-            for key, moments in zip(keys, _batch_moments(block).tolist()):
-                totals[key] = merge_accumulators(totals[key], MomentAccumulator(sizes[c], *moments))
-            if cfg.epsilon is not None:
-                histogram += np.bincount(stats[keys[-1]], minlength=cfg.size + 1)
-        return totals, histogram
+        weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
 
-    def _assert_bits(self, rep, cfg, chunks):
-        totals, histogram = self._matrix_fold(cfg, chunks)
-        assert [row.key for row in rep.rows] == [*totals]
-        for row in rep.rows:
-            assert row.acc.count == totals[row.key].count
-            assert np.array_equal(_bits(row.acc), _bits(totals[row.key])), row.key
-        if cfg.epsilon is not None:
-            assert np.array_equal(rep.histogram, histogram)
+        def pn_of(y):
+            a = y @ W
+            return a[:, :K] ** 2 + a[:, K:] ** 2
+
+        return _chunk_reference(cfg, pn_of, weights, bins)
 
     # the trailing fields: moment orders, and whether `size` counts cells on
     # the line instead of a period
@@ -922,6 +951,9 @@ class TestPhaseMatrixPath:
         # several runs, a partial last run and chunk, on a period and on the line
         (UNIFORM, 64, (2 * RUN + 3) * 256 + 17, (1, 32), (0, 4), 0.1, (), False),
         (TABLE, 32, (2 * RUN + 3) * 256 + 17, (0, 5), (0, 3), None, (), True),
+        # a run of 16 chunks as one stage, then a 1-row last chunk, on a period and on the line
+        (UNIFORM, 64, 16 * 256 + 1, (1, 32), (0, 4), 0.1, (), False),
+        (UNIFORM, 24, 16 * 256 + 1, (1, -5), (0, 3, 12, 1000), None, (), True),
     ])
     def test_engine_rows_equal_a_matrix_fold(self, dist, size, trials, n_list, N_list, epsilon,
                                              r_list, line):
@@ -929,15 +961,14 @@ class TestPhaseMatrixPath:
                                N_list=N_list, r_list=r_list, epsilon=epsilon,
                                **{"cells" if line else "period": size})
         assert _spectrum_bins(cfg)[1] is not None
-        chunks = range(len(_chunk_sizes(trials)))
+        reference, count = self._reference(cfg), len(chunk_sizes(trials))
         for threads in (1, 2, 4):
-            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, chunks)
-        self._assert_bits(run_monte_carlo(cfg, chunk_range=(0, 1)), cfg, chunks[:1])
-        self._assert_bits(run_monte_carlo(cfg, chunk_range=(1, len(chunks)), threads=2), cfg, chunks[1:])
-        inner = chunks[len(chunks) // 3 : -1]  # for several runs, both ends inside a run
+            _assert_chunk_bits(cfg, reference, threads=threads)
+        _assert_chunk_bits(cfg, reference, chunk_range=(0, 1))
+        _assert_chunk_bits(cfg, reference, chunk_range=(1, count), threads=2)
+        inner = range(count // 3, count - 1)  # for several runs, both ends inside a run
         for threads in (1, 4):
-            self._assert_bits(run_monte_carlo(cfg, chunk_range=(inner[0], inner[-1] + 1),
-                                              threads=threads), cfg, inner)
+            _assert_chunk_bits(cfg, reference, chunk_range=(inner[0], inner[-1] + 1), threads=threads)
 
     @pytest.mark.parametrize("trials, n_list, N_list, seed", [(808, (1,), (), 3), (552, (1, 3), (0, 2), 4)])
     def test_few_bin_commands_keep_one_gemm_per_chunk(self, trials, n_list, N_list, seed):
@@ -945,11 +976,11 @@ class TestPhaseMatrixPath:
         # --N 0,2 --seed 4`: 8- and 16-row products of these moved bits in a small-matrix dgemm
         cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=4096,
                                n_list=n_list, N_list=N_list)
-        chunk = _chunks(UNIFORM, 4096, trials, _spectrum_bins(cfg)[1])
-        [(i, y, _, _)] = chunk(stream(seed, 0), 256)
-        assert (i, y.shape) == (0, (256, 4096))
+        # two whole chunks make one stage, each chunk one block: one y @ W per chunk
+        assert [(lo, hi) for _, lo, hi in _stages(cfg)[0]([(0, 256), (1, 256)])] == [(0, 512)]
+        reference = self._reference(cfg)
         for threads in (1, 2):
-            self._assert_bits(run_monte_carlo(cfg, threads=threads), cfg, range(len(_chunk_sizes(trials))))
+            _assert_chunk_bits(cfg, reference, threads=threads)
 
     def test_bins_follow_the_statistics(self):
         def bins(n_list=(), N_list=(), r_list=(), **size):

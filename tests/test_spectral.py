@@ -22,9 +22,8 @@ from anticip import (
 )
 from anticip import spectral
 from anticip.bounds import grid_indices
-from anticip.sampling import _chunks, _rows, _spectrum_bins, _trial_stats
 from anticip.spectral import folded_index, line_factor
-from packed_reference import packed_formula
+from packed_reference import engine_rows, packed_formula
 
 PI = np.pi
 
@@ -239,10 +238,8 @@ class TestParseval:
 
 
 def _chunk_stats(cfg):
-    """Per-trial statistics of the engine's first chunk, for trials that fit one row block."""
-    bins, W = _spectrum_bins(cfg)
-    [(_, *drawn)] = _chunks(cfg.dist, cfg.size, cfg.trials, W)(stream(cfg.seed, 0), cfg.trials)
-    return _trial_stats(cfg, *drawn, _rows(cfg, bins)[0], bins)
+    """Per-trial statistics of the engine's first chunk, for trials that fit one chunk."""
+    return engine_rows(cfg)
 
 
 class TestCumulative:
