@@ -5,7 +5,7 @@ stream: its output is platform-stable, reproducible, and independent of every
 other index. Trial partitions can therefore run in any order, or concurrently,
 without changing a single drawn value. The key and the counter are the whole
 state of a stream, so re-keying one generator gives exactly the stream a fresh
-one would: a worker keeps one generator and re-keys it per chunk.
+one would: a run of chunks owns one generator and re-keys it per chunk.
 """
 from __future__ import annotations
 

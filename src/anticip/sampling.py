@@ -13,24 +13,24 @@ period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
 and those of the n's by one real product with their phase matrix (of no columns
 for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
 row blocks of <= 4 MiB or 32 rows. Chunks go to the worker threads in runs of
-up to RUN consecutive ordinals; each thread allocates its buffers once per call
-and re-keys one Philox generator per chunk. A run's rows pass in stages: whole
-chunks up to the run within _STAGE_BYTES, or one FFT block where blocks are cut
-below a chunk. Each block writes p_tot and the near-zero count into a
-(statistic, row) block and its p_n columns into the stage, from which the
-other per-row statistics join the block once per stage. BLAS rounds a row by
-the row count of its product, so products keep their rows: y @ W is one gemm
-per chunk, the moment and line p_N dgemv's one per block. One call reduces a
-run's rows to each chunk's mean and central moments up to order four; the
-per-chunk accumulators merge associatively, in ordinal order, which makes
-chunked, threaded and single-pass runs agree to rounding.
+up to RUN consecutive ordinals, made on demand, one result each; a run owns its
+buffers and one Philox generator, re-keyed per chunk, so no state is kept per
+thread. A run's rows pass in stages: whole chunks up to the run within
+_STAGE_BYTES, or one FFT block where blocks are cut below a chunk. Each block
+writes p_tot and the near-zero count into a (statistic, row) block and its p_n
+columns into the stage, from which the other per-row statistics join the block
+once per stage. BLAS rounds a row by the row count of its product, so products
+keep their rows: y @ W is one gemm per chunk, the moment and line p_N dgemv's
+one per block. One call reduces a run's rows to each chunk's mean and central
+moments up to order four; the per-chunk accumulators merge associatively, in
+ordinal order, which makes chunked, threaded and single-pass runs agree to
+rounding.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import os
-import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -226,18 +226,17 @@ class MomentAccumulator:
         return math.sqrt(max(mu4 - s2 * s2 * (n - 3) / (n - 1), 0.0) / n)
 
 
-def _batch_moments(x: np.ndarray, work: np.ndarray | None = None) -> np.ndarray:
+def _batch_moments(x: np.ndarray) -> np.ndarray:
     """Mean and central sums M2, M3, M4 along the last axis of x, stacked on a new
     last axis. Every sum is a pairwise sum along a contiguous row, so a row gives
-    the same bits alone or stacked with others. Given `work`, an array of x's
-    shape, the two temporaries are x itself and `work`."""
+    the same bits alone or stacked with others."""
     mean = x.mean(axis=-1)
     # constant rows carry exactly zero central moments; computing them through
     # the rounded row mean would leave ~eps^2 residue
     const = (x == x[..., :1]).all(axis=-1)
     first = x[..., 0][const]
-    d = np.subtract(x, mean[..., np.newaxis], out=None if work is None else x)
-    d2 = np.multiply(d, d, out=work)
+    d = x - mean[..., np.newaxis]
+    d2 = d * d
     m2 = d2.sum(axis=-1)
     d *= d2
     m3 = d.sum(axis=-1)
@@ -446,25 +445,29 @@ def resolve_threads(threads: int | None) -> int:
 
 def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
     """Hand worker(run) the selected chunks in runs of up to RUN consecutive
-    (ordinal, n_trials) pairs, fewer if a thread would idle, and yield the items
-    of the lists it returns in ordinal order, to fold as they come. Chunk c holds
-    min(CHUNK, trials - c*CHUNK) trials, by arithmetic, not from a list of every chunk."""
+    (ordinal, n_trials) pairs, fewer if a thread would idle, and yield its one
+    result per run in ordinal order, to fold as it comes. Runs are made on demand:
+    chunk c holds min(CHUNK, trials - c*CHUNK) trials, by arithmetic, and a pool
+    holds at most 2*threads runs submitted, so memory is O(threads) at any trials."""
     count = -(-trials // CHUNK)
     lo, hi = (0, count) if chunk_range is None else chunk_range
     if not 0 <= lo <= hi <= count:
         raise ValueError(f"chunk range {(lo, hi)} outside 0..{count}")
     n_threads = resolve_threads(threads)
     step = max(1, min(RUN, -(-(hi - lo) // n_threads)))
-    runs = [range(c, min(c + step, hi)) for c in range(lo, hi, step)]
-
-    def call(run: range):
-        return worker([(c, min(CHUNK, trials - c * CHUNK)) for c in run])
-
-    if n_threads == 1 or len(runs) <= 1:
-        yield from itertools.chain.from_iterable(map(call, runs))
+    runs = ([(c, min(CHUNK, trials - c * CHUNK)) for c in range(r, min(r + step, hi))]
+            for r in range(lo, hi, step))
+    if n_threads == 1 or hi - lo <= step:
+        yield from map(worker, runs)
         return
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        yield from itertools.chain.from_iterable(pool.map(call, runs))
+        pending = deque()
+        for run in runs:
+            pending.append(pool.submit(worker, run))
+            if len(pending) == 2 * n_threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 # Most half bins a periodic run takes from the phase matrix, not the FFT: per
@@ -552,17 +555,17 @@ def _rows(config: MonteCarloConfig, bins) -> tuple[dict, dict]:
 
 def _stages(config: MonteCarloConfig):
     """(stages, preds): the `_rows` pairings by key, and `stages(run)`, which writes the
-    per-trial statistics of a run of (ordinal, n_trials) chunks into the thread's (key, row)
+    per-trial statistics of a run of (ordinal, n_trials) chunks into the run's own (key, row)
     block, p_tot first and the near-zero count last, yielding (block, lo, hi) per stage of
-    rows lo..hi-1. Chunk c re-keys the thread's generator to stream (seed, c). A block writes
-    p_tot and the count from its spent draws, with no temporary of their size, its squared
-    p_n columns into the stage (odd p reverses A's bins, p_n = |A[(p+1)/2-n]|^2; even p
-    interleaves the odd bins with the mirrored rest) and its moment and line p_N dgemv's;
-    each stage adds the p_n picks and p_N = p_tot - 2*sum."""
+    rows lo..hi-1. The run allocates its buffers and one generator, which chunk c re-keys
+    to stream (seed, c). A block writes p_tot and the count from its spent draws, with no
+    temporary of their size, its squared p_n columns into the stage (odd p reverses A's
+    bins, p_n = |A[(p+1)/2-n]|^2; even p interleaves the odd bins with the mirrored rest)
+    and its moment and line p_N dgemv's; each stage adds the p_n picks and p_N = p_tot - 2*sum."""
     bins, W = _spectrum_bins(config)
     weights, preds = _rows(config, bins)
     keys, size, eps, line = [*preds], config.size, config.epsilon, config.period is None
-    rows, local, K = CHUNK, threading.local(), len(bins)
+    rows, K = CHUNK, len(bins)
     while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
         rows //= 2
     stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _STAGE_BYTES // (8 * max(K, 1) * CHUNK)))
@@ -575,15 +578,14 @@ def _stages(config: MonteCarloConfig):
     dots = [(key_row[key], weights[key]) for key in keys if key[0] == "moment" or line and key[0] == "p_N"]
     tails = [key_row["p_N", float(N)] for N in config.N_list]
 
-    def block(b, y, o: int, g: int):  # the block's rows sit at stage row o, run row g
-        m, pn = len(y), b.pn[o:o + len(y)]
-        v = (half_step_bins(y, b.z[:m], twiddle) if W is None else np.matmul(y, W, out=b.z[:m])).view(float)
+    def block(y, z, pn, stats, mask):  # the block's draws, transform, stage p_n rows and statistic columns
+        v = (half_step_bins(y, z, twiddle) if W is None else np.matmul(y, W, out=z)).view(float)
         if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
             np.abs(y, out=y)
-            for k in range(0, m, len(b.mask)):  # counted through <= _FFT_BYTES of mask
-                j = min(m, k + len(b.mask))
-                np.less(y[k:j], eps, out=b.mask[:j - k]).sum(axis=1, out=b.stats[-1, g + k:g + j])
-        ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=b.stats[0, g:g + m])
+            for k in range(0, len(y), len(mask)):  # counted through <= _FFT_BYTES of mask
+                j = min(len(y), k + len(mask))
+                np.less(y[k:j], eps, out=mask[:j - k]).sum(axis=1, out=stats[-1, k:j])
+        ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=stats[0])
         ptot /= size  # the bits of .mean(axis=1)
         v *= v  # the squares in one contiguous pass; conjugation flips none
         re, im = (v[:, 0::2], v[:, 1::2]) if W is None else (v[:, :K], v[:, K:])
@@ -595,10 +597,9 @@ def _stages(config: MonteCarloConfig):
             np.add(re[:, :q], im[:, :q], out=pn[:, 0::2])
             np.add(re[:, q:][:, ::-1], im[:, q:][:, ::-1], out=pn[:, 1::2])
         for k, w in dots:
-            np.matmul(pn, w, out=b.stats[k, g:g + m])
+            np.matmul(pn, w, out=stats[k])
 
-    def finish(b, lo: int, hi: int):
-        pn, stats = b.pn[:hi - lo], b.stats[:, lo:hi]
+    def finish(pn, stats):  # the stage's p_n rows and statistic columns
         for k, j, w in picks:
             np.multiply(pn[:, j], w, out=stats[k])
         for k, N in sums:
@@ -606,23 +607,23 @@ def _stages(config: MonteCarloConfig):
         for k in tails:  # the row holds the near window's sum, or the line's product
             np.subtract(stats[0], np.multiply(stats[k], 2.0, out=stats[k]), out=stats[k])
 
-    def stages(run):
-        b, lo, at, end = local, 0, 0, sum(n for _, n in run)
-        if not hasattr(b, "y") or b.stats.shape[1] < end:  # the thread's buffers, grown to its longest run
-            m, s = min(rows, end), min(stage, end)
-            b.y, b.pn, b.stats = np.empty((m, size)), np.empty((s, K)), np.empty((len(keys), end))
-            b.z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
-            b.mask = None if eps is None else np.empty((max(1, min(m, _FFT_BYTES // size)), size), bool)
+    def stages(run):  # the run owns its buffers and its one generator
+        lo, at, end, gen = 0, 0, sum(n for _, n in run), None
+        m = min(rows, end)
+        y, pn, stats = np.empty((m, size)), np.empty((min(stage, end), K)), np.empty((len(keys), end))
+        z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
+        mask = None if eps is None else np.empty((max(1, min(m, _FFT_BYTES // size)), size), bool)
         for c, n in run:
-            b.gen = rng_mod.stream(config.seed, c, reuse=getattr(b, "gen", None))
+            gen = rng_mod.stream(config.seed, c, reuse=gen)
             # no 1-row last block: numpy takes a 1-row moment product by dot, not dgemv's row kernel
             starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
             for i, j in zip(starts, starts[1:] + [n]):
-                block(b, config.dist.sample(b.gen, (j - i, size), out=b.y[:j - i]), at - lo, at)
+                block(config.dist.sample(gen, (j - i, size), out=y[:j - i]), z[:j - i],
+                      pn[at - lo:at - lo + j - i], stats[:, at:at + j - i], mask)
                 at += j - i
                 if at - lo + rows > stage or at == end:
-                    finish(b, lo, at)
-                    yield b.stats, lo, at
+                    finish(pn[:at - lo], stats[:, lo:at])
+                    yield stats, lo, at
                     lo = at
 
     return stages, preds
@@ -640,31 +641,28 @@ def run_monte_carlo(
     reports over disjoint ranges merge back to the single-pass report.
     """
     stages, preds = _stages(config)
-    keys, width, local = list(preds), min(CHUNK, config.trials), threading.local()
+    keys, width, hist_size = list(preds), min(CHUNK, config.trials), config.size + 1
 
-    def worker(run):
-        hists = [[] for _ in run]  # one near-zero bincount per stage, under the chunk it ends in
+    def worker(run):  # the run's accumulators, chunk by chunk, and its one near-zero histogram
+        hist = None if config.epsilon is None else np.zeros(hist_size, dtype=np.int64)
         for stats, lo, hi in stages(run):
-            if config.epsilon is not None:
-                counts = stats[-1, lo:hi].astype(np.intp)
-                hists[(hi - 1) // width].append(np.bincount(counts, minlength=config.size + 1))
-        if not hasattr(local, "work") or local.work.shape != stats.shape:  # the thread's reduction scratch
-            local.work = np.empty_like(stats)
+            if hist is not None:
+                hist += np.bincount(stats[-1, lo:hi].astype(np.intp), minlength=hist_size)
         n_last = run[-1][1]  # only the last chunk of all can be partial; it is reduced on its own
         full = len(run) - (n_last < width)
-        moments = np.concatenate([_batch_moments(*(a[:, i * width:i * width + (j - i) * n].reshape(-1, j - i, n)
-                                                   for a in (stats, local.work)))
+        moments = np.concatenate([_batch_moments(stats[:, i * width:i * width + (j - i) * n].reshape(-1, j - i, n))
                                   for i, j, n in ((0, full, width), (full, len(run), n_last)) if i < j], axis=1)
-        return [([MomentAccumulator(n, *m) for m in chunk_moments], hist) for (_, n), chunk_moments, hist
-                in zip(run, moments.transpose(1, 0, 2).tolist(), hists)]
+        return [[MomentAccumulator(n, *m) for m in chunk] for (_, n), chunk
+                in zip(run, moments.transpose(1, 0, 2).tolist())], hist
 
     totals = {key: MomentAccumulator() for key in keys}
-    histogram = None if config.epsilon is None else np.zeros(config.size + 1, dtype=np.int64)
-    for accs, hist in _run_chunked(worker, config.trials, threads, chunk_range):
-        for key, acc in zip(keys, accs):
-            totals[key] = merge_accumulators(totals[key], acc)
-        for counts in hist:
-            histogram += counts
+    histogram = None if config.epsilon is None else np.zeros(hist_size, dtype=np.int64)
+    for chunks, hist in _run_chunked(worker, config.trials, threads, chunk_range):
+        for accs in chunks:
+            for key, acc in zip(keys, accs):
+                totals[key] = merge_accumulators(totals[key], acc)
+        if hist is not None:
+            histogram += hist
 
     # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
     rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
@@ -686,8 +684,6 @@ def tail_exceedance(
     delta: float,
     trials: int,
     seed: int,
-    *,
-    threads: int | None = None,
 ) -> float:
     """Fraction of trials whose tail probability p_N exceeds delta."""
     config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, N_list=(N,))
@@ -695,10 +691,10 @@ def tail_exceedance(
         raise ValueError(f"delta must be finite (got {delta})")
     stages = _stages(config)[0]
 
-    def worker(run):  # one count per run, summed over its stages; row 1 is p_N
-        return [sum(int(np.count_nonzero(stats[1, lo:hi] > delta)) for stats, lo, hi in stages(run))]
+    def worker(run):  # the run's count, summed over its stages; row 1 is p_N
+        return sum(int(np.count_nonzero(stats[1, lo:hi] > delta)) for stats, lo, hi in stages(run))
 
-    return sum(_run_chunked(worker, trials, threads, None)) / trials
+    return sum(_run_chunked(worker, trials, None, None)) / trials
 
 
 def _binomial_pmf(p: int, q: float) -> np.ndarray:
@@ -752,11 +748,9 @@ def near_zero_statistics(
     epsilon: float,
     trials: int,
     seed: int,
-    *,
-    threads: int | None = None,
 ) -> EstimateReport:
     """Distribution of #{k : |yhat_k| < epsilon}, checked against
     Binomial(p, q) with q = P(|yhat| < epsilon): the `near_zero_count` row
     and histogram of a run that sets only epsilon."""
     config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, epsilon=epsilon)
-    return run_monte_carlo(config, threads=threads)
+    return run_monte_carlo(config)

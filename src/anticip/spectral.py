@@ -79,7 +79,6 @@ class SpectralDifferenceContinuous(_SpectralDifference):
 class AmplitudeSeries:
     """Amplitudes over a contiguous index range."""
 
-    n_start: int
     values: np.ndarray
 
     def __post_init__(self):
@@ -90,7 +89,6 @@ class AmplitudeSeries:
 class ProbabilitySeries:
     """Detection probabilities |alpha_n|^2 plus their total over the range."""
 
-    n_start: int
     values: np.ndarray
     p_tot: float
 
@@ -201,7 +199,7 @@ def amplitudes_periodic(
         amps /= p
     else:
         raise ValueError(f"unknown mode {mode!r}; expected one of {AMPLITUDE_MODES}")
-    return AmplitudeSeries(n_start=1, values=amps)
+    return AmplitudeSeries(values=amps)
 
 
 def amplitudes_continuous(
@@ -214,14 +212,13 @@ def amplitudes_continuous(
     indices = np.arange(n_min, n_max + 1)
     period = amplitudes_periodic(SpectralDifferencePeriodic(sd.values)).values
     amps = line_factor(sd.cells, indices) * period[(indices - 1) % sd.cells]
-    return AmplitudeSeries(n_start=n_min, values=amps)
+    return AmplitudeSeries(values=amps)
 
 
 def probabilities(amps: AmplitudeSeries) -> ProbabilitySeries:
     """p_n = |alpha_n|^2, with p_tot summed over the series range."""
     vals = np.abs(amps.values) ** 2
     return ProbabilitySeries(
-        n_start=amps.n_start,
         values=vals,
         p_tot=float(vals.sum()),
     )

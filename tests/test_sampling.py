@@ -353,17 +353,38 @@ class TestEngine:
     def test_chunks_are_folded_as_they_arrive(self):
         calls = []
         def worker(run):
-            calls.extend(c for c, _ in run)
+            calls.append(run)
             return run
 
         expected = [(c, 256) for c in range(RUN + 3)] + [(RUN + 3, 5)]
         results = _run_chunked(worker, (RUN + 3) * 256 + 5, 1, None)
-        # the whole first run is yielded before any chunk of the second is computed
-        assert [next(results) for _ in range(RUN)] == expected[:RUN]
-        assert calls == [*range(RUN)]
-        assert list(results) == expected[RUN:] and calls == [*range(RUN + 4)]
+        # one result per run; the second run is not computed before the first result is taken
+        assert next(results) == expected[:RUN] and calls == [expected[:RUN]]
+        assert list(results) == [expected[RUN:]] and calls == [expected[:RUN], expected[RUN:]]
         threaded = _run_chunked(worker, (RUN + 3) * 256 + 5, 2, (1, RUN + 4))
-        assert list(threaded) == expected[1:]
+        assert [c for run in threaded for c in run] == expected[1:]
+        # on a pool, at most 2*threads runs are submitted ahead of the fold
+        calls.clear()
+        count, threads = 40 * RUN, 2
+        results = _run_chunked(worker, count * 256, threads, None)
+        for taken in range(1, count // RUN + 1):
+            assert next(results) == [(c, 256) for c in range((taken - 1) * RUN, taken * RUN)]
+            assert len(calls) <= taken + 2 * threads
+        assert next(results, None) is None and len(calls) == count // RUN
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_runs_are_made_on_demand(self, threads):
+        # the 2^32 chunks of 2^40 trials: no list of every run, nor a future per run
+        tracemalloc.start()
+        try:
+            results = _run_chunked(lambda run: run[0], 1 << 40, threads, None)
+            first = next(results)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        results.close()
+        assert first == (0, 256)
+        assert held < 64 << 10
 
     @pytest.mark.parametrize("size, stats, rows", [
         ({"period": 64}, {"n_list": (1, 32), "N_list": (0, 4), "epsilon": 0.1}, 16 * 256),  # matrix, K = 5
@@ -815,9 +836,11 @@ class TestChunkBuffers:
         (UNIFORM, 64, 4, 0.3, 35 * 256 + 17, 6, 3, 3661),  # several runs
     ])
     def test_tail_exceedance_fractions_are_unchanged(self, dist, p, N, delta, trials, seed,
-                                                     threads, exceeded):
+                                                     threads, exceeded, monkeypatch):
         # counts recorded from the allocating pipeline for these seeds
-        assert tail_exceedance(dist, p, N, delta, trials, seed, threads=threads) == exceeded / trials
+        if threads is not None:
+            monkeypatch.setenv("ANTICIP_THREADS", str(threads))
+        assert tail_exceedance(dist, p, N, delta, trials, seed) == exceeded / trials
 
     @pytest.mark.parametrize("p", [8, 9, 4096])
     def test_chunks_reuse_their_thread_buffers(self, p):
@@ -830,9 +853,11 @@ class TestChunkBuffers:
 
         first, second = run(0), run(1)
         assert [(lo, hi) for lo, hi, *_ in first] == [(i, i + rows) for i in range(0, 256, rows)]
-        assert first[0][2] is second[-1][2]  # one statistic block for every stage of every run
-        lo, hi, block, rows0 = first[0]
-        assert not np.array_equal(rows0, block[:, lo:hi])  # the second run overwrote the first
+        block = first[0][2]
+        assert all(stats is block for _, _, stats, _ in first)  # a run's stages share one block
+        assert not np.shares_memory(second[0][2], block)  # no two runs share memory
+        for lo, hi, _, rows0 in first:  # the second run left the first's rows alone
+            assert np.array_equal(rows0, block[:, lo:hi])
         other = []
         worker = threading.Thread(target=lambda: other.extend(run(0)))
         worker.start()
