@@ -12,7 +12,7 @@ import click
 from . import __version__
 from . import bounds as fb
 from . import rng as rng_mod
-from .models import ModelSpec, closed_form_pn, make_model
+from .models import MODEL_KINDS, ModelSpec, closed_form_pn, make_model
 from .sampling import (
     MonteCarloConfig,
     SamplingDistribution,
@@ -45,15 +45,19 @@ def _fmt(value) -> str:
     return text
 
 
-def _emit(rows, header: list[str], config: dict, fmt: str, out: str) -> None:
-    """Write the row dicts, any iterable, to `out` (- for stdout): CSV lines as
-    the rows are formatted, in writes of up to 4,096 lines, or one JSON document."""
+def _emit(rows, config: dict, fmt: str, out: str) -> None:
+    """Write the row dicts, any iterable of at least one, to `out` (- for stdout):
+    CSV lines under the first row's keys as the rows are formatted, in writes of up
+    to 4,096 lines, or one JSON document."""
+    rows = iter(rows)
+    first = next(rows)
+    rows, header = itertools.chain([first], rows), list(first)
     with (contextlib.nullcontext(click.get_text_stream("stdout")) if out == "-"
           else open(out, "w", encoding="utf-8", newline="\n")) as fh:
         if fmt == "json":
             fh.write(json.dumps({"config": config, "results": list(rows)}, indent=2) + "\n")
             return
-        lines = (",".join(_fmt(row.get(col)) for col in header) + "\n" for row in rows)
+        lines = (",".join(_fmt(row[col]) for col in header) + "\n" for row in rows)
         fh.write(",".join(header) + "\n")
         for block in iter(lambda: "".join(itertools.islice(lines, 4096)), ""):
             fh.write(block)
@@ -92,9 +96,7 @@ def main():
 
 
 @main.command()
-@click.option("--kind", required=True,
-              type=click.Choice(["const-periodic", "alt-periodic",
-                                 "const-continuous", "alt-continuous"]))
+@click.option("--kind", required=True, type=click.Choice(MODEL_KINDS))
 @click.option("--period", type=int, default=None, help="Size for periodic kinds.")
 @click.option("--cells", type=int, default=None, help="Size for continuous kinds.")
 @click.option("--y", "amplitude", type=float, required=True, help="Difference amplitude in [-1, 1].")
@@ -149,8 +151,7 @@ def model(kind, period, cells, amplitude, n_min, n_max, fmt, out):
     } for n, a, prob, c, err in zip(ns, alpha, pn, closed, errs))
     config = {"command": "model", "kind": kind, "size": size, "y": amplitude,
               "n_min": lo, "n_max": hi, "max_abs_err": worst}
-    header = ["n", "tilde_n", "re_alpha", "im_alpha", "p_n", "closed_form_p_n", "abs_err"]
-    _emit(rows, header, config, fmt, out)
+    _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if worst <= 1e-10 else EXIT_CHECK_FAILED)
 
 
@@ -189,11 +190,6 @@ def _sample_rows(report, q: float | None = None) -> list[dict]:
                            z_mean=None, pred_var=None, z_var=None,
                            note=f"{r.note} dof={dof}")]
     return rows
-
-
-SAMPLE_HEADER = ["mode", "size", "statistic", "index", "trials", "seed", "mean",
-                 "variance", "std_error", "pred_mean", "z_mean", "pred_var",
-                 "z_var", "note"]
 
 
 def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads):
@@ -235,21 +231,14 @@ def sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads,
     """Monte Carlo estimates paired with closed-form predictions."""
     rows, config, worst = _run_sample(period, cells, dist_text, trials, seed,
                                       ns, Ns, rs, epsilon, threads)
-    _emit(rows, SAMPLE_HEADER, config, fmt, out)
+    _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if worst <= 5.0 else EXIT_CHECK_FAILED)
 
 
-@main.command()
-@click.option("--periods", required=True, help="Comma-separated list of periods.")
-@click.option("--dist", "dist_text", default="uniform", show_default=True)
-@click.option("--trials", type=int, default=10_000, show_default=True)
-@seed_option
-@click.option("--n", "ns", default=None, help="Comma-separated step indices.")
-@click.option("--N", "Ns", default=None, help="Comma-separated tail cut-offs.")
-@click.option("--r", "rs", default=None, help="Comma-separated moment orders.")
-@click.option("--threads", type=click.IntRange(min=1), default=None)
-@format_option
-@out_option
+@main.command(params=[  # sample's options, --periods in place of its size and epsilon
+    click.Option(["--periods"], required=True, help="Comma-separated list of periods."),
+    *(option for option in sample.params if option.name not in ("period", "cells", "epsilon")),
+])
 def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):
     """Repeat `sample` over several periods; one row per (period, statistic)."""
     rows, worsts = [], []
@@ -263,7 +252,7 @@ def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):
         worsts.append(w)
     config = {"command": "sweep", "periods": list(plist), "dist": dist_text,
               "trials": trials, "seed": seed}
-    _emit(rows, SAMPLE_HEADER, config, fmt, out)
+    _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if all(w <= 5.0 for w in worsts) else EXIT_CHECK_FAILED)
 
 
@@ -294,7 +283,7 @@ def verify(suite, seed, fmt, out):
                       f"expected {worst.expected:.6g} tol {worst.tolerance}",
         })
     config = {"command": "verify", "suite": suite, "seed": seed}
-    _emit(rows, ["criterion", "name", "seed", "checks", "status", "detail"], config, fmt, out)
+    _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED)
 
 
@@ -331,10 +320,7 @@ def bound(period, count, seed, fmt, out):
         })
     config = {"command": "bound", "period": period, "count": count, "seed": seed,
               "t_max": fb.GRID_T_MAX, "t_step": fb.GRID_T_STEP}
-    header = ["period", "measure", "seed", "lambda0", "min_abs_moment",
-              "corollary2_slack", "passage_slack", "grid_slack_min",
-              "orthogonality_dev", "status"]
-    _emit(rows, header, config, fmt, out)
+    _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if all(r.ok for r in reports) else EXIT_CHECK_FAILED)
 
 

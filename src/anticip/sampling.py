@@ -570,13 +570,13 @@ def _stages(config: MonteCarloConfig):
         rows //= 2
     stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _STAGE_BYTES // (8 * max(K, 1) * CHUNK)))
     q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
-    # the plan: each statistic's row, with its p_n column and weight, or its near window
-    key_row, col = {key: k for k, key in enumerate(keys)}, {b: j for j, b in enumerate(bins)}
-    picks = [(key_row["p_n", float(n)], col[int(_half_bin(size, n))], weights.get(("p_n", float(n)), 1.0))
-             for n in config.n_list]
-    sums = [] if line else [(key_row["p_N", float(N)], N) for N in config.N_list]  # bins start 1..N
-    dots = [(key_row[key], weights[key]) for key in keys if key[0] == "moment" or line and key[0] == "p_N"]
-    tails = [key_row["p_N", float(N)] for N in config.N_list]
+    # the plan, by row: each statistic's p_n column and weight, or its near window
+    col = {b: j for j, b in enumerate(bins)}
+    picks = [(k, col[int(_half_bin(size, int(key[1])))], weights.get(key, 1.0))
+             for k, key in enumerate(keys) if key[0] == "p_n"]
+    dots = [(k, weights[key]) for k, key in enumerate(keys) if key[0] == "moment" or line and key[0] == "p_N"]
+    tails = [(k, int(key[1])) for k, key in enumerate(keys) if key[0] == "p_N"]
+    sums = [] if line else tails  # bins start 1..N
 
     def block(y, z, pn, stats, mask):  # the block's draws, transform, stage p_n rows and statistic columns
         v = (half_step_bins(y, z, twiddle) if W is None else np.matmul(y, W, out=z)).view(float)
@@ -604,7 +604,7 @@ def _stages(config: MonteCarloConfig):
             np.multiply(pn[:, j], w, out=stats[k])
         for k, N in sums:
             pn[:, :N].sum(axis=1, out=stats[k])
-        for k in tails:  # the row holds the near window's sum, or the line's product
+        for k, _ in tails:  # the row holds the near window's sum, or the line's product
             np.subtract(stats[0], np.multiply(stats[k], 2.0, out=stats[k]), out=stats[k])
 
     def stages(run):  # the run owns its buffers and its one generator

@@ -308,6 +308,19 @@ class TestSample:
         rows = [r for r in json.loads(res.output)["results"] if r["statistic"] in ("p_n", "p_N")]
         assert rows and all(r["z_mean"] is not None and abs(r["z_mean"]) <= 5 for r in rows)
 
+    @pytest.mark.parametrize("args, repeated, once", [
+        (("--period", "64", "--trials", "3000", "--seed", "2"),
+         ("--n", "1,1", "--N", "0,4,4"), ("--n", "1", "--N", "0,4")),
+        (("--cells", "8", "--trials", "300", "--seed", "1"),
+         ("--n", "1,1", "--N", "2,2"), ("--n", "1", "--N", "2")),
+    ])
+    def test_repeated_index_prints_its_row_once(self, args, repeated, once):
+        # a repeated p_N index once took p_tot - 2*row once per listing, so its row
+        # read -0.25 against 0.29 predicted on the period and the command exited 1
+        twice, single = run_cli("sample", *args, *repeated), run_cli("sample", *args, *once)
+        assert (twice.exit_code, single.exit_code) == (0, 0)
+        assert twice.output == single.output
+
     def test_table_law_from_file(self, tmp_path):
         table = tmp_path / "law.json"
         table.write_text(json.dumps({"points": [0.0, 1.0], "masses": [0.5, 0.5]}))
@@ -507,6 +520,14 @@ class TestGolden:
         res = run_cli("sample", *args, "--threads", threads, "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+
+    def test_sweep_golden(self, tmp_path):
+        # the CSV header of a sweep comes from its rows, as a sample's does
+        out = tmp_path / "sweep.csv"
+        res = run_cli("sweep", "--periods", "8,9", "--trials", "600", "--seed", "7",
+                      "--n", "1", "--N", "0,2", "--r", "1", "--out", str(out))
+        assert res.exit_code == 0
+        assert out.read_bytes() == (GOLDEN / "sweep_p8_9_seed7.csv").read_bytes()
 
     def test_verify_golden(self, tmp_path):
         # every criterion's status and worst check; C5 is the one known FAIL, so exit 1
