@@ -5,7 +5,8 @@ of a spectral difference (`build_orthogonal_measure`).
 Everything is in the standard scale (step size over hbar equal to one), where
 one evolution step multiplies the spectral component at lambda by
 exp(-i*lambda). A period-p orthogonal evolution folds to the uniform measure
-on the p-th roots of unity; points then sit on the grid 2*pi*(n + k/p).
+on the p-th roots of unity; points then sit on the grid 2*pi*(n + k/p), so
+`check_bounds` reads a measure's autocorrelation by FFT and chirp-z transforms.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ import numpy as np
 GRID_T_MAX = 2.0
 GRID_T_STEP = 1e-3
 _TOL = 1e-9
-_TABLE_BYTES = 4 << 20  # most bytes of a phase table row block, 16 per entry
+_STEPS = round(1 / GRID_T_STEP)  # t-grid points per unit t: t_k = k / _STEPS
+_BLOCK_BYTES = 1 << 17  # most bytes of a block of chirp-z rows, 16 per entry
 
 
 class OrthogonalityError(ValueError):
@@ -128,58 +130,53 @@ class BoundReport:
         )
 
 
-def _phase_products(measures, x: np.ndarray):
-    """(k, x[i:j], exp(-1j*outer(x[i:j], points_k)) @ weights_k) for each measure k
-    of every row block i:j of x: the autocorrelation sum_l w_l exp(-i lambda_l x),
-    the bits of that product over all of x at once.
-
-    One table exp(-1j*outer(x[i:j], union)) over the sorted union of the points
-    serves every measure: a measure on all of the union multiplies it, any other a
-    C-contiguous gather of its columns (a strided view takes another BLAS path and
-    moves bits). Blocks share one buffer of at most _TABLE_BYTES (at least 8 rows),
-    start at multiples of 4 rows and are never one row long, so the zgemv row kernel
-    and numpy's vector loops group each row as in the whole product.
-    """
-    union = np.unique(np.concatenate([m.points for m in measures]))
-    cols = [np.searchsorted(union, m.points) for m in measures]
-    rows = max(8, _TABLE_BYTES // (16 * union.size) // 4 * 4)
-    starts = [i - 4 * (i == x.size - 1 > 0) for i in range(0, x.size, rows)]
-    buf = np.empty(min(rows, x.size) * union.size, complex)
-    for i, j in zip(starts, starts[1:] + [x.size]):
-        table = buf[:(j - i) * union.size].reshape(j - i, union.size)
-        np.exp(np.multiply(-1j, np.outer(x[i:j], union), out=table), out=table)
-        for k, (m, c) in enumerate(zip(measures, cols)):
-            yield k, x[i:j], (table if c.size == union.size else table.take(c, axis=1)) @ m.weights
-
-
 def check_bounds(measures, p: int) -> list[BoundReport]:
-    """One BoundReport per measure of period p: the overlap inequality on the
-    t-grid 0..GRID_T_MAX (step GRID_T_STEP) plus the frequency floors, each to
-    within 1e-9, with memory bounded in p by row blocks of `_phase_products`.
+    """One BoundReport per measure of period p, the same bits alone or in any batch:
+    the overlap inequality on the grid t_k = k/_STEPS <= GRID_T_MAX and the frequency
+    floors, each to within 1e-9. Raises OrthogonalityError unless every measure folds
+    uniformly onto {2*pi*k/p}. Points and lambda0 are read at the grids 2*pi*j/p and
+    pi*h/p; points up to 1e-9 off them move the overlap by at most 2e-9*t <= 4e-9.
 
-    Requires every measure to fold uniformly onto {2*pi*k/p} (orthogonal
-    evolution at step 1); raises OrthogonalityError otherwise.
+    mu^(n) is F_{n mod p}, F the FFT of the residue-class masses. With lambda0 =
+    pi*h/p, Re(exp(i*lambda0*t) mu^(t)) = sum_l w_l cos(pi*u_l*t/p), u = |2j - h|:
+    per (measure, q = u // 4p), the Bluestein chirp-z transform (Rabiner, Schafer &
+    Rader 1969) sum_m x_m W^(m*k), W = exp(-i*pi/(_STEPS*p)), of the weights at
+    m = u mod 4p, times exp(-4*pi*i*q*t), angles reduced in integers, summed in
+    ascending q. Measures go in blocks whose transforms fill at most _BLOCK_BYTES.
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    for m in measures:
-        grid_indices(m, p)
+    js = [grid_indices(m, p) for m in measures]
     centers = [median_minimizer(m) for m in measures]
-    slack_mins, dev_maxes = [[] for _ in measures], [[] for _ in measures]
-
+    four_p, top = 4 * p, round(GRID_T_MAX * _STEPS)
+    size = 1 << (four_p + top - 1).bit_length()  # a power of two >= 4p + top
+    d = np.arange(max(four_p, top + 1))
+    chirp = np.exp(-1j * np.pi / (2 * _STEPS * p) * (d * d % (4 * _STEPS * p)))  # W^(d^2/2)
+    kernel = np.fft.fft(np.concatenate(  # W^(-d^2/2) at d = 1-4p..top, circularly
+        [chirp[:top + 1], np.zeros(size - four_p - top), chirp[four_p - 1:0:-1]]).conj())
     t = np.arange(0.0, GRID_T_MAX + 0.5 * GRID_T_STEP, GRID_T_STEP)
-    for k, tb, ac in _phase_products(measures, t):
-        lam0, mam = centers[k]
-        lhs = np.real(np.exp(1j * lam0 * tb) * ac)
-        slack_mins[k].append((lhs - (1.0 - mam * tb)).min())
-    for k, nb, ac in _phase_products(measures, np.arange(0, 2 * p + 1, dtype=float)):
-        dev_maxes[k].append(np.abs(ac - (nb % p == 0)).max())
-
-    return [BoundReport(period=p, lambda0=lam0, min_abs_moment=mam,
-                        corollary2_slack=mam - np.pi / 2.0, passage_slack=mam - 1.0,
-                        autocorr_slack_min=float(np.min(slack)),
-                        orthogonality_dev=float(np.max(dev)))
-            for (lam0, mam), slack, dev in zip(centers, slack_mins, dev_maxes)]
+    lam0, moment = np.array(centers).reshape(-1, 2).T
+    us = [np.abs(2 * j - h) for j, h in zip(js, np.rint(lam0 * p / np.pi).astype(int))]
+    slack = np.empty(len(js))
+    block = max(1, _BLOCK_BYTES // (16 * size))  # measures, so at most as many rows per q
+    for part in (slice(b, b + block) for b in range(0, len(js), block)):
+        owner = np.repeat(np.arange(len(us[part])), [u.size for u in us[part]])
+        u, w = np.concatenate(us[part]), np.concatenate([m.weights for m in measures[part]])
+        acc = np.zeros((len(us[part]), top + 1))
+        for q in np.unique(u // four_p):
+            on = u // four_p == q
+            rows, row = np.unique(owner[on], return_inverse=True)
+            x = np.bincount(row * four_p + u[on] % four_p, w[on], rows.size * four_p)
+            x = np.fft.fft(x.reshape(-1, four_p) * chirp[:four_p], size) * kernel  # zero-padded
+            z = np.fft.ifft(x)[:, :top + 1] * chirp[:top + 1]
+            if q:
+                z *= np.exp(-2j * np.pi / _STEPS * (2 * q * np.arange(top + 1) % _STEPS))
+            acc[rows] += z.real  # each measure's rows summed in ascending q
+        slack[part] = (acc - (1.0 - moment[part, None] * t)).min(axis=1)
+    devs = (np.abs(np.fft.fft(np.bincount(j % p, m.weights, p)) - (np.arange(p) == 0)).max()
+            for m, j in zip(measures, js))
+    return [BoundReport(p, lam, mam, mam - np.pi / 2.0, mam - 1.0, float(s), float(dev))
+            for (lam, mam), s, dev in zip(centers, slack, devs)]
 
 
 def build_orthogonal_measure(yhat) -> DiscreteMeasure:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import json
+import math
 import sys
 
 import click
@@ -54,8 +55,11 @@ def _emit(rows, config: dict, fmt: str, out: str) -> None:
     rows, header = itertools.chain([first], rows), list(first)
     with (contextlib.nullcontext(click.get_text_stream("stdout")) if out == "-"
           else open(out, "w", encoding="utf-8", newline="\n")) as fh:
-        if fmt == "json":
-            fh.write(json.dumps({"config": config, "results": list(rows)}, indent=2) + "\n")
+        if fmt == "json":  # RFC 8259 has no NaN or infinity: such floats are written as null
+            config, *rows = ({key: None if isinstance(value, float) and not math.isfinite(value)
+                              else value for key, value in fields.items()}
+                             for fields in (config, *rows))
+            fh.write(json.dumps({"config": config, "results": rows}, indent=2, allow_nan=False) + "\n")
             return
         lines = (",".join(_fmt(row[col]) for col in header) + "\n" for row in rows)
         fh.write(",".join(header) + "\n")
@@ -246,12 +250,12 @@ def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):
     if not plist:
         raise click.UsageError("--periods must name at least one period")
     for p in plist:
-        prows, _, w = _run_sample(p, None, dist_text, trials, seed, ns, Ns, rs,
-                                  None, threads)
+        prows, pconfig, w = _run_sample(p, None, dist_text, trials, seed, ns, Ns, rs,
+                                        None, threads)
         rows.extend(prows)
         worsts.append(w)
     config = {"command": "sweep", "periods": list(plist), "dist": dist_text,
-              "trials": trials, "seed": seed}
+              "trials": trials, "seed": seed} | {key: pconfig[key] for key in ("n", "N", "r")}
     _emit(rows, config, fmt, out)
     sys.exit(EXIT_OK if all(w <= 5.0 for w in worsts) else EXIT_CHECK_FAILED)
 
@@ -299,25 +303,23 @@ def bound(period, count, seed, fmt, out):
     if period < 2:
         raise click.UsageError("--period must be at least 2")
     dist = SamplingDistribution.uniform()
-    rows = []
     gen = rng_mod.stream(seed, 1)
     measures = [("evenly-spread", fb.build_orthogonal_measure([1.0] * period))]
     measures += [(f"random-{i}", fb.build_orthogonal_measure(dist.sample(gen, (period,))))
                  for i in range(count)]
     reports = fb.check_bounds([meas for _, meas in measures], period)
-    for (label, _), rep in zip(measures, reports):
-        rows.append({
-            "period": period,
-            "measure": label,
-            "seed": seed,
-            "lambda0": rep.lambda0,
-            "min_abs_moment": rep.min_abs_moment,
-            "corollary2_slack": rep.corollary2_slack,
-            "passage_slack": rep.passage_slack,
-            "grid_slack_min": rep.autocorr_slack_min,
-            "orthogonality_dev": rep.orthogonality_dev,
-            "status": "PASS" if rep.ok else "FAIL",
-        })
+    rows = ({
+        "period": period,
+        "measure": label,
+        "seed": seed,
+        "lambda0": rep.lambda0,
+        "min_abs_moment": rep.min_abs_moment,
+        "corollary2_slack": rep.corollary2_slack,
+        "passage_slack": rep.passage_slack,
+        "grid_slack_min": rep.autocorr_slack_min,
+        "orthogonality_dev": rep.orthogonality_dev,
+        "status": "PASS" if rep.ok else "FAIL",
+    } for (label, _), rep in zip(measures, reports))
     config = {"command": "bound", "period": period, "count": count, "seed": seed,
               "t_max": fb.GRID_T_MAX, "t_step": fb.GRID_T_STEP}
     _emit(rows, config, fmt, out)

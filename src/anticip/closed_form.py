@@ -52,12 +52,12 @@ class LeadingOrder(NamedTuple):
 def abs_s_squared(p: int, n):
     """|S_n|^2 = 1/(p sin(pi(n-1/2)/p))^2; n may be an array.
 
-    The denominator never vanishes for integer n (the argument is never a
-    multiple of pi because n - 1/2 is half-odd), so no special casing.
+    n is reduced to 1..p in integers and the sine read at pi*min(n-1/2, p-n+1/2)/p,
+    in (0, pi/2], so n and p+1-n give the same bits and the sine never vanishes.
     """
-    n_arr = np.asarray(n, dtype=float)
-    val = 1.0 / (p * np.sin(np.pi * (n_arr - 0.5) / p)) ** 2
-    return float(val) if n_arr.ndim == 0 else val
+    m = (np.asarray(n) - 1) % p + 1
+    val = 1.0 / (p * np.sin(np.pi * np.minimum(m - 0.5, p - m + 0.5) / p)) ** 2
+    return float(val) if m.ndim == 0 else val
 
 
 def kernel_t(p: int, n: int) -> float:

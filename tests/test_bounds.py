@@ -118,7 +118,7 @@ def test_check_bounds_p4_equality():
     m = DiscreteMeasure([0.0, PI / 2, PI, 3 * PI / 2], [0.25] * 4)
     [rep] = check_bounds([m], 4)
     assert rep.corollary2_slack == pytest.approx(0.0, abs=1e-12)
-    # with a measure on other points of period 4, m multiplies a column gather
+    # alone and in a batch with a measure on other points of period 4
     _assert_reports_are_reference([m, build_orthogonal_measure([0.5, -0.25, 1.0, -1.0])], 4)
 
 
@@ -210,73 +210,149 @@ def test_build_orthogonal_rejects_bad_difference(bad, match):
         build_orthogonal_measure(bad)
 
 
-def _reference_report(m, p):
-    # one measure alone, with whole phase matrices: the per-measure body the
-    # batched check_bounds must reproduce bit for bit
+def _reference_report(m, p, moment=None):
+    # one measure alone, by direct sums over its points: the t-grid from the
+    # phase matrix exp(-i t lambda), the integers n = 0..2p from phases reduced
+    # in integers, 2*pi*(j*n mod p)/p; check_bounds must agree within 1e-13
     lam0, mam = median_minimizer(m)
+    mam = mam if moment is None else moment
     t = np.arange(0.0, bounds.GRID_T_MAX + 0.5 * bounds.GRID_T_STEP, bounds.GRID_T_STEP)
     ac_t = np.exp(-1j * np.outer(t, m.points)) @ m.weights
     slack = np.real(np.exp(1j * lam0 * t) * ac_t) - (1.0 - mam * t)
-    n = np.arange(0, 2 * p + 1, dtype=float)
-    target = (np.arange(0, 2 * p + 1) % p == 0).astype(float)
-    ac_n = np.exp(-1j * np.outer(n, m.points)) @ m.weights
+    n = np.arange(0, 2 * p + 1)
+    ac_n = np.exp(-2j * PI / p * (np.outer(n, bounds.grid_indices(m, p)) % p)) @ m.weights
     return (p, lam0, mam, mam - PI / 2.0, mam - 1.0, float(slack.min()),
-            float(np.max(np.abs(ac_n - target))))
+            float(np.max(np.abs(ac_n - (n % p == 0)))))
+
+
+def _transform_report(m, p, moment=None):
+    # one measure alone, in plain per-measure code: the formula check_bounds must
+    # reproduce bit for bit. mu^(n) is the FFT of the residue-class masses; the
+    # recentred Re(exp(i lambda0 t) mu^(t)) is sum_l w_l cos(pi u_l t/p), u = |2j - h|,
+    # lambda0 = pi h/p, one Bluestein chirp-z per q = u // 4p, summed in ascending q
+    lam0, mam = median_minimizer(m)
+    mam = mam if moment is None else moment
+    j = bounds.grid_indices(m, p)
+    ac_n = np.fft.fft(np.bincount(j % p, weights=m.weights, minlength=p))
+    ac_n[0] -= 1.0
+    steps, top = 1000, 2000
+    size = 1 << (4 * p + top - 1).bit_length()
+    d = np.arange(max(4 * p, top + 1))
+    chirp = np.exp(-1j * PI / (2 * steps * p) * (d * d % (4 * steps * p)))
+    kernel = np.zeros(size, complex)
+    kernel[:top + 1] = chirp[:top + 1].conj()
+    kernel[size - 4 * p + 1:] = chirp[4 * p - 1:0:-1].conj()
+    kernel = np.fft.fft(kernel)
+    k = np.arange(top + 1)
+    turn = np.exp(-2j * PI / steps * np.arange(steps))
+    u = np.abs(2 * j - round(lam0 * p / PI))
+    curve = np.zeros(top + 1)
+    for q in np.unique(u // (4 * p)):
+        x = np.zeros(size, complex)
+        on = u // (4 * p) == q
+        x[:4 * p] = np.bincount(u[on] % (4 * p), m.weights[on], 4 * p) * chirp[:4 * p]
+        row = np.fft.ifft(np.fft.fft(x) * kernel)[:top + 1] * chirp[:top + 1]
+        if q:
+            row = row * turn[2 * q * k % steps]
+        curve += row.real
+    t = np.arange(0.0, bounds.GRID_T_MAX + 0.5 * bounds.GRID_T_STEP, bounds.GRID_T_STEP)
+    return (p, lam0, mam, mam - PI / 2.0, mam - 1.0, float((curve - (1.0 - mam * t)).min()),
+            float(np.abs(ac_n).max()))
+
+
+def _bits(reports):
+    return [tuple(float(v).hex() for v in astuple(rep)) for rep in reports]
 
 
 def _assert_reports_are_reference(measures, p):
-    reports = check_bounds(measures, p)
-    assert len(reports) == len(measures)
-    for m, rep in zip(measures, reports):
-        got = tuple(float(v).hex() for v in astuple(rep))
-        assert got == tuple(float(v).hex() for v in _reference_report(m, p))
+    # the measured moment puts most minima at t = 0; a moment of 0 puts each at the
+    # lowest point of Re(exp(i lambda0 t) mu^(t)), which every grid point can be
+    for moment in (None, 0.0):
+        with pytest.MonkeyPatch.context() as patch:
+            if moment is not None:
+                patch.setattr(bounds, "median_minimizer", lambda m: (median_minimizer(m)[0], 0.0))
+            reports = check_bounds(measures, p)
+        assert len(reports) == len(measures)
+        for m, rep in zip(measures, reports):
+            assert _bits([rep])[0] == tuple(
+                float(v).hex() for v in _transform_report(m, p, moment))
+            assert astuple(rep) == pytest.approx(_reference_report(m, p, moment), rel=0, abs=1e-13)
+
+
+def _shifted_measure(p, seed):
+    # a library measure off the build_orthogonal_measure layout: class k splits its
+    # mass between two distinct shifts s in -3..16, at 2*pi*(k + p*s)/p, so its
+    # indices span about -3p..17p and its recentred u take several values of q
+    rng = np.random.default_rng(seed)
+    y = rng.uniform(-1.0, 1.0, p)
+    atoms = {}
+    for k in range(p):
+        s0, s1 = rng.choice(np.arange(-3, 17), 2, replace=False)
+        atoms[k + p * s0], atoms[k + p * s1] = (1.0 + y[k]) / (2 * p), (1.0 - y[k]) / (2 * p)
+    j = np.array(sorted(atoms))
+    return DiscreteMeasure(2.0 * PI * j / p, [atoms[i] for i in j])
 
 
 @pytest.mark.parametrize("law", sorted(ROUND_TRIP_LAWS))
 @pytest.mark.parametrize("p", [2, 3, 8, 33, 64, 700])
 def test_check_bounds_is_the_per_measure_reference(p, law):
-    # the evenly spread measure sits on p of the union's points, and a two-point:1
-    # or +-1 table draw on p as well, so those multiply a gather of the table's columns
+    # each measure's bits, alone and in a batch with the evenly spread measure and
+    # a library measure of several values of q, are its per-measure formula's
     gen = stream(4, p)
-    measures = [build_orthogonal_measure(np.ones(p))]
+    measures = [build_orthogonal_measure(np.ones(p)), _shifted_measure(p, 4)]
     measures += [build_orthogonal_measure(ROUND_TRIP_LAWS[law].sample(gen, (p,)))
                  for _ in range(2 if p > 64 else 6)]
     _assert_reports_are_reference(measures, p)
-
-
-def test_check_bounds_last_row_block_keeps_its_tail():
-    # at the default budget, p = 1024 puts the 2049 n rows in blocks of 128 (a
-    # union of 2p points) or 256 rows (the evenly spread measure alone), whose
-    # last one would be row 2048 alone; it runs as rows 2044..2048 instead
-    p = 1024
-    even = build_orthogonal_measure(np.ones(p))
-    assert bounds._TABLE_BYTES // (16 * 2 * p) == 128
-    _assert_reports_are_reference([even], p)
-    _assert_reports_are_reference(
-        [even, build_orthogonal_measure(SamplingDistribution.uniform().sample(stream(2, p), (p,)))], p)
+    assert _bits(check_bounds([m], p)[0] for m in measures) == _bits(check_bounds(measures, p))
 
 
 @pytest.mark.parametrize("p", [3, 8, 33])
 @pytest.mark.parametrize("rows", [8, 12, 20])
 def test_check_bounds_small_row_blocks_are_the_reference(p, rows, monkeypatch):
-    # blocks of 8-20 rows put many boundaries in both grids, a tail of 2001 % rows
-    # or (2p + 1) % rows rows, and at rows = 8 a t-grid last block that would be one row
-    monkeypatch.setattr(bounds, "_TABLE_BYTES", 16 * 2 * p * rows)
+    # blocks of 8-20 measures; 1..rows-1 leading copies of the evenly spread measure
+    # move each measure through every position of a block and every block split,
+    # with the library measures' 2-6 values of q beside measures of one
+    size = 1 << (4 * p + 1999).bit_length()
+    monkeypatch.setattr(bounds, "_BLOCK_BYTES", 16 * size * rows)
     gen = stream(6, p)
-    measures = [build_orthogonal_measure(np.ones(p))]
+    even = build_orthogonal_measure(np.ones(p))
+    measures = [even, _shifted_measure(p, 1)]
     measures += [build_orthogonal_measure(law.sample(gen, (p,)))
                  for law in ROUND_TRIP_LAWS.values()]
+    measures += [_shifted_measure(p, 2), _shifted_measure(p, 3)]
     _assert_reports_are_reference(measures, p)
+    expected = _bits(check_bounds(measures, p))
+    for lead in range(1, rows):
+        assert _bits(check_bounds([even] * lead + measures, p)[lead:]) == expected
 
 
 def test_check_bounds_memory_is_bounded_by_the_block_budget():
-    # whole phase matrices at p = 1024 held several tables of about 33 MB at once;
-    # one reused row block and a column gather of it stay within two budgets
-    even = build_orthogonal_measure(np.ones(1024))
-    tracemalloc.start()
-    try:
-        check_bounds([even], 1024)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * bounds._TABLE_BYTES
+    # the transforms hold O(p): a few arrays of the chirp-z length, under 8p + 4000
+    for p in (1024, 4096):
+        even = build_orthogonal_measure(np.ones(p))
+        check_bounds([even], p)
+        tracemalloc.start()
+        try:
+            check_bounds([even], p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1024 * p
+
+
+def test_off_grid_points_are_read_at_the_grid(monkeypatch):
+    # points up to 1e-9 off 2*pi*j/p, and so lambda0 off pi*h/p, are read at the
+    # grid, which moves Re(exp(i lambda0 t) mu^(t)) by at most 2e-9 * t; a moment
+    # of -5 puts the slack's minimum at t = 2, where that shift is largest
+    p = 16
+    exact = build_orthogonal_measure(SamplingDistribution.uniform().sample(stream(8, p), (p,)))
+    off = np.random.default_rng(8).uniform(-9e-10, 9e-10, exact.points.size)
+    moved = DiscreteMeasure(exact.points + off, exact.weights)
+    [dev] = {rep.orthogonality_dev for rep in check_bounds([exact, moved], p)}
+    t = np.arange(0.0, bounds.GRID_T_MAX + 0.5 * bounds.GRID_T_STEP, bounds.GRID_T_STEP)
+    monkeypatch.setattr(bounds, "median_minimizer", lambda m: (median_minimizer(m)[0], -5.0))
+    for m, tol in ((exact, 1e-13), (moved, 4e-9)):
+        lam0, _ = median_minimizer(m)
+        curve = np.real(np.exp(1j * lam0 * t) * (np.exp(-1j * np.outer(t, m.points)) @ m.weights))
+        [rep] = check_bounds([m], p)
+        assert abs(rep.autocorr_slack_min - (curve - (1.0 + 5.0 * t)).min()) <= tol

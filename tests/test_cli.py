@@ -347,6 +347,27 @@ def test_non_finite_moment_order_exits_2(command, r):
     assert "moment orders must be finite and nonnegative" in res.output
 
 
+def _strict_json(text):
+    # RFC 8259 JSON: NaN, Infinity and -Infinity are not values
+    def reject(constant):
+        raise ValueError(f"non-RFC 8259 constant {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_json_is_strict_and_csv_keeps_its_bytes():
+    # one trial has zero variance, so its z scores are infinite: null in JSON, inf in CSV
+    args = ("sample", "--period", "8", "--trials", "1", "--n", "1")
+    res, csv = run_cli(*args, "--format", "json"), run_cli(*args)
+    assert res.exit_code == csv.exit_code == 1
+    rows = _strict_json(res.output)["results"]
+    assert [(r["z_mean"], r["z_var"]) for r in rows] == [(None, None)] * 2
+    assert csv.output.splitlines()[1].split(",")[10] == "inf"
+    for command in (("model", "--kind", "const-periodic", "--period", "4", "--y", "1"),
+                    ("verify", "--suite", "identities"), ("bound", "--period", "4", "--count", "2"),
+                    ("sweep", "--periods", "8", "--trials", "10", "--n", "1")):
+        _strict_json(run_cli(*command, "--format", "json").output)
+
+
 class TestSweep:
     def test_one_row_per_period_and_statistic(self):
         res = run_cli("sweep", "--periods", "8,16", "--trials", "500", "--seed", "1",
@@ -356,6 +377,13 @@ class TestSweep:
         sizes = sorted({r["size"] for r in data["results"]})
         assert sizes == [8, 16]
         assert len(data["results"]) == 4  # (p_tot, p_n[1]) per period
+
+    def test_json_config_echoes_the_index_lists(self):
+        res = run_cli("sweep", "--periods", "8", "--trials", "10", "--n", "1", "--N", "2",
+                      "--format", "json")
+        config = _strict_json(res.output)["config"]
+        assert {key: config[key] for key in ("periods", "n", "N", "r")} == {
+            "periods": [8], "n": [1], "N": [2], "r": []}
 
 
 class TestVerify:
@@ -408,6 +436,13 @@ class TestBound:
         assert -1e-3 < rows[1]["corollary2_slack"] < -1e-9
         for r in rows:
             assert r["passage_slack"] > 0 and r["grid_slack_min"] >= -1e-9
+
+    def test_fewer_measures_print_the_leading_rows(self):
+        # each measure's row has the bits it has alone, whatever follows it
+        five, ten = (run_cli("bound", "--period", "8", "--count", n, "--seed", "3")
+                     for n in ("5", "10"))
+        assert five.exit_code == ten.exit_code == 0
+        assert five.output.splitlines() == ten.output.splitlines()[:7]  # header + 6 rows
 
     def test_bad_period_exits_2(self):
         res = run_cli("bound", "--period", "1")
@@ -544,9 +579,8 @@ class TestGolden:
         assert out.read_bytes() == (GOLDEN / "bound_p8_seed1.csv").read_bytes()
 
     def test_bound_row_blocks_golden(self, tmp_path):
-        # p = 256: the union of 512 points puts the 2001-row t-grid in phase-table
-        # row blocks of 512, 512, 512 and 465 rows and the 513-row n-grid in blocks
-        # of 508 and 5 rows, since a last block of one row is never made
+        # p = 256: chirp-z rows of 4,096 points put the 11 measures in blocks of two,
+        # the last one alone
         out = tmp_path / "bound.csv"
         res = run_cli("bound", "--period", "256", "--count", "10", "--seed", "4",
                       "--out", str(out))

@@ -39,6 +39,17 @@ def test_lemma_unit_sum():
         assert abs(lemma_unit_sum(p) - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 64, 1023, 1024, 4095, 4096])
+def test_abs_s_squared_is_mirror_symmetric_bit_for_bit(p):
+    # |S_n|^2 = |S_{p+1-n}|^2 = |S_{1-n}|^2 = |S_{n+p}|^2: each reads the sine at one
+    # first-quadrant angle, so they agree to the bit
+    n = np.arange(1, p + 1)
+    s2 = abs_s_squared(p, n)
+    assert np.array_equal(s2, s2[::-1])
+    assert np.array_equal(abs_s_squared(p, n + 3 * p), s2) and np.array_equal(abs_s_squared(p, 1 - n), s2)
+    assert abs_s_squared(p, 1) == s2[0]
+
+
 def test_kernel_t_examples():
     assert kernel_t(4, 4) == 0.25
     assert kernel_t(4, 3) == 0.0
