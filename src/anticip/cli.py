@@ -228,7 +228,8 @@ def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, thr
 @click.option("--r", "rs", default=None, help="Comma-separated moment orders.")
 @click.option("--epsilon", type=float, default=None, help="Near-zero count threshold.")
 @click.option("--threads", type=click.IntRange(min=1), default=None,
-              help="Worker threads; defaults to ANTICIP_THREADS or 1. Never changes results.")
+              help="Worker threads; defaults to ANTICIP_THREADS or the CPUs this process may use. "
+                   "Never changes results.")
 @format_option
 @out_option
 def sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads, fmt, out):

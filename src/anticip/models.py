@@ -62,7 +62,9 @@ def closed_form_pn(spec: ModelSpec, n):
 
     The periodic constant model takes (y/p)^2 wherever p divides 2n-1, by case
     analysis rather than as a limit of the sine formula. Both periodic forms
-    have period p in n: n is reduced to ((n-1) mod p) + 1 in integers first.
+    have period p in n: n is reduced to ((n-1) mod p) + 1 in integers first, and
+    each reads a sine at its first-quadrant angle, pi*min(w, p-w)/p or
+    pi*|p/2-w|/p with w = n-1/2, so n and p+1-n give the same bits.
     """
     y = spec.amplitude
     size = spec.size
@@ -74,12 +76,12 @@ def closed_form_pn(spec: ModelSpec, n):
     omega = n_arr.astype(float) - 0.5
 
     if spec.kind == "const-periodic":
-        vals = (y / (size * np.sin(np.pi * omega / size))) ** 2
+        vals = (y / (size * np.sin(np.pi * np.minimum(omega, size - omega) / size))) ** 2
         special = (2 * n_arr.astype(int) - 1) % size == 0
         vals = np.where(special, (y / size) ** 2, vals)
     elif spec.kind == "alt-periodic":
-        # even size keeps the cosine away from zero at half-odd arguments
-        vals = (y / (size * np.cos(np.pi * omega / size))) ** 2
+        # cos(pi w/p) = sin(pi (p/2 - w)/p); even size keeps it away from zero
+        vals = (y / (size * np.sin(np.pi * np.abs(size / 2 - omega) / size))) ** 2
     elif spec.kind == "const-continuous":
         vals = (y / (np.pi * omega)) ** 2
     else:

@@ -12,7 +12,7 @@ so its p_N (outside n = 1-N..N) and moment (n = -31..32) are fixed weights over
 period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
 and those of the n's by one real product with their phase matrix (of no columns
 for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
-row blocks of <= 4 MiB or 32 rows. Chunks go to the worker threads in runs of
+row blocks of <= 1 MiB or 32 rows. Chunks go to the worker threads in runs of
 up to RUN consecutive ordinals, made on demand, one result each; a run owns its
 buffers and one Philox generator, re-keyed per chunk, so no state is kept per
 thread. A run's rows pass in stages: whole chunks up to the run within
@@ -427,13 +427,17 @@ class EstimateReport:
 
 
 def resolve_threads(threads: int | None) -> int:
-    """Worker count: `threads` when given, else ANTICIP_THREADS, else 1."""
+    """Worker count: `threads` when given, else ANTICIP_THREADS, else the CPUs this
+    process may run on. The count never changes a result: each chunk draws its own
+    stream and the chunks' accumulators merge in ordinal order."""
     if threads is not None:
         n, source = int(threads), "threads"
     else:
         env = os.environ.get(THREADS_ENV, "")
         if not env.strip():
-            return 1
+            if hasattr(os, "sched_getaffinity"):
+                return len(os.sched_getaffinity(0))
+            return os.cpu_count() or 1
         try:
             n, source = int(env), THREADS_ENV
         except ValueError:
@@ -445,16 +449,20 @@ def resolve_threads(threads: int | None) -> int:
 
 def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
     """Hand worker(run) the selected chunks in runs of up to RUN consecutive
-    (ordinal, n_trials) pairs, fewer if a thread would idle, and yield its one
-    result per run in ordinal order, to fold as it comes. Runs are made on demand:
-    chunk c holds min(CHUNK, trials - c*CHUNK) trials, by arithmetic, and a pool
-    holds at most 2*threads runs submitted, so memory is O(threads) at any trials."""
+    (ordinal, n_trials) pairs, and yield its one result per run in ordinal order,
+    to fold as it comes. On a pool the runs are cut evenly into the fewest rounds
+    of one run per thread, so no thread idles through another's long last run:
+    40 chunks on 2 threads go as four runs of 10, not 16, 16 and 8. Runs are made
+    on demand: chunk c holds min(CHUNK, trials - c*CHUNK) trials, by arithmetic,
+    and a pool holds at most 2*threads runs submitted, so memory is O(threads) at
+    any trials."""
     count = -(-trials // CHUNK)
     lo, hi = (0, count) if chunk_range is None else chunk_range
     if not 0 <= lo <= hi <= count:
         raise ValueError(f"chunk range {(lo, hi)} outside 0..{count}")
     n_threads = resolve_threads(threads)
-    step = max(1, min(RUN, -(-(hi - lo) // n_threads)))
+    rounds = max(1, -(-(hi - lo) // (n_threads * RUN)))
+    step = RUN if n_threads == 1 else max(1, -(-(hi - lo) // (n_threads * rounds)))
     runs = ([(c, min(CHUNK, trials - c * CHUNK)) for c in range(r, min(r + step, hi))]
             for r in range(lo, hi, step))
     if n_threads == 1 or hi - lo <= step:
@@ -475,7 +483,7 @@ def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
 _MOMENT_TOP = 32  # a moment on the line sums |n|^r p_n over n = -31..32
-_FFT_BYTES = 4 << 20  # an FFT block halves its rows while 24 bytes per component pass this, to 32
+_FFT_BYTES = 1 << 20  # an FFT block halves its rows while 24 bytes per component pass this, to 32
 _STAGE_BYTES = 1 << 20  # most bytes of a stage of whole chunks, 8 per p_n column: a run at 32 bins
 _FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
 

@@ -290,7 +290,7 @@ def determinism_and_merge(seed: int = 13) -> CriterionResult:
     def fields(rep):
         return [(r.acc.count, r.acc.mean, r.acc.m2, r.acc.m3, r.acc.m4) for r in rep.rows]
 
-    rep1 = run_monte_carlo(cfg)
+    rep1 = run_monte_carlo(cfg, threads=1)  # the single-thread reference of the threaded line
     identical = fields(rep1) == fields(run_monte_carlo(cfg))
     lines = [_line("repeated run bit-identical", 0.0 if identical else 1.0, 0.0,
                    "exact", identical)]

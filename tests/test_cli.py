@@ -96,7 +96,7 @@ class TestSample:
     def test_threads_do_not_change_output(self):
         base = ("sample", "--period", "32", "--trials", "2000", "--seed", "5",
                 "--n", "1,16", "--epsilon", "0.2")
-        a = run_cli(*base)
+        a = run_cli(*base, "--threads", "1")
         b = run_cli(*base, "--threads", "4")
         assert a.output == b.output
         assert "near_zero_chi_square" in a.output
@@ -158,6 +158,14 @@ class TestSample:
         res = CliRunner(env={"ANTICIP_THREADS": "-2"}).invoke(main, [*command, "--trials", "10"])
         assert res.exit_code == 2
         assert "ANTICIP_THREADS must be at least 1" in res.output
+
+    @pytest.mark.parametrize("env", ["0", "2.5"])
+    def test_thread_env_is_checked_before_every_command(self, env):
+        # a command that runs no engine still refuses a malformed ANTICIP_THREADS
+        res = CliRunner(env={"ANTICIP_THREADS": env}).invoke(
+            main, ["model", "--kind", "const-periodic", "--period", "4", "--y", "1"])
+        assert res.exit_code == 2
+        assert "ANTICIP_THREADS" in res.output
 
     def test_nan_z_score_exits_1(self, monkeypatch):
         monkeypatch.setattr("anticip.sampling.EstimateReport.max_abs_z", lambda self: float("nan"))

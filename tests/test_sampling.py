@@ -1,6 +1,7 @@
 """Sampling distributions, streaming accumulators and the Monte Carlo engine."""
 
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -331,7 +332,7 @@ class TestEngine:
         for epsilon in (None, 0.2):
             cfg = MonteCarloConfig(dist=UNIFORM, trials=2048, seed=4, period=32,
                                    n_list=(1,), N_list=(0, 8), epsilon=epsilon)
-            whole = run_monte_carlo(cfg)
+            whole = run_monte_carlo(cfg, threads=1)
             merged = run_monte_carlo(cfg, chunk_range=(0, 3)).merge(
                 run_monte_carlo(cfg, chunk_range=(3, 8)))
             threaded = run_monte_carlo(cfg, threads=3)
@@ -372,6 +373,14 @@ class TestEngine:
             assert len(calls) <= taken + 2 * threads
         assert next(results, None) is None and len(calls) == count // RUN
 
+    @pytest.mark.parametrize("threads, count, lengths", [
+        (1, 40, [16, 16, 8]), (2, 40, [10] * 4), (2, 33, [9, 9, 9, 6]), (2, 64, [16] * 4), (2, 3, [2, 1]),
+        (3, 40, [14, 14, 12]), (4, 16, [4] * 4),  # C12's threaded run
+    ])
+    def test_pool_runs_are_cut_evenly(self, threads, count, lengths):
+        # the fewest rounds of one run per thread, each run of at most RUN chunks
+        assert [*_run_chunked(len, count * 256, threads, None)] == lengths
+
     @pytest.mark.parametrize("threads", [1, 2])
     def test_runs_are_made_on_demand(self, threads):
         # the 2^32 chunks of 2^40 trials: no list of every run, nor a future per run
@@ -391,7 +400,7 @@ class TestEngine:
         ({"period": 64}, {"n_list": (1,), "r_list": (1.0,)}, 16 * 256),  # the FFT with a moment, K = 32
         ({"cells": 24}, {"n_list": (1, -5), "N_list": (0, 3, 12, 1000)}, 16 * 256),  # a line run
         ({"period": 80}, {"N_list": (31,), "n_list": (33,)}, 16 * 256),  # matrix, K = 32
-        ({"period": 682}, {"r_list": (1.0,)}, 256),  # K = 341: one chunk's p_n take 0.7 MB
+        ({"period": 128}, {"r_list": (1.0,)}, 8 * 256),  # K = 64: eight chunks' p_n take 1 MiB
         ({"period": 4096}, {"r_list": (1.0,)}, 32),  # the FFT cuts blocks below a chunk
     ])
     def test_stages_span_whole_chunks_within_their_bytes(self, size, stats, rows):
@@ -423,11 +432,27 @@ class TestEngine:
 
     def test_thread_env_variable(self, monkeypatch):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=1024, seed=6, period=16)
-        base = run_monte_carlo(cfg)
+        base = run_monte_carlo(cfg, threads=1)
         monkeypatch.setenv("ANTICIP_THREADS", "4")
         from_env = run_monte_carlo(cfg)
         assert base.row("p_tot").acc.mean == from_env.row("p_tot").acc.mean
         assert base.row("p_tot").acc.m2 == from_env.row("p_tot").acc.m2
+
+    def test_default_threads_are_the_usable_cpus(self, monkeypatch):
+        # with no count given, one worker per CPU the process may run on; small patched
+        # counts only, and no run starts a thread
+        monkeypatch.delenv("ANTICIP_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert resolve_threads(None) == 3
+        monkeypatch.setenv("ANTICIP_THREADS", " ")
+        assert resolve_threads(None) == 3
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert resolve_threads(None) == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert resolve_threads(None) == 1
+        monkeypatch.setenv("ANTICIP_THREADS", "2")
+        assert resolve_threads(None) == 2 and resolve_threads(1) == 1
 
     def test_bad_thread_env_variable_is_named(self, monkeypatch):
         monkeypatch.setenv("ANTICIP_THREADS", "abc")
@@ -846,7 +871,7 @@ class TestChunkBuffers:
     def test_chunks_reuse_their_thread_buffers(self, p):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, n_list=(1,), r_list=(1.0,),
                                epsilon=0.3)
-        stages, rows = _stages(cfg)[0], 256 if p < 683 else 32
+        stages, rows = _stages(cfg)[0], 256 if p < 171 else 32
 
         def run(c):  # per stage: its rows, the block, and a copy of its rows taken before the next stage
             return [(lo, hi, stats, stats[:, lo:hi].copy()) for stats, lo, hi in stages([(c, 256)])]
@@ -883,14 +908,14 @@ class TestChunkBuffers:
             pn[:, 0::2], pn[:, 1::2] = po[:, :q], po[:, q:][:, ::-1]
         return y, ptot, pn
 
-    @pytest.mark.parametrize("p", [4095, 4096, 8192])
+    @pytest.mark.parametrize("p", [1024, 4095, 4096, 8192])
     @pytest.mark.parametrize("trials", [777, 801, 808])  # last chunks of 9, 33 and 40 rows
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
         bins, W = _spectrum_bins(cfg)
         weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
         for c, n in enumerate(chunk_sizes(trials)):
-            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 4 MiB: a stage is one 32-row block
+            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 1 MiB: a stage is one 32-row block
             if n == 33:  # no 1-row block, whose moment numpy takes by dot: 28 + 5 rows
                 starts[-1] = 28
             assert [lo for _, lo, _ in stages([(c, n)])] == starts
@@ -902,7 +927,8 @@ class TestChunkBuffers:
         _assert_chunk_bits(cfg, self._reference(cfg))
 
     @pytest.mark.parametrize("p, rows", [
-        (4096, 32), (65536, 32), (682, 256), (683, 128), (2730, 64), (2731, 32), (8, 256),
+        (4096, 32), (65536, 32), (170, 256), (171, 128), (341, 128), (342, 64), (682, 64), (683, 32),
+        (2731, 32), (8, 256),
     ])
     def test_fft_buffers_are_bounded_in_p(self, p, rows):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, r_list=(1.0,))
@@ -917,13 +943,13 @@ class TestChunkBuffers:
             tracemalloc.stop()
         run.close()
         assert (lo, hi) == (0, rows)  # one FFT block, the stage where blocks are cut below a chunk
-        assert held <= max(4 << 20, 24 * p * 32) + (64 << 10)  # y, z and the stage's p_n: 20 B a component
+        assert held <= max(1 << 20, 24 * p * 32) + (64 << 10)  # y, z and the stage's p_n: 20 B a component
 
     def test_threads_keep_the_bits_under_frequent_switches(self):
         # more workers than cores, switching every microsecond: a buffer shared
         # between threads would mix one chunk's draws into another's statistics
         cfg = self._config(UNIFORM, 64, 40 * 256 + 3)
-        base = run_monte_carlo(cfg)
+        base = run_monte_carlo(cfg, threads=1)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
