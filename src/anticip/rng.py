@@ -9,11 +9,16 @@ one would: a run of chunks owns one generator and re-keys it per chunk.
 """
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """`seed` when it lies in [0, 2^64), else ValueError: seeds are never wrapped."""
+    """`seed` when it is an integer in [0, 2^64), else ValueError: seeds are never
+    wrapped or truncated."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"{name}: {seed!r} is not an integer")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2^64) (got {seed})")
     return seed

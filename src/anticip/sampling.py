@@ -12,23 +12,24 @@ so its p_N (outside n = 1-N..N) and moment (n = -31..32) are fixed weights over
 period-M half bins. Both modes read the half bins 1..min(max N, ceil(size/2))
 and those of the n's by one real product with their phase matrix (of no columns
 for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
-row blocks of <= 1 MiB or 32 rows. Chunks go to the worker threads in runs of
+row blocks of <= 1 MiB or 16 rows. Chunks go to the worker threads in runs of
 up to RUN consecutive ordinals, made on demand, one result each; a run owns its
 buffers and one Philox generator, re-keyed per chunk, so no state is kept per
 thread. A run's rows pass in stages: whole chunks up to the run within
-_STAGE_BYTES, or one FFT block where blocks are cut below a chunk. Each block
+_STAGE_BYTES, or one block where blocks are cut below a chunk. Each block
 writes p_tot and the near-zero count into a (statistic, row) block and its p_n
 columns into the stage, from which the other per-row statistics join the block
 once per stage. BLAS rounds a row by the row count of its product, so products
-keep their rows: y @ W is one gemm per chunk, the moment and line p_N dgemv's
-one per block. One call reduces a run's rows to each chunk's mean and central
-moments up to order four; the per-chunk accumulators merge associatively, in
-ordinal order, which makes chunked, threaded and single-pass runs agree to
-rounding.
+keep their rows: y @ W and the moment and line p_N dgemv's are one product per
+block, and the configuration alone fixes the blocks. One call reduces a run's
+rows to each chunk's mean and central moments up to order four; the per-chunk
+accumulators merge associatively, in ordinal order, which makes chunked,
+threaded and single-pass runs agree to rounding.
 """
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -275,6 +276,14 @@ def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccu
 
 # -- configuration and report -------------------------------------------------
 
+def _check_integers(name: str, *values) -> None:
+    """ValueError naming the field `name` unless every value is a Python or numpy
+    integer: a float size or index would be truncated or key a row of its own."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValueError(f"{name}: {v!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class MonteCarloConfig:
     """What to estimate: p_n for n in n_list, p_N for N in N_list, p_tot
@@ -297,6 +306,10 @@ class MonteCarloConfig:
     def __post_init__(self):
         if (self.period is None) == (self.cells is None):
             raise ValueError("exactly one of period and cells must be given")
+        _check_integers("trials", self.trials)
+        _check_integers("period" if self.cells is None else "cells", self.size)
+        _check_integers("n_list", *self.n_list)
+        _check_integers("N_list", *self.N_list)
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.size < 2:
@@ -431,6 +444,7 @@ def resolve_threads(threads: int | None) -> int:
     process may run on. The count never changes a result: each chunk draws its own
     stream and the chunks' accumulators merge in ordinal order."""
     if threads is not None:
+        _check_integers("threads", threads)
         n, source = int(threads), "threads"
     else:
         env = os.environ.get(THREADS_ENV, "")
@@ -483,7 +497,7 @@ def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
 _MOMENT_TOP = 32  # a moment on the line sums |n|^r p_n over n = -31..32
-_FFT_BYTES = 1 << 20  # an FFT block halves its rows while 24 bytes per component pass this, to 32
+_BLOCK_BYTES = 1 << 20  # a transform block halves its rows while its row bytes pass this, to 16
 _STAGE_BYTES = 1 << 20  # most bytes of a stage of whole chunks, 8 per p_n column: a run at 32 bins
 _FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
 
@@ -574,7 +588,8 @@ def _stages(config: MonteCarloConfig):
     weights, preds = _rows(config, bins)
     keys, size, eps, line = [*preds], config.size, config.epsilon, config.period is None
     rows, K = CHUNK, len(bins)
-    while W is None and rows > 32 and 24 * size * rows > _FFT_BYTES:
+    row_bytes = 24 * size if W is None else 8 * size + 24 * K  # matrix: a row of y, of [Re|Im] and of p_n
+    while rows > 16 and row_bytes * rows > _BLOCK_BYTES:
         rows //= 2
     stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _STAGE_BYTES // (8 * max(K, 1) * CHUNK)))
     q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
@@ -590,7 +605,7 @@ def _stages(config: MonteCarloConfig):
         v = (half_step_bins(y, z, twiddle) if W is None else np.matmul(y, W, out=z)).view(float)
         if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
             np.abs(y, out=y)
-            for k in range(0, len(y), len(mask)):  # counted through <= _FFT_BYTES of mask
+            for k in range(0, len(y), len(mask)):  # counted through <= _BLOCK_BYTES of mask
                 j = min(len(y), k + len(mask))
                 np.less(y[k:j], eps, out=mask[:j - k]).sum(axis=1, out=stats[-1, k:j])
         ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=stats[0])
@@ -620,7 +635,7 @@ def _stages(config: MonteCarloConfig):
         m = min(rows, end)
         y, pn, stats = np.empty((m, size)), np.empty((min(stage, end), K)), np.empty((len(keys), end))
         z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
-        mask = None if eps is None else np.empty((max(1, min(m, _FFT_BYTES // size)), size), bool)
+        mask = None if eps is None else np.empty((max(1, min(m, _BLOCK_BYTES // size)), size), bool)
         for c, n in run:
             gen = rng_mod.stream(config.seed, c, reuse=gen)
             # no 1-row last block: numpy takes a 1-row moment product by dot, not dgemv's row kernel

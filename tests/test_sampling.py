@@ -320,6 +320,36 @@ class TestEngine:
         with pytest.raises(ValueError, match="moment orders must be finite and nonnegative"):
             MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, r_list=(1.0, r), **mode)
 
+    @pytest.mark.parametrize("field, fields", [
+        ("n_list", {"period": 8, "n_list": (1, 1.5)}),  # once a p_n row at 1.5: p_1's estimate, n = 1.5's kernel
+        ("n_list", {"cells": 8, "n_list": (np.float64(2.0),)}),
+        ("N_list", {"period": 8, "N_list": (1.5,)}),
+        ("N_list", {"cells": 8, "N_list": (2.0,)}),
+        ("trials", {"period": 8, "trials": 300.5}),
+        ("period", {"period": 8.0}),
+        ("cells", {"cells": 8.5}),
+    ])
+    def test_non_integral_sizes_and_indices_rejected(self, field, fields):
+        with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
+            MonteCarloConfig(dist=UNIFORM, **{"trials": 10, "seed": 0, **fields})
+
+    def test_numpy_integers_are_sizes_and_indices(self):
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=np.int64(300), seed=np.uint64(4), period=np.int32(8),
+                               n_list=(np.int64(1),), N_list=(np.uint8(2),))
+        want = run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=300, seed=4, period=8, n_list=(1,),
+                                                N_list=(2,)))
+        for a, b in zip(run_monte_carlo(cfg, threads=np.int64(2)).rows, want.rows, strict=True):
+            assert a.key == b.key and np.array_equal(_bits(a.acc), _bits(b.acc)), a.key
+
+    @pytest.mark.parametrize("threads", [2.5, 2.0, "2"])
+    def test_non_integral_thread_counts_rejected(self, threads):
+        with pytest.raises(ValueError, match="^threads: .* is not an integer$"):
+            resolve_threads(threads)
+
+    def test_non_integral_seed_rejected(self):
+        with pytest.raises(ValueError, match="^seed: 1.5 is not an integer$"):
+            run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=10, seed=1.5, period=8))
+
     def test_determinism(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=2000, seed=11, period=16,
                                n_list=(1, 8), N_list=(0, 4), r_list=(1.0,))
@@ -401,7 +431,8 @@ class TestEngine:
         ({"cells": 24}, {"n_list": (1, -5), "N_list": (0, 3, 12, 1000)}, 16 * 256),  # a line run
         ({"period": 80}, {"N_list": (31,), "n_list": (33,)}, 16 * 256),  # matrix, K = 32
         ({"period": 128}, {"r_list": (1.0,)}, 8 * 256),  # K = 64: eight chunks' p_n take 1 MiB
-        ({"period": 4096}, {"r_list": (1.0,)}, 32),  # the FFT cuts blocks below a chunk
+        ({"period": 4096}, {"r_list": (1.0,)}, 16),  # the FFT cuts blocks below a chunk, to the floor
+        ({"period": 4096}, {"n_list": (1,)}, 16),  # and so does the matrix path, K = 1
     ])
     def test_stages_span_whole_chunks_within_their_bytes(self, size, stats, rows):
         # a stage holds whole chunks up to the run while 8 bytes per p_n column fit
@@ -761,6 +792,42 @@ def _packed_pn(y):
     return half.real**2 + half.imag**2
 
 
+def _block_rows(row_bytes):
+    """Rows of a transform block: 256, halved while row_bytes per row pass 1 MiB, never
+    below 16; row_bytes is 24 per component on the FFT, and on the matrix path 8 per
+    component and 24 per half bin (a row of y, of [Re|Im] and of p_n)."""
+    rows = 256
+    while rows > 16 and row_bytes * rows > 1 << 20:
+        rows //= 2
+    return rows
+
+
+def _block_starts(n, rows):
+    """The first rows of the blocks of an n-row chunk: every `rows` rows, with a last
+    start at n - 1 moved back by 4, so no block has one row unless the chunk has one and
+    every block starts at a multiple of 4 (numpy takes a 1-row product by dot, and
+    OpenBLAS dgemv_t groups rows by 4)."""
+    return [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
+
+
+def _by_blocks(x, rows, f):
+    """f of each block of the rows of x, cut as `_block_starts` cuts a chunk, stacked."""
+    starts = _block_starts(len(x), rows)
+    return np.concatenate([f(x[i:j]) for i, j in zip(starts, starts[1:] + [len(x)])])
+
+
+def _blocked_gemm_pn(W, rows):
+    """p_n of the half bins of W, shape (p, 2K), from one y @ W per block of `rows`-row
+    blocks, as the matrix path cuts a chunk."""
+    K = W.shape[1] // 2
+
+    def pn_of(y):
+        a = _by_blocks(y, rows, lambda b: b @ W)
+        return a[:, :K] ** 2 + a[:, K:] ** 2
+
+    return pn_of
+
+
 def _chunk_reference(cfg, pn_of, weights, bins):
     """Per-chunk accumulators, one {key: acc} per chunk in ordinal order, and per-chunk
     near-zero histograms: chunk c drawn afresh from stream(seed, c), p_n = pn_of(y) over
@@ -871,7 +938,7 @@ class TestChunkBuffers:
     def test_chunks_reuse_their_thread_buffers(self, p):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, n_list=(1,), r_list=(1.0,),
                                epsilon=0.3)
-        stages, rows = _stages(cfg)[0], 256 if p < 171 else 32
+        stages, rows = _stages(cfg)[0], _block_rows(24 * p)
 
         def run(c):  # per stage: its rows, the block, and a copy of its rows taken before the next stage
             return [(lo, hi, stats, stats[:, lo:hi].copy()) for stats, lo, hi in stages([(c, 256)])]
@@ -915,9 +982,9 @@ class TestChunkBuffers:
         bins, W = _spectrum_bins(cfg)
         weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
         for c, n in enumerate(chunk_sizes(trials)):
-            starts = [*range(0, n, 32)]  # 24 * p * 64 rows pass 1 MiB: a stage is one 32-row block
-            if n == 33:  # no 1-row block, whose moment numpy takes by dot: 28 + 5 rows
-                starts[-1] = 28
+            # a stage is one block: 32 rows at p = 1024, 16 from p = 1366; no 1-row block,
+            # whose moment numpy takes by dot, so 33 rows go as 16 + 12 + 5 at p = 4096
+            starts = _block_starts(n, _block_rows(24 * p))
             assert [lo for _, lo, _ in stages([(c, n)])] == starts
             # the statistics of the blocks, the moment dgemv included, against the whole chunk's
             got = engine_rows(cfg, [(c, n)])
@@ -927,8 +994,8 @@ class TestChunkBuffers:
         _assert_chunk_bits(cfg, self._reference(cfg))
 
     @pytest.mark.parametrize("p, rows", [
-        (4096, 32), (65536, 32), (170, 256), (171, 128), (341, 128), (342, 64), (682, 64), (683, 32),
-        (2731, 32), (8, 256),
+        (4096, 16), (65536, 16), (170, 256), (171, 128), (341, 128), (342, 64), (682, 64), (683, 32),
+        (1365, 32), (1366, 16), (2731, 16), (8, 256),
     ])
     def test_fft_buffers_are_bounded_in_p(self, p, rows):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, r_list=(1.0,))
@@ -943,7 +1010,66 @@ class TestChunkBuffers:
             tracemalloc.stop()
         run.close()
         assert (lo, hi) == (0, rows)  # one FFT block, the stage where blocks are cut below a chunk
-        assert held <= max(1 << 20, 24 * p * 32) + (64 << 10)  # y, z and the stage's p_n: 20 B a component
+        assert held <= max(1 << 20, 24 * p * 16) + (64 << 10)  # y, z and the stage's p_n: 20 B a component
+
+    @pytest.mark.parametrize("p, stats, rows", [
+        (64, {"n_list": (1, 32), "N_list": (0, 4), "epsilon": 0.1}, 256), (416, {"N_list": (32,)}, 256),
+        (417, {"N_list": (32,)}, 128), (512, {"N_list": (0,)}, 256), (513, {"N_list": (0,)}, 128),
+        (2048, {"N_list": (32,)}, 32), (4096, {"N_list": (0,)}, 32), (4096, {"n_list": (1,)}, 16),
+        (65536, {"n_list": (1,), "epsilon": 0.1}, 16),
+    ])
+    def test_few_bin_buffers_are_bounded_in_p(self, p, stats, rows):
+        # the matrix path blocks by the FFT's rule, at 8 bytes per component and 24 per bin
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, **stats)
+        [*_stages(replace(cfg, trials=1))[0]([(0, 1)])]  # first calls, untraced
+        stages = _stages(cfg)[0]  # W is the plan's, made here, untraced
+        K = len(_spectrum_bins(cfg)[0])
+        tracemalloc.start()
+        try:
+            run = stages([(0, 256)])
+            _, lo, hi = next(run)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        run.close()
+        assert (lo, hi) == (0, rows) and rows == _block_rows(8 * p + 24 * K)
+        mask = 1 << 20 if cfg.epsilon is not None else 0  # the near-zero count's, at most 1 MiB
+        assert held <= max(1 << 20, (8 * p + 24 * K) * 16) + mask + (64 << 10)
+
+    @pytest.mark.parametrize("path", ["fft", "matrix"])
+    def test_blocks_at_the_floor_keep_the_short_tail_rule(self, path):
+        # p = 4096 blocks by 16 rows on both paths. Chunks of 1 (mod 16) rows would end in a
+        # 1-row block; that block starts 4 rows early, so blocks start at multiples of 4 and
+        # the last holds 5 rows, inside the 16-row buffer (a 4-row floor would overflow it).
+        # The reference is the whole chunk, but for the moment dgemv's, taken over the
+        # 32-row blocks the FFT had before: a whole chunk's dgemv splits its rows over
+        # OpenBLAS threads, off the groups of 4 at 225 rows on two threads
+        p = 4096
+        if path == "fft":
+            cfg, row_bytes = self._config(UNIFORM, p, 256), 24 * p
+        else:
+            cfg = MonteCarloConfig(dist=UNIFORM, trials=256, seed=11, period=p, n_list=(1, 2048),
+                                   N_list=(0, 4), epsilon=0.3)
+            row_bytes = 8 * p + 24 * len(_spectrum_bins(cfg)[0])
+        bins, W = _spectrum_bins(cfg)
+        assert (W is None) == (path == "fft") and _block_rows(row_bytes) == 16
+        weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
+        for n in sorted({*range(1, 257, 16), 5, 17}):
+            spans = [(lo, hi) for _, lo, hi in stages([(0, n)])]
+            assert [lo for lo, _ in spans] == _block_starts(n, 16)
+            assert all(lo % 4 == 0 and 1 < hi - lo <= 16 or n == 1 for lo, hi in spans), n
+            assert [hi for _, hi in spans] == [lo for lo, _ in spans[1:]] + [n]
+            got = engine_rows(cfg, [(0, n)])
+            if W is None:
+                whole = self._whole_chunk(cfg.dist, p, stream(cfg.seed, 0), n)
+            else:
+                y = cfg.dist.sample(stream(cfg.seed, 0), (n, p))
+                whole = y, (y * y).mean(axis=1), _blocked_gemm_pn(W, 16)(y)
+            want = trial_stats(cfg, *whole, weights, bins)
+            for r in cfg.r_list:
+                want[("moment", r)] = _by_blocks(whole[2], 32, lambda b, w=weights[("moment", r)]: b @ w)
+            for key, row in want.items():
+                assert np.array_equal(got[key].view(np.uint64), np.asarray(row, float).view(np.uint64)), (n, key)
 
     def test_threads_keep_the_bits_under_frequent_switches(self):
         # more workers than cores, switching every microsecond: a buffer shared
@@ -963,8 +1089,8 @@ class TestChunkBuffers:
 
 class TestPhaseMatrixPath:
     """Periodic runs that read at most 32 half bins and no moment, and every
-    continuous run, take p_n from one product y @ W with the phase matrix of
-    the half bins they read."""
+    continuous run, take p_n from one product y @ W per block with the phase
+    matrix of the half bins they read."""
 
     TABLE = SamplingDistribution.table([-0.5, 0.0, 0.8], [0.3, 0.4, 0.3])
 
@@ -975,12 +1101,7 @@ class TestPhaseMatrixPath:
         bins = _spectrum_bins(cfg)[0]
         W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
         weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
-
-        def pn_of(y):
-            a = y @ W
-            return a[:, :K] ** 2 + a[:, K:] ** 2
-
-        return _chunk_reference(cfg, pn_of, weights, bins)
+        return _chunk_reference(cfg, _blocked_gemm_pn(W, _block_rows(8 * cfg.size + 24 * K)), weights, bins)
 
     # the trailing fields: moment orders, and whether `size` counts cells on
     # the line instead of a period
@@ -1005,6 +1126,10 @@ class TestPhaseMatrixPath:
         # a run of 16 chunks as one stage, then a 1-row last chunk, on a period and on the line
         (UNIFORM, 64, 16 * 256 + 1, (1, 32), (0, 4), 0.1, (), False),
         (UNIFORM, 24, 16 * 256 + 1, (1, -5), (0, 3, 12, 1000), None, (), True),
+        # y @ W in blocks below a chunk: 64 rows at p = 1024, K = 6; 16 on a line of 4,096
+        # cells, whose p_N dgemv's go per block too
+        (UNIFORM, 1024, 3 * 256 + 17, (1, 7), (0, 5), 0.1, (), False),
+        (TABLE, 4096, 3 * 256 + 17, (0, 1, -5), (0, 12), None, (), True),
     ])
     def test_engine_rows_equal_a_matrix_fold(self, dist, size, trials, n_list, N_list, epsilon,
                                              r_list, line):
@@ -1022,16 +1147,48 @@ class TestPhaseMatrixPath:
             _assert_chunk_bits(cfg, reference, chunk_range=(inner[0], inner[-1] + 1), threads=threads)
 
     @pytest.mark.parametrize("trials, n_list, N_list, seed", [(808, (1,), (), 3), (552, (1, 3), (0, 2), 4)])
-    def test_few_bin_commands_keep_one_gemm_per_chunk(self, trials, n_list, N_list, seed):
+    def test_few_bin_commands_take_one_gemm_per_block(self, trials, n_list, N_list, seed):
         # `sample --period 4096 --trials 808 --n 1 --seed 3` and `--trials 552 --n 1,3
-        # --N 0,2 --seed 4`: 8- and 16-row products of these moved bits in a small-matrix dgemm
+        # --N 0,2 --seed 4`: 8- and 16-row products of these take OpenBLAS's small-matrix
+        # dgemm, which rounds otherwise than one 256-row product per chunk
         cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=4096,
                                n_list=n_list, N_list=N_list)
-        # two whole chunks make one stage, each chunk one block: one y @ W per chunk
-        assert [(lo, hi) for _, lo, hi in _stages(cfg)[0]([(0, 256), (1, 256)])] == [(0, 512)]
+        # 8*p + 24*K bytes a row pass 1 MiB at 32 rows: each stage is one 16-row block
+        assert [(lo, hi) for _, lo, hi in _stages(cfg)[0]([(0, 256), (1, 256)])] == \
+            [(lo, lo + 16) for lo in range(0, 512, 16)]
         reference = self._reference(cfg)
         for threads in (1, 2):
             _assert_chunk_bits(cfg, reference, threads=threads)
+        # against one 256-row product per chunk, the rows' means and variances move by rounding only
+        bins, W = _spectrum_bins(cfg)
+        whole = _chunk_reference(cfg, _blocked_gemm_pn(W, 256), _rows(cfg, bins)[0], bins)[0]
+        for row in run_monte_carlo(cfg).rows:
+            total = MomentAccumulator()
+            for chunk in whole:
+                total = merge_accumulators(total, chunk[row.key])
+            assert row.acc.mean == pytest.approx(total.mean, rel=1e-14, abs=0), row.key
+            assert row.acc.variance == pytest.approx(total.variance, rel=1e-14, abs=0), row.key
+
+    @pytest.mark.parametrize("p", [513, 1024, 4095, 4096, 16384])
+    def test_blocked_rows_match_exact_sum(self, p):
+        # p_n of each trial from y @ W in blocks of 128, 64 or 16 rows, against the O(p^2)
+        # direct sum of the same draws, 1e-15 apart, at K = 1, 5 and 32 half bins; the trials
+        # on each side of the first cut, and the last, of a chunk with a short last block
+        rows = _block_rows(8 * p + 24)
+        trials, exact = rows + 9, {}
+        y = UNIFORM.sample(stream(p, 0), (trials, p))
+        for t in (rows - 1, rows, trials - 1):
+            exact[t] = np.abs(amplitudes_periodic(SpectralDifferencePeriodic(y[t]), "exact-sum").values) ** 2
+        for K in (1, 5, 32):
+            n_list = tuple(int(n) for n in np.linspace(1, (p + 1) // 2, K))
+            cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=p, period=p, n_list=n_list)
+            bins, W = _spectrum_bins(cfg)
+            assert W is not None and len(bins) == K and _block_rows(8 * p + 24 * K) == rows < 256
+            assert [lo for _, lo, _ in _stages(cfg)[0]([(0, trials)])] == [0, rows]
+            got = engine_rows(cfg)
+            for t, pn in exact.items():
+                for n in n_list:
+                    assert abs(got[("p_n", float(n))][t] - pn[n - 1]) <= 1e-15, (K, t, n)
 
     def test_bins_follow_the_statistics(self):
         def bins(n_list=(), N_list=(), r_list=(), **size):
