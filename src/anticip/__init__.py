@@ -25,7 +25,6 @@ from .closed_form import (
     expected_moment_observable,
     expected_pN,
     expected_pn,
-    expected_pn_sq,
     expected_ptot,
     lemma_unit_sum,
     var_pN,

@@ -32,7 +32,7 @@ from .verify import SUITES, run_suite, suite_seeds
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-# click maps UsageError to exit code 2
+# click maps UsageError to exit code 2, and _Command a MemoryError
 
 
 def _fmt(value) -> str:
@@ -89,6 +89,16 @@ seed_option = click.option(
 )
 
 
+class _Command(click.Command):
+    def invoke(self, ctx):  # out of memory: one line naming the size and exit 2, never 1 as a failed check
+        try:
+            return super().invoke(ctx)
+        except MemoryError:
+            size = "".join(f" --{k} {v}" for k, v in ctx.params.items() if k in ("period", "cells", "periods") and v)
+            click.echo(f"Error: {ctx.info_name}{size}: out of memory", err=True)
+            ctx.exit(2)
+
+
 @click.group()
 @click.version_option(version=__version__, prog_name="anticip")
 def main():
@@ -99,7 +109,7 @@ def main():
         raise click.UsageError(str(exc)) from exc
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--kind", required=True, type=click.Choice(MODEL_KINDS))
 @click.option("--period", type=int, default=None, help="Size for periodic kinds.")
 @click.option("--cells", type=int, default=None, help="Size for continuous kinds.")
@@ -216,7 +226,7 @@ def _run_sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, thr
     return rows, config, report.max_abs_z()
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--period", type=int, default=None, help="Period p (periodic mode).")
 @click.option("--cells", type=int, default=None, help="Cell count M (continuous mode).")
 @click.option("--dist", "dist_text", default="uniform", show_default=True,
@@ -240,7 +250,7 @@ def sample(period, cells, dist_text, trials, seed, ns, Ns, rs, epsilon, threads,
     sys.exit(EXIT_OK if worst <= 5.0 else EXIT_CHECK_FAILED)
 
 
-@main.command(params=[  # sample's options, --periods in place of its size and epsilon
+@main.command(cls=_Command, params=[  # sample's options, --periods in place of its size and epsilon
     click.Option(["--periods"], required=True, help="Comma-separated list of periods."),
     *(option for option in sample.params if option.name not in ("period", "cells", "epsilon")),
 ])
@@ -261,7 +271,7 @@ def sweep(periods, dist_text, trials, seed, ns, Ns, rs, threads, fmt, out):
     sys.exit(EXIT_OK if all(w <= 5.0 for w in worsts) else EXIT_CHECK_FAILED)
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--suite", type=click.Choice(sorted(SUITES)), default="all",
               show_default=True)
 @seed_option
@@ -292,7 +302,7 @@ def verify(suite, seed, fmt, out):
     sys.exit(EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED)
 
 
-@main.command()
+@main.command(cls=_Command)
 @click.option("--period", type=int, required=True, help="Orthogonal-evolution period.")
 @click.option("--count", type=click.IntRange(min=1), default=100, show_default=True,
               help="Number of random measures (plus the evenly-spread one).")

@@ -9,9 +9,9 @@ total p_tot and the folded-index observable are polynomial in the kernels
     U_N = sum_{n=N+1}^{p-N} |S_n|^2             (window complement weight)
     pi_N = 1 - 2*N/p
 
-The variance polynomials are transcribed as printed in their source and are
-validated empirically against Monte Carlo rather than rederived; they vanish
-identically for degenerate (point-mass) laws.
+The variance polynomials are transcribed as printed in their source, and proved
+for every law at p <= 9 by exact enumeration (tests); they vanish identically
+for degenerate (point-mass) laws. Periodic statistics read n by `_half_bin`.
 """
 from __future__ import annotations
 
@@ -49,15 +49,22 @@ class LeadingOrder(NamedTuple):
     error_order: str
 
 
+def _half_bin(p: int, n):
+    """The half bin min(c, p+1-c) of an int or array n, c = (n-1) mod p + 1: p_{p+1-n}
+    = p_n for real spectral differences, so periodic statistics read n through it."""
+    c = (n - 1) % p + 1
+    return np.minimum(c, p + 1 - c)
+
+
 def abs_s_squared(p: int, n):
     """|S_n|^2 = 1/(p sin(pi(n-1/2)/p))^2; n may be an array.
 
-    n is reduced to 1..p in integers and the sine read at pi*min(n-1/2, p-n+1/2)/p,
-    in (0, pi/2], so n and p+1-n give the same bits and the sine never vanishes.
+    The sine is read at pi*(b-1/2)/p for the half bin b of n, in (0, pi/2], so n
+    and p+1-n give the same bits and the sine never vanishes.
     """
-    m = (np.asarray(n) - 1) % p + 1
-    val = 1.0 / (p * np.sin(np.pi * np.minimum(m - 0.5, p - m + 0.5) / p)) ** 2
-    return float(val) if m.ndim == 0 else val
+    b = _half_bin(p, np.asarray(n))
+    val = 1.0 / (p * np.sin(np.pi * (b - 0.5) / p)) ** 2
+    return float(val) if b.ndim == 0 else val
 
 
 def kernel_t(p: int, n: int) -> float:
@@ -86,22 +93,6 @@ def pi_tail(p: int, N: int) -> float:
 def expected_pn(p: int, n: int, m: MomentTuple) -> float:
     """E(p_n) = sigma^2/p + m1^2 |S_n|^2; at least sigma^2/p for every n."""
     return m.sigma2 / p + m.m1**2 * abs_s_squared(p, n)
-
-
-def expected_pn_sq(p: int, n: int, m: MomentTuple) -> float:
-    """Second raw moment E(p_n^2), transcribed as printed."""
-    S2 = abs_s_squared(p, n)
-    T = kernel_t(p, 2 * n - 1)
-    return (
-        m.m4 / p**3
-        + 4.0 / p**2 * (S2 - 1.0 / p) * m.m1 * m.m3
-        + (T * T + 2.0 / p**2 - 3.0 / p**3) * m.m2**2
-        + ((2 * T + 4.0 / p - 12.0 / p**2) * S2 + 12.0 / p**3 - 4.0 / p**2 - 2 * T * T)
-        * m.m1**2
-        * m.m2
-        + (S2 * S2 + (8.0 / p**2 - 2 * T - 4.0 / p) * S2 + T * T - 6.0 / p**3 + 2.0 / p**2)
-        * m.m1**4
-    )
 
 
 def var_pn(p: int, n: int, m: MomentTuple) -> float:

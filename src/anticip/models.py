@@ -2,7 +2,7 @@
 
 Constant differences minimize anticipation; alternating ones maximize it.
 Both have closed forms that serve as oracles for the transform pipeline;
-the periodic ones reduce n mod p in integers first, so they hold at any n.
+the periodic ones read n by its half bin, in integers, so they hold at any n.
 Alternating models need an even size: an odd alternating difference
 degenerates to an orthogonal evolution at half the step size.
 """
@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closed_form import _half_bin
 from .spectral import SpectralDifferenceContinuous, SpectralDifferencePeriodic
 
 MODEL_KINDS = ("const-periodic", "alt-periodic", "const-continuous", "alt-continuous")
@@ -60,25 +61,17 @@ def make_model(spec: ModelSpec):
 def closed_form_pn(spec: ModelSpec, n):
     """Closed-form p_n for the model; n may be an integer or an array.
 
-    The periodic constant model takes (y/p)^2 wherever p divides 2n-1, by case
-    analysis rather than as a limit of the sine formula. Both periodic forms
-    have period p in n: n is reduced to ((n-1) mod p) + 1 in integers first, and
-    each reads a sine at its first-quadrant angle, pi*min(w, p-w)/p or
-    pi*|p/2-w|/p with w = n-1/2, so n and p+1-n give the same bits.
+    Periodic forms read n by its half bin b (n % p first: no int64 n wraps) and a
+    sine at w = b-1/2, pi*w/p or pi*|p/2-w|/p, in the first quadrant, so n and p+1-n
+    give the same bits; where p divides 2n-1 the sine reads exactly 1.0 at pi/2.
     """
     y = spec.amplitude
     size = spec.size
     n_arr = np.asarray(n)
-    scalar = n_arr.ndim == 0
-    n_arr = np.atleast_1d(n_arr)
-    if spec.periodic:  # ((n-1) mod p) + 1 in integers; n % p first, so int64 n never wraps
-        n_arr = (n_arr % size - 1) % size + 1
-    omega = n_arr.astype(float) - 0.5
+    omega = (_half_bin(size, n_arr % size) if spec.periodic else n_arr).astype(float) - 0.5
 
     if spec.kind == "const-periodic":
-        vals = (y / (size * np.sin(np.pi * np.minimum(omega, size - omega) / size))) ** 2
-        special = (2 * n_arr.astype(int) - 1) % size == 0
-        vals = np.where(special, (y / size) ** 2, vals)
+        vals = (y / (size * np.sin(np.pi * omega / size))) ** 2
     elif spec.kind == "alt-periodic":
         # cos(pi w/p) = sin(pi (p/2 - w)/p); even size keeps it away from zero
         vals = (y / (size * np.sin(np.pi * np.abs(size / 2 - omega) / size))) ** 2
@@ -87,4 +80,4 @@ def closed_form_pn(spec: ModelSpec, n):
     else:
         vals = (y * np.tan(np.pi * omega / size) / (np.pi * omega)) ** 2
 
-    return float(vals[0]) if scalar else vals
+    return float(vals) if n_arr.ndim == 0 else vals

@@ -15,9 +15,9 @@ for no bin), or all ceil(size/2) by the FFT, for any moment or over 32 bins, in
 row blocks of <= 1 MiB or 16 rows. Chunks go to the worker threads in runs of
 up to RUN consecutive ordinals, made on demand, one result each; a run owns its
 buffers and one Philox generator, re-keyed per chunk, so no state is kept per
-thread. A run's rows pass in stages: whole chunks up to the run within
-_STAGE_BYTES, or one block where blocks are cut below a chunk. Each block
-writes p_tot and the near-zero count into a (statistic, row) block and its p_n
+thread. A run's rows pass in stages: whole chunks up to the run while their p_n
+fit the blocks' 1 MiB, or one block. Each block writes p_tot and the near-zero
+count, through a mask of its rows, into a (statistic, row) block and its p_n
 columns into the stage, from which the other per-row statistics join the block
 once per stage. BLAS rounds a row by the row count of its product, so products
 keep their rows: y @ W and the moment and line p_N dgemv's are one product per
@@ -497,16 +497,8 @@ def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
 # p = 64, 1.7-2.6x for p = 256..4096, and broke even near K = 64.
 _MATRIX_BINS = 32
 _MOMENT_TOP = 32  # a moment on the line sums |n|^r p_n over n = -31..32
-_BLOCK_BYTES = 1 << 20  # a transform block halves its rows while its row bytes pass this, to 16
-_STAGE_BYTES = 1 << 20  # most bytes of a stage of whole chunks, 8 per p_n column: a run at 32 bins
+_BLOCK_BYTES = 1 << 20  # a block halves its rows while its bytes pass this, to 16; a stage's p_n fits it
 _FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
-
-
-def _half_bin(size: int, n):
-    """The half bin holding p_n, for an int or an array n: min(c, size+1-c),
-    c = (n-1) mod size + 1, as p_{size+1-c} = p_c for real yhat."""
-    c = (n - 1) % size + 1
-    return np.minimum(c, size + 1 - c)
 
 
 def _spectrum_bins(config: MonteCarloConfig):
@@ -514,7 +506,7 @@ def _spectrum_bins(config: MonteCarloConfig):
     ceil(size/2)) and those of the n's, with W their `half_step_phase_matrix`; for
     a moment or over `_MATRIX_BINS` bins, all ceil(size/2) of them and W None (the FFT)."""
     top = min(max(config.N_list, default=0), (config.size + 1) // 2)
-    bins = sorted({*range(1, top + 1), *(int(_half_bin(config.size, n)) for n in config.n_list)})
+    bins = sorted({*range(1, top + 1), *(int(cf._half_bin(config.size, n)) for n in config.n_list)})
     if config.r_list or len(bins) > _MATRIX_BINS:
         return range(1, (config.size + 1) // 2 + 1), None
     return bins, half_step_phase_matrix(config.size, bins)
@@ -527,7 +519,7 @@ def _fold(size: int, stop: int, term) -> np.ndarray:
     g = np.zeros((size + 1) // 2)
     for top in range(stop, 0, -_FOLD_BLOCK):
         n = np.arange(top, max(top - _FOLD_BLOCK, 0), -1)
-        g += np.bincount(_half_bin(size, n) - 1, term(n), g.size)
+        g += np.bincount(cf._half_bin(size, n) - 1, term(n), g.size)
     return g
 
 
@@ -554,12 +546,11 @@ def _rows(config: MonteCarloConfig, bins) -> tuple[dict, dict]:
             return np.abs(line_factor(size, n)) ** 2
 
         # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
-        cells = (np.array(config.n_list, np.int64) - 1) % size + 1
         weights = {}
-        for n, wn, c, mn in zip(config.n_list, w(config.n_list).tolist(), cells.tolist(),
-                                cf.expected_pn(size, cells, m).tolist()):
+        for n, wn, mn in zip(config.n_list, w(config.n_list).tolist(),
+                             cf.expected_pn(size, np.array(config.n_list, np.int64), m).tolist()):
             weights[("p_n", float(n))] = wn
-            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(size, c, m), None, True)
+            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(size, n, m), None, True)
         half = cf.expected_pn(size, np.array(bins, np.int64), m)
         for N in config.N_list:  # no variance prediction until an oracle checks one
             key = ("p_N", float(N))
@@ -591,11 +582,11 @@ def _stages(config: MonteCarloConfig):
     row_bytes = 24 * size if W is None else 8 * size + 24 * K  # matrix: a row of y, of [Re|Im] and of p_n
     while rows > 16 and row_bytes * rows > _BLOCK_BYTES:
         rows //= 2
-    stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _STAGE_BYTES // (8 * max(K, 1) * CHUNK)))
+    stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _BLOCK_BYTES // (8 * max(K, 1) * CHUNK)))
     q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
     # the plan, by row: each statistic's p_n column and weight, or its near window
     col = {b: j for j, b in enumerate(bins)}
-    picks = [(k, col[int(_half_bin(size, int(key[1])))], weights.get(key, 1.0))
+    picks = [(k, col[int(cf._half_bin(size, int(key[1])))], weights.get(key, 1.0))
              for k, key in enumerate(keys) if key[0] == "p_n"]
     dots = [(k, weights[key]) for k, key in enumerate(keys) if key[0] == "moment" or line and key[0] == "p_N"]
     tails = [(k, int(key[1])) for k, key in enumerate(keys) if key[0] == "p_N"]
@@ -604,10 +595,7 @@ def _stages(config: MonteCarloConfig):
     def block(y, z, pn, stats, mask):  # the block's draws, transform, stage p_n rows and statistic columns
         v = (half_step_bins(y, z, twiddle) if W is None else np.matmul(y, W, out=z)).view(float)
         if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
-            np.abs(y, out=y)
-            for k in range(0, len(y), len(mask)):  # counted through <= _BLOCK_BYTES of mask
-                j = min(len(y), k + len(mask))
-                np.less(y[k:j], eps, out=mask[:j - k]).sum(axis=1, out=stats[-1, k:j])
+            np.less(np.abs(y, out=y), eps, out=mask[:len(y)]).sum(axis=1, out=stats[-1])
         ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=stats[0])
         ptot /= size  # the bits of .mean(axis=1)
         v *= v  # the squares in one contiguous pass; conjugation flips none
@@ -635,7 +623,7 @@ def _stages(config: MonteCarloConfig):
         m = min(rows, end)
         y, pn, stats = np.empty((m, size)), np.empty((min(stage, end), K)), np.empty((len(keys), end))
         z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
-        mask = None if eps is None else np.empty((max(1, min(m, _BLOCK_BYTES // size)), size), bool)
+        mask = None if eps is None else np.empty((m, size), bool)  # one block's rows
         for c, n in run:
             gen = rng_mod.stream(config.seed, c, reuse=gen)
             # no 1-row last block: numpy takes a 1-row moment product by dot, not dgemv's row kernel

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import _frozen
+from .closed_form import _half_bin
 
 _BOUND_SLACK = 1e-12
 _TAIL_TOL = 1e-6  # the tail estimate that sets `truncation_window`
@@ -150,11 +151,10 @@ def half_step_phase_matrix(p: int, bins) -> np.ndarray:
 def line_factor(cells: int, n) -> np.ndarray:
     """sinc(pi*w/M) * exp(-i*pi*w/M), w = n-1/2: alpha_n on M cells over alpha_n of period M.
     Both parts come from `half_step_roots(2M)`: the phase at j = (2n-1) mod 4M, sin(pi*w/M) as
-    -Im at the first-quadrant index min(k, 2M-k), k = j mod 2M, negated for j >= 2M."""
+    -Im at the first-quadrant index 2b-1 for the period-M half bin b of n, negated for j >= 2M."""
     n = np.asarray(n, dtype=np.int64)
     roots, j = half_step_roots(2 * cells), (2 * n - 1) % (4 * cells)
-    k = j % (2 * cells)
-    sin = roots[np.minimum(k, 2 * cells - k)].imag * np.where(j < 2 * cells, -1.0, 1.0)
+    sin = roots[2 * _half_bin(cells, n) - 1].imag * np.where(j < 2 * cells, -1.0, 1.0)
     return roots[j] * (sin * cells / (np.pi * (n - 0.5)))
 
 

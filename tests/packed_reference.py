@@ -5,7 +5,8 @@ engine's own per-trial rows of a run of chunks, to compare with them."""
 
 import numpy as np
 
-from anticip.sampling import CHUNK, _half_bin, _stages
+from anticip.closed_form import _half_bin
+from anticip.sampling import CHUNK, _stages
 
 
 def packed_formula(y):

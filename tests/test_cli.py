@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from anticip.cli import main
+from anticip.cli import _Command, main
 
 GOLDEN = Path(__file__).parent / "golden"
 _SRC_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
@@ -594,6 +594,38 @@ class TestGolden:
                       "--out", str(out))
         assert res.exit_code == 0
         assert out.read_bytes() == (GOLDEN / "bound_p256_seed4.csv").read_bytes()
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads the peak address space from /proc")
+@pytest.mark.parametrize("command", [("sample", "--trials", "20", "--n", "1", "--threads", "1"), ("bound", "--count", "1")])
+def test_out_of_memory_exits_2_naming_the_size(command):
+    # a run that cannot allocate its buffers is neither a failed check (exit 1) nor a
+    # traceback. The address-space limit is measured, not guessed: the peak of the same
+    # command at p = 4,096 plus 64 MiB, which runs it, while p = 4,194,304 needs 512 MiB
+    # for the draws of one 16-row block alone
+    import resource
+
+    probe = ("import sys\nfrom anticip.cli import main\ntry:\n    main(sys.argv[1:])\nfinally:\n"
+             "    print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmPeak')), file=sys.stderr)")
+
+    def run(period, limit=None):
+        proc = subprocess.run([sys.executable, "-c", probe, command[0], "--period", str(period), *command[1:]],
+                              capture_output=True, text=True, env=_SRC_ENV | {"OPENBLAS_NUM_THREADS": "1"},
+                              preexec_fn=limit and (lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit))))
+        return proc.returncode, proc.stderr.splitlines()
+
+    code, err = run(4096)
+    assert code == 0, err
+    limit = int(err[-1]) * 1024 + (64 << 20)
+    assert run(4096, limit)[0] == 0
+    code, err = run(4194304, limit)
+    assert (code, err[:-1]) == (2, [f"Error: {command[0]} --period 4194304: out of memory"])
+
+
+def test_every_command_exits_2_when_out_of_memory():
+    # each subcommand is a _Command, which turns a MemoryError into one line and exit 2
+    assert sorted(main.commands) == ["bound", "model", "sample", "sweep", "verify"]
+    assert all(isinstance(command, _Command) for command in main.commands.values())
 
 
 def test_module_invocation_smoke():

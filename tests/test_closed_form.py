@@ -1,5 +1,6 @@
 """Kernels and closed-form statistic formulas."""
 
+import itertools
 import math
 
 import numpy as np
@@ -13,13 +14,14 @@ from anticip import (
     expected_moment_observable,
     expected_pN,
     expected_pn,
-    expected_pn_sq,
     expected_ptot,
     lemma_unit_sum,
     var_pN,
     var_pn,
 )
 from anticip.closed_form import kernel_t, kernel_u, pi_tail
+from anticip.models import ModelSpec, closed_form_pn
+from anticip.spectral import half_step_roots, line_factor
 
 UNIFORM = MomentTuple(0.0, 1 / 3, 0.0, 1 / 5)
 POINT = MomentTuple(1.0, 1.0, 1.0, 1.0)
@@ -96,12 +98,44 @@ def test_var_pn_point_mass_zero():
             assert abs(var_pn(p, n, half)) <= 1e-15
 
 
-def test_var_pn_consistency_with_second_moment():
-    for p in (8, 64):
-        for n in (1, 3, p // 2):
-            e2 = expected_pn_sq(p, n, BIASED)
-            e1 = expected_pn(p, n, BIASED)
-            assert var_pn(p, n, BIASED) == pytest.approx(e2 - e1 * e1, rel=1e-10)
+# Laws of two and three atoms whose (m4, m1*m3, m2^2, m1^2*m2, m1^4) vectors have rank 5.
+# Every mean and variance of a p_n or p_N is linear in these five monomials, as the closed
+# forms are, so agreeing on these laws proves the closed forms for every law at that p.
+ENUMERATED_LAWS = [
+    SamplingDistribution.table([0.0, 1.0], [0.5, 0.5]),
+    SamplingDistribution.table([-1.0, 0.5], [0.25, 0.75]),
+    SamplingDistribution.table([-0.25, 1.0], [0.5, 0.5]),
+    SamplingDistribution.table([-1.0, 0.0, 1.0], [0.25, 0.5, 0.25]),
+    SamplingDistribution.table([-0.5, 0.0, 0.75], [0.25, 0.25, 0.5]),
+    SamplingDistribution.table([-0.2, 0.5, 1.0], [0.5, 0.25, 0.25]),
+]
+
+
+def _enumerated_moments(dist, p):
+    """Exact mean and variance of p_n for n = 1..p, then of p_N for N = 0..(p-1)//2, over
+    all atoms^p configurations of the law, each weighted by its probability: p_n =
+    |p^-1 sum_k y_k exp(-2*pi*i*(n-1/2)*k/p)|^2 and p_N the sum of p_n over n = N+1..p-N.
+    The weighted sums are correctly rounded (fsum): a BLAS product adds the 3^9 terms
+    in sequence and strayed 1.5e-13 relative."""
+    idx = np.array(list(itertools.product(range(dist.points.size), repeat=p)))
+    y, weight = dist.points[idx], dist.masses[idx].prod(axis=1)
+    pn = np.abs(y @ np.exp(-2j * np.pi * np.outer(np.arange(p), np.arange(1, p + 1) - 0.5) / p) / p) ** 2
+    stats = np.vstack([pn.T, *(pn[:, N:p - N].sum(axis=1) for N in range((p - 1) // 2 + 1))])
+    mean = np.array([math.fsum(row) for row in weight * stats])
+    return mean, [math.fsum(row) for row in weight * (stats - mean[:, None]) ** 2]
+
+
+def test_moments_equal_exact_enumeration():
+    monomials = [[m.m4, m.m1 * m.m3, m.m2**2, m.m1**2 * m.m2, m.m1**4]
+                 for m in (dist.moments for dist in ENUMERATED_LAWS)]
+    assert np.linalg.matrix_rank(monomials) == 5
+    for dist, p in itertools.product(ENUMERATED_LAWS, range(2, 10)):
+        m, Ns = dist.moments, range((p - 1) // 2 + 1)
+        mean, var = _enumerated_moments(dist, p)
+        want_mean = [*(expected_pn(p, n, m) for n in range(1, p + 1)), *(expected_pN(p, N, m) for N in Ns)]
+        want_var = [*(var_pn(p, n, m) for n in range(1, p + 1)), *(var_pN(p, N, m) for N in Ns)]
+        np.testing.assert_allclose(mean, want_mean, rtol=1e-13, atol=0, err_msg=f"{dist.label} p={p}")
+        np.testing.assert_allclose(var, want_var, rtol=1e-13, atol=0, err_msg=f"{dist.label} p={p}")
 
 
 def test_var_pn_omega_scaling():
@@ -167,3 +201,46 @@ def test_pi_tail_range():
     assert pi_tail(8, 2) == 0.5
     with pytest.raises(ValueError):
         pi_tail(8, 4)
+
+
+# The fold expressions that `_half_bin` replaced, kept as the bits' reference
+def _reference_abs_s_squared(p, n):
+    m = (n - 1) % p + 1
+    return 1.0 / (p * np.sin(np.pi * np.minimum(m - 0.5, p - m + 0.5) / p)) ** 2
+
+
+def _reference_closed_form_pn(kind, p, y, n):
+    n = (n % p - 1) % p + 1
+    omega = n.astype(float) - 0.5
+    if kind == "alt-periodic":
+        return (y / (p * np.sin(np.pi * np.abs(p / 2 - omega) / p))) ** 2
+    vals = (y / (p * np.sin(np.pi * np.minimum(omega, p - omega) / p))) ** 2
+    return np.where((2 * n - 1) % p == 0, (y / p) ** 2, vals)
+
+
+def _reference_line_factor(cells, n):
+    roots, j = half_step_roots(2 * cells), (2 * n - 1) % (4 * cells)
+    k = j % (2 * cells)
+    sin = roots[np.minimum(k, 2 * cells - k)].imag * np.where(j < 2 * cells, -1.0, 1.0)
+    return roots[j] * (sin * cells / (np.pi * (n - 0.5)))
+
+
+@pytest.mark.parametrize("periods", [range(2, 300), (1023, 1024), (4095, 4096), (65535,), (65536,)], ids=str)
+def test_half_bin_readers_keep_their_bits(periods):
+    # n = -2p..2p and the far ends a line or a model may ask for; var_pn is held to its
+    # value at the cell c = (n-1) mod p + 1 that the line's predictions used to pass, at
+    # every n up to p = 4096 and at the far ends, n = -2..2 and each multiple of p/2 +-2
+    # beyond, as its 8 us per call would take 4 s over the 2^18 n's of p = 65536
+    def same(a, b):
+        assert a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64)), p
+
+    far = [2**53, -(2**53), 2**62 - 1, 1 - 2**62]
+    for p in periods:
+        n = np.array([*range(-2 * p, 2 * p + 1), *far], dtype=np.int64)
+        same(abs_s_squared(p, n), _reference_abs_s_squared(p, n))
+        for kind in ("const-periodic", "alt-periodic")[: 2 - p % 2]:
+            same(closed_form_pn(ModelSpec(kind, p, 0.3), n), _reference_closed_form_pn(kind, p, 0.3, n))
+        same(line_factor(p, n), _reference_line_factor(p, n))
+        edges = {k * p // 2 + d for k in range(-4, 5) for d in range(-2, 3)} if p > 4096 else n.tolist()
+        for k in sorted({*edges, *far}):
+            assert var_pn(p, k, BIASED) == var_pn(p, (k - 1) % p + 1, BIASED), (p, k)

@@ -436,7 +436,7 @@ class TestEngine:
     ])
     def test_stages_span_whole_chunks_within_their_bytes(self, size, stats, rows):
         # a stage holds whole chunks up to the run while 8 bytes per p_n column fit
-        # _STAGE_BYTES, or one transform block where blocks are cut below a chunk
+        # _BLOCK_BYTES, the blocks' own budget, or one block where blocks are cut below a chunk
         cfg = MonteCarloConfig(dist=UNIFORM, trials=16 * 256 + 1, seed=1, **size, **stats)
         stages = _stages(cfg)[0]
         spans = [(lo, hi) for _, lo, hi in stages([(c, 256) for c in range(RUN)])]
@@ -828,14 +828,26 @@ def _blocked_gemm_pn(W, rows):
     return pn_of
 
 
-def _chunk_reference(cfg, pn_of, weights, bins):
+def _blocked_moments(cfg, stats, pn, weights, rows):
+    """`stats` with each moment's dgemv taken over the `rows`-row blocks of the engine's
+    plan, not over the whole chunk, whose dgemv OpenBLAS splits over its threads."""
+    for r in cfg.r_list:
+        stats[("moment", float(r))] = _by_blocks(pn, rows, lambda b, w=weights[("moment", float(r))]: b @ w)
+    return stats
+
+
+def _chunk_reference(cfg, pn_of, weights, bins, rows=None):
     """Per-chunk accumulators, one {key: acc} per chunk in ordinal order, and per-chunk
     near-zero histograms: chunk c drawn afresh from stream(seed, c), p_n = pn_of(y) over
-    the half `bins`, `trial_stats` with `weights`, and one add_batch per statistic."""
+    the half `bins`, `trial_stats` with `weights`, its moments by `rows`-row blocks when
+    `rows` is given, and one add_batch per statistic."""
     accs, hists = [], []
     for c, n in enumerate(chunk_sizes(cfg.trials)):
         y = cfg.dist.sample(stream(cfg.seed, c), (n, cfg.size))
-        stats = trial_stats(cfg, y, (y * y).mean(axis=1), pn_of(y), weights, bins)
+        pn = pn_of(y)
+        stats = trial_stats(cfg, y, (y * y).mean(axis=1), pn, weights, bins)
+        if rows is not None:
+            _blocked_moments(cfg, stats, pn, weights, rows)
         accs.append({key: MomentAccumulator() for key in stats})
         for key, row in stats.items():
             accs[-1][key].add_batch(row)
@@ -976,22 +988,25 @@ class TestChunkBuffers:
         return y, ptot, pn
 
     @pytest.mark.parametrize("p", [1024, 4095, 4096, 8192])
-    @pytest.mark.parametrize("trials", [777, 801, 808])  # last chunks of 9, 33 and 40 rows
+    @pytest.mark.parametrize("trials", [481, 777, 801, 808])  # last chunks of 225, 9, 33 and 40 rows
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
         bins, W = _spectrum_bins(cfg)
-        weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
+        weights, stages, rows = _rows(cfg, bins)[0], _stages(cfg)[0], _block_rows(24 * p)
         for c, n in enumerate(chunk_sizes(trials)):
             # a stage is one block: 32 rows at p = 1024, 16 from p = 1366; no 1-row block,
             # whose moment numpy takes by dot, so 33 rows go as 16 + 12 + 5 at p = 4096
-            starts = _block_starts(n, _block_rows(24 * p))
+            starts = _block_starts(n, rows)
             assert [lo for _, lo, _ in stages([(c, n)])] == starts
-            # the statistics of the blocks, the moment dgemv included, against the whole chunk's
+            # the statistics of the blocks against the whole chunk's, but for the moment
+            # dgemv's, taken over the blocks of the plan: a whole chunk's dgemv splits its
+            # rows over OpenBLAS threads, and at 225 rows takes its last row apart
             got = engine_rows(cfg, [(c, n)])
             whole = self._whole_chunk(cfg.dist, p, stream(cfg.seed, c), n)
-            for key, want in trial_stats(cfg, *whole, weights, bins).items():
-                assert np.array_equal(got[key].view(np.uint64), np.asarray(want, float).view(np.uint64)), (c, key)
-        _assert_chunk_bits(cfg, self._reference(cfg))
+            want = _blocked_moments(cfg, trial_stats(cfg, *whole, weights, bins), whole[2], weights, rows)
+            for key, row in want.items():
+                assert np.array_equal(got[key].view(np.uint64), np.asarray(row, float).view(np.uint64)), (c, key)
+        _assert_chunk_bits(cfg, _chunk_reference(cfg, _packed_pn, weights, bins, rows))
 
     @pytest.mark.parametrize("p, rows", [
         (4096, 16), (65536, 16), (170, 256), (171, 128), (341, 128), (342, 64), (682, 64), (683, 32),
@@ -1033,7 +1048,7 @@ class TestChunkBuffers:
             tracemalloc.stop()
         run.close()
         assert (lo, hi) == (0, rows) and rows == _block_rows(8 * p + 24 * K)
-        mask = 1 << 20 if cfg.epsilon is not None else 0  # the near-zero count's, at most 1 MiB
+        mask = p * rows if cfg.epsilon is not None else 0  # the near-zero count's, one block's rows
         assert held <= max(1 << 20, (8 * p + 24 * K) * 16) + mask + (64 << 10)
 
     @pytest.mark.parametrize("path", ["fft", "matrix"])
@@ -1065,9 +1080,7 @@ class TestChunkBuffers:
             else:
                 y = cfg.dist.sample(stream(cfg.seed, 0), (n, p))
                 whole = y, (y * y).mean(axis=1), _blocked_gemm_pn(W, 16)(y)
-            want = trial_stats(cfg, *whole, weights, bins)
-            for r in cfg.r_list:
-                want[("moment", r)] = _by_blocks(whole[2], 32, lambda b, w=weights[("moment", r)]: b @ w)
+            want = _blocked_moments(cfg, trial_stats(cfg, *whole, weights, bins), whole[2], weights, 32)
             for key, row in want.items():
                 assert np.array_equal(got[key].view(np.uint64), np.asarray(row, float).view(np.uint64)), (n, key)
 
