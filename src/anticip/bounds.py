@@ -77,12 +77,13 @@ def median_minimizer(measure: DiscreteMeasure) -> tuple[float, float]:
     return lam, abs_moment(measure, lam)
 
 
-def grid_indices(measure: DiscreteMeasure, p: int) -> np.ndarray:
-    """Integer index j of each point lambda = 2*pi*j/p on the grid.
+def grid_residues(measure: DiscreteMeasure, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integer index j of each point lambda = 2*pi*j/p on the grid, and the mass of
+    each residue class j mod p.
 
     Raises OrthogonalityError unless the measure folds uniformly onto
     {2*pi*k/p}: every point within 1e-9 of the grid and every residue class
-    j mod p carrying mass 1/p within 1e-9.
+    carrying mass 1/p within 1e-9.
     """
     step = 2.0 * np.pi / p
     grid = np.rint(measure.points / step)
@@ -100,7 +101,7 @@ def grid_indices(measure: DiscreteMeasure, p: int) -> np.ndarray:
         raise OrthogonalityError(
             f"residue class {k} carries mass {mass[k]!r}, expected {1.0 / p!r}"
         )
-    return flat
+    return flat, mass
 
 
 @dataclass(frozen=True)
@@ -146,7 +147,7 @@ def check_bounds(measures, p: int) -> list[BoundReport]:
     """
     if p < 2:
         raise ValueError("period must be at least 2")
-    js = [grid_indices(m, p) for m in measures]
+    grid = [grid_residues(m, p) for m in measures]  # (j, residue-class masses) per measure
     centers = [median_minimizer(m) for m in measures]
     four_p, top = 4 * p, round(GRID_T_MAX * _STEPS)
     size = 1 << (four_p + top - 1).bit_length()  # a power of two >= 4p + top
@@ -156,10 +157,10 @@ def check_bounds(measures, p: int) -> list[BoundReport]:
         [chirp[:top + 1], np.zeros(size - four_p - top), chirp[four_p - 1:0:-1]]).conj())
     t = np.arange(0.0, GRID_T_MAX + 0.5 * GRID_T_STEP, GRID_T_STEP)
     lam0, moment = np.array(centers).reshape(-1, 2).T
-    us = [np.abs(2 * j - h) for j, h in zip(js, np.rint(lam0 * p / np.pi).astype(int))]
-    slack = np.empty(len(js))
+    us = [np.abs(2 * j - h) for (j, _), h in zip(grid, np.rint(lam0 * p / np.pi).astype(int))]
+    slack = np.empty(len(grid))
     block = max(1, _BLOCK_BYTES // (16 * size))  # measures, so at most as many rows per q
-    for part in (slice(b, b + block) for b in range(0, len(js), block)):
+    for part in (slice(b, b + block) for b in range(0, len(grid), block)):
         owner = np.repeat(np.arange(len(us[part])), [u.size for u in us[part]])
         u, w = np.concatenate(us[part]), np.concatenate([m.weights for m in measures[part]])
         acc = np.zeros((len(us[part]), top + 1))
@@ -173,8 +174,7 @@ def check_bounds(measures, p: int) -> list[BoundReport]:
                 z *= np.exp(-2j * np.pi / _STEPS * (2 * q * np.arange(top + 1) % _STEPS))
             acc[rows] += z.real  # each measure's rows summed in ascending q
         slack[part] = (acc - (1.0 - moment[part, None] * t)).min(axis=1)
-    devs = (np.abs(np.fft.fft(np.bincount(j % p, m.weights, p)) - (np.arange(p) == 0)).max()
-            for m, j in zip(measures, js))
+    devs = (np.abs(np.fft.fft(mass) - (np.arange(p) == 0)).max() for _, mass in grid)
     return [BoundReport(p, lam, mam, mam - np.pi / 2.0, mam - 1.0, float(s), float(dev))
             for (lam, mam), s, dev in zip(centers, slack, devs)]
 

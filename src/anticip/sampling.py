@@ -53,24 +53,20 @@ _EXACT_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SamplingDistribution:
-    """A component law on [-1, 1] with analytic moments m1..m4.
+    """A component law on [-1, 1] with analytic moments m1..m4: `uniform` on [-1, 1]
+    when it has no atoms, else the discrete law of its `points` and `masses`, of which
+    `two-point` at +-y0 is one. Atoms that mirror (x and -x at equal masses) give
+    m1 = m3 = 0 exactly."""
 
-    Built-ins: `uniform` on [-1, 1], symmetric `two-point` at +-y0, and
-    discrete `table` laws given by atoms and masses. Declaring a law
-    symmetric asserts m1 = m3 = 0.
-    """
-
-    family: str
     label: str
     moments: MomentTuple
-    symmetric: bool
     points: np.ndarray | None = None
     masses: np.ndarray | None = None
-    _cum: np.ndarray | None = field(default=None, repr=False)
+    _cum: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.symmetric and (self.moments.m1 != 0.0 or self.moments.m3 != 0.0):
-            raise ValueError("a symmetric law must have m1 = m3 = 0")
+        if self.masses is not None:
+            object.__setattr__(self, "_cum", np.cumsum(np.asarray(self.masses, dtype=float)))
         for name in ("points", "masses", "_cum"):
             arr = getattr(self, name)
             if arr is not None:
@@ -80,31 +76,18 @@ class SamplingDistribution:
 
     @classmethod
     def uniform(cls) -> "SamplingDistribution":
-        return cls(
-            family="uniform",
-            label="uniform",
-            moments=MomentTuple(0.0, 1.0 / 3.0, 0.0, 1.0 / 5.0),
-            symmetric=True,
-        )
+        return cls("uniform", MomentTuple(0.0, 1.0 / 3.0, 0.0, 1.0 / 5.0))
 
     @classmethod
     def two_point(cls, y0: float) -> "SamplingDistribution":
         if not 0.0 <= y0 <= 1.0:
             raise ValueError("two-point amplitude must lie in [0, 1]")
-        return cls(
-            family="two-point",
-            label=f"two-point:{y0:g}",
-            moments=MomentTuple(0.0, y0**2, 0.0, y0**4),
-            symmetric=True,
-            points=np.array([-y0, y0]),
-            masses=np.array([0.5, 0.5]),
-            _cum=np.array([0.5, 1.0]),
-        )
+        law = cls.table([-y0, y0], [0.5, 0.5], label=f"two-point:{y0:g}")
+        # the Python powers: the table's sum of pts**4 can differ in the last bit
+        return replace(law, moments=MomentTuple(0.0, y0**2, 0.0, y0**4))
 
     @classmethod
-    def table(
-        cls, points, masses, symmetric: bool = False, label: str | None = None
-    ) -> "SamplingDistribution":
+    def table(cls, points, masses, label: str | None = None) -> "SamplingDistribution":
         pts = np.asarray(points, dtype=float)
         ms = np.asarray(masses, dtype=float)
         if pts.ndim != 1 or pts.shape != ms.shape or pts.size == 0:
@@ -119,17 +102,9 @@ class SamplingDistribution:
         order = np.argsort(pts)
         pts, ms = pts[order], ms[order]
         mom = MomentTuple(*(float((ms * pts**r).sum()) for r in (1, 2, 3, 4)))
-        if symmetric and np.array_equal(pts, -pts[::-1]) and np.array_equal(ms, ms[::-1]):
+        if np.array_equal(pts, -pts[::-1]) and np.array_equal(ms, ms[::-1]):
             mom = replace(mom, m1=0.0, m3=0.0)  # mirrored atoms: exact zeros the float sums can miss
-        return cls(
-            family="table",
-            label=label or "table",
-            moments=mom,
-            symmetric=symmetric,
-            points=pts,
-            masses=ms,
-            _cum=np.cumsum(ms),
-        )
+        return cls(label or "table", mom, pts, ms)
 
     def sample(self, rng: np.random.Generator, shape, out: np.ndarray | None = None) -> np.ndarray:
         """Draws of the given shape, written into `out` when it is given; a one-atom
@@ -139,7 +114,7 @@ class SamplingDistribution:
             y.fill(self.points[0])
             return y
         y = rng.random(shape) if out is None else rng.random(out=out)
-        if self.family == "uniform":  # -1 + 2u is exact: rng.uniform(-1, 1)'s bits
+        if self.points is None:  # uniform: -1 + 2u is exact, rng.uniform(-1, 1)'s bits
             return np.subtract(np.multiply(y, 2.0, out=y), 1.0, out=y)
         # index = #{j < last : cum[j] <= u}, so u past a cum[-1] rounded below 1
         # still lands on the last atom
@@ -149,16 +124,17 @@ class SamplingDistribution:
         return np.take(self.points, idx, out=out, mode="clip")  # idx in range: "clip" skips a copy
 
     def mass_within(self, epsilon: float) -> float:
-        """P(|yhat| < epsilon), analytic per family."""
+        """P(|yhat| < epsilon), analytic: epsilon for uniform (to 1), else the atoms' mass."""
         if not 0.0 < epsilon:
             raise ValueError("epsilon must be positive")
-        if self.family == "uniform":
+        if self.points is None:
             return min(epsilon, 1.0)
         return float(self.masses[np.abs(self.points) < epsilon].sum())
 
 
 def parse_distribution(text: str) -> SamplingDistribution:
-    """Parse 'uniform' | 'two-point:<y0>' | 'table:<json path>'."""
+    """Parse 'uniform' | 'two-point:<y0>' | 'table:<json path>'; a table file's keys
+    other than 'points' and 'masses' are ignored."""
     if text == "uniform":
         return SamplingDistribution.uniform()
     if text.startswith("two-point:"):
@@ -174,15 +150,7 @@ def parse_distribution(text: str) -> SamplingDistribution:
         for key in ("points", "masses"):  # a JSON true is a Python int, but not a JSON number
             if not all(type(v) in (int, float) for v in spec[key]):
                 raise ValueError(f"{path}: every entry of '{key}' must be a JSON number")
-        symmetric = spec.get("symmetric", False)
-        if not isinstance(symmetric, bool):
-            raise ValueError(f"{path}: 'symmetric' must be true or false (got {symmetric!r})")
-        return SamplingDistribution.table(
-            spec["points"],
-            spec["masses"],
-            symmetric=symmetric,
-            label=text,
-        )
+        return SamplingDistribution.table(spec["points"], spec["masses"], label=text)
     raise ValueError(f"unknown distribution {text!r}")
 
 
@@ -366,20 +334,30 @@ class StatRow:
     def key(self) -> tuple:
         return (self.statistic, self.index)
 
-    def _z(self, measured: float, predicted: float | None, se: float) -> float | None:
-        if predicted is None or not self.exact_pred:
-            return None
-        if se == 0.0:
-            return 0.0 if abs(measured - predicted) <= _EXACT_SLACK else math.inf
-        return (measured - predicted) / se
+    def score(self, var: bool = False) -> tuple[float, float | None, float, float | None]:
+        """(measured, predicted, SE, z) of the mean, or of the variance with `var`. z is
+        None without an exact prediction or below two trials, where no SE is measured;
+        at SE 0 (a degenerate law) it is 0 when the value is met exactly, else inf."""
+        acc = self.acc
+        if var:
+            measured, predicted, se = acc.variance, self.pred_var, acc.variance_std_error
+        else:
+            measured, predicted, se = acc.mean, self.pred_mean, acc.std_error
+        if predicted is None or not self.exact_pred or acc.count < 2:
+            z = None
+        elif se == 0.0:
+            z = 0.0 if abs(measured - predicted) <= _EXACT_SLACK else math.inf
+        else:
+            z = (measured - predicted) / se
+        return measured, predicted, se, z
 
     @property
     def z_mean(self) -> float | None:
-        return self._z(self.acc.mean, self.pred_mean, self.acc.std_error)
+        return self.score()[3]
 
     @property
     def z_var(self) -> float | None:
-        return self._z(self.acc.variance, self.pred_var, self.acc.variance_std_error)
+        return self.score(var=True)[3]
 
 
 @dataclass
@@ -391,9 +369,12 @@ class EstimateReport:
     size: int
     dist_label: str
     seed: int
-    trials: int
     rows: list[StatRow]
     histogram: np.ndarray | None = None
+
+    @property
+    def trials(self) -> int:
+        return self.rows[0].acc.count
 
     def row(self, statistic: str, index: float | None = None) -> StatRow:
         for r in self.rows:
@@ -421,7 +402,6 @@ class EstimateReport:
             size=self.size,
             dist_label=self.dist_label,
             seed=self.seed,
-            trials=self.trials + other.trials,
             rows=rows,
             histogram=None if self.histogram is None else self.histogram + other.histogram,
         )
@@ -682,7 +662,6 @@ def run_monte_carlo(
         size=config.size,
         dist_label=config.dist.label,
         seed=config.seed,
-        trials=totals[keys[0]].count,
         rows=rows,
         histogram=histogram,
     )

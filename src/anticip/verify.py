@@ -55,13 +55,10 @@ def _line(label, measured, expected, tolerance, ok) -> CheckLine:
 
 
 def _z_gate(label, row, mult, var=False) -> CheckLine:
-    """|z| <= mult on the row's own z_mean, or z_var with `var`; a NaN z fails."""
-    acc = row.acc
-    if var:
-        measured, expected, se, z = acc.variance, row.pred_var, acc.variance_std_error, row.z_var
-    else:
-        measured, expected, se, z = acc.mean, row.pred_mean, acc.std_error, row.z_mean
-    return _line(label, measured, expected, f"{mult}*SE={mult * se:.3g}", abs(z) <= mult)
+    """|z| <= mult on the row's z of its mean, or of its variance with `var`; a NaN z
+    fails, and so does a row with no z."""
+    measured, expected, se, z = row.score(var)
+    return _line(label, measured, expected, f"{mult}*SE={mult * se:.3g}", z is not None and abs(z) <= mult)
 
 
 def unit_kernel_mass(seed: int = 0) -> CriterionResult:

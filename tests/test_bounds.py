@@ -197,7 +197,7 @@ def test_round_trip_recovers_drawn_difference(p, law):
     points, weights = _per_class_measure(drawn)
     assert np.array_equal(m.points, points) and np.array_equal(m.weights, weights)
     # fold back: yhat_k = p * (shift-0 mass - shift-1 mass) of residue class k
-    j = bounds.grid_indices(m, p)
+    j = bounds.grid_residues(m, p)[0]
     yhat = p * np.bincount(j % p, weights=np.where(j // p % 2, -m.weights, m.weights), minlength=p)
     assert yhat == pytest.approx(drawn, abs=1e-12)
 
@@ -220,7 +220,7 @@ def _reference_report(m, p, moment=None):
     ac_t = np.exp(-1j * np.outer(t, m.points)) @ m.weights
     slack = np.real(np.exp(1j * lam0 * t) * ac_t) - (1.0 - mam * t)
     n = np.arange(0, 2 * p + 1)
-    ac_n = np.exp(-2j * PI / p * (np.outer(n, bounds.grid_indices(m, p)) % p)) @ m.weights
+    ac_n = np.exp(-2j * PI / p * (np.outer(n, bounds.grid_residues(m, p)[0]) % p)) @ m.weights
     return (p, lam0, mam, mam - PI / 2.0, mam - 1.0, float(slack.min()),
             float(np.max(np.abs(ac_n - (n % p == 0)))))
 
@@ -232,7 +232,7 @@ def _transform_report(m, p, moment=None):
     # lambda0 = pi h/p, one Bluestein chirp-z per q = u // 4p, summed in ascending q
     lam0, mam = median_minimizer(m)
     mam = mam if moment is None else moment
-    j = bounds.grid_indices(m, p)
+    j = bounds.grid_residues(m, p)[0]
     ac_n = np.fft.fft(np.bincount(j % p, weights=m.weights, minlength=p))
     ac_n[0] -= 1.0
     steps, top = 1000, 2000

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from anticip.cli import _Command, main
+from anticip.sampling import parse_distribution
 
 GOLDEN = Path(__file__).parent / "golden"
 _SRC_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "PATH": "/usr/bin:/bin"}
@@ -167,6 +168,14 @@ class TestSample:
         assert res.exit_code == 2
         assert "ANTICIP_THREADS" in res.output
 
+    def test_one_trial_has_no_z_score_and_exits_0(self):
+        # one trial measures no standard error: the z cells stay empty, and no gate fails
+        res = run_cli("sample", "--period", "8", "--trials", "1", "--n", "1")
+        assert res.exit_code == 0
+        header, *rows = (line.split(",") for line in res.output.splitlines())
+        assert len(rows) == 2 and all(row[header.index("trials")] == "1" for row in rows)
+        assert all(row[header.index(col)] == "" for row in rows for col in ("z_mean", "z_var"))
+
     def test_nan_z_score_exits_1(self, monkeypatch):
         monkeypatch.setattr("anticip.sampling.EstimateReport.max_abs_z", lambda self: float("nan"))
         assert run_cli("sample", "--period", "8", "--trials", "100").exit_code == 1
@@ -213,28 +222,25 @@ class TestSample:
         assert res.exit_code == 2
         assert "JSON object with lists 'points' and 'masses'" in res.output
 
-    @pytest.mark.parametrize("points, masses, code", [
+    @pytest.mark.parametrize("points, masses, nonzero_odd", [
         ([-0.9, -0.2, 0.2, 0.9], [0.25] * 4, 0),  # mirrored: m1 = m3 = 0 exactly
         ([-0.5022385584334831, 0.5022385584334831], [0.5, 0.5], 0),
         ([-0.9, 0.2, 0.9], [0.25, 0.5, 0.25], 2),  # m1 = 0.1: not symmetric
     ])
-    def test_table_law_declared_symmetric(self, tmp_path, points, masses, code):
-        table = tmp_path / "law.json"
-        table.write_text(json.dumps({"points": points, "masses": masses, "symmetric": True}))
-        res = run_cli("sample", "--period", "8", "--trials", "300", "--dist", f"table:{table}")
-        assert res.exit_code == code
-        assert ("a symmetric law must have m1 = m3 = 0" in res.output) == (code == 2)
-
-    @pytest.mark.parametrize("points", [[-0.5, 0.5], [0.0, 1.0]], ids=["mirrored", "skewed"])
-    @pytest.mark.parametrize("flag", ["no", 1, None, [True]])
-    def test_table_law_symmetric_flag_must_be_a_json_boolean(self, tmp_path, points, flag):
-        # bool("no") is true: a mirrored law would silently run as symmetric, a
-        # skewed one fail the symmetric law's moment check
-        table = tmp_path / "law.json"
-        table.write_text(json.dumps({"points": points, "masses": [0.5, 0.5], "symmetric": flag}))
-        res = run_cli("sample", "--period", "8", "--trials", "300", "--dist", f"table:{table}")
-        assert res.exit_code == 2
-        assert "'symmetric' must be true or false" in res.output
+    def test_table_law_declared_symmetric(self, tmp_path, points, masses, nonzero_odd):
+        # symmetry is read from the atoms: a "symmetric" key, true or not a boolean at
+        # all, prints the bytes of the same file without it
+        plain, declared = tmp_path / "plain.json", tmp_path / "declared.json"
+        plain.write_text(json.dumps({"points": points, "masses": masses}))
+        moments = parse_distribution(f"table:{plain}").moments
+        assert (moments.m1 != 0.0) + (moments.m3 != 0.0) == nonzero_odd
+        args = ("sample", "--period", "8", "--trials", "300", "--n", "1", "--N", "2")
+        res = run_cli(*args, "--dist", f"table:{plain}")
+        assert res.exit_code == 0
+        for flag in (True, False, "no", None, [True]):
+            declared.write_text(json.dumps({"points": points, "masses": masses, "symmetric": flag}))
+            again = run_cli(*args, "--dist", f"table:{declared}")
+            assert (again.exit_code, again.output) == (0, res.output)
 
     @pytest.mark.parametrize("points, masses, key", [
         ([False, True], [0.5, 0.5], "points"), ([0.0, 1.0], ["0.5", "0.5"], "masses"),
@@ -362,13 +368,14 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
-def test_json_is_strict_and_csv_keeps_its_bytes():
-    # one trial has zero variance, so its z scores are infinite: null in JSON, inf in CSV
-    args = ("sample", "--period", "8", "--trials", "1", "--n", "1")
+def test_json_is_strict_and_csv_keeps_its_bytes(monkeypatch):
+    # an infinite z score (a degenerate law that misses) is null in JSON, inf in CSV
+    monkeypatch.setattr("anticip.sampling.StatRow.z_mean", property(lambda self: math.inf))
+    args = ("sample", "--period", "8", "--trials", "10", "--n", "1")
     res, csv = run_cli(*args, "--format", "json"), run_cli(*args)
     assert res.exit_code == csv.exit_code == 1
     rows = _strict_json(res.output)["results"]
-    assert [(r["z_mean"], r["z_var"]) for r in rows] == [(None, None)] * 2
+    assert [r["z_mean"] for r in rows] == [None] * 2
     assert csv.output.splitlines()[1].split(",")[10] == "inf"
     for command in (("model", "--kind", "const-periodic", "--period", "4", "--y", "1"),
                     ("verify", "--suite", "identities"), ("bound", "--period", "4", "--count", "2"),

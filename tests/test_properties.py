@@ -1,5 +1,6 @@
 """Property-based checks of the transform identities and the moment reduction."""
 
+import json
 import math
 
 import numpy as np
@@ -275,3 +276,91 @@ def test_rekeyed_stream_draws_a_fresh_stream(seed, index, prefix, old):
     assert np.array_equal(gen.random(1000), stream(seed, index).random(1000))
     with pytest.raises(ValueError, match="seed must lie in"):
         stream(1 << 64, index, reuse=gen)
+
+
+_mass = st.floats(min_value=1e-3, max_value=1.0)
+
+
+@st.composite
+def _table_laws(draw):
+    # 1..8 distinct atoms in [-1, 1] at masses summing to 1
+    points = draw(st.lists(component, min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(_mass, min_size=len(points), max_size=len(points)))
+    total = math.fsum(weights)
+    return points, [w / total for w in weights]
+
+
+@st.composite
+def _mirrored_laws(draw):
+    # atoms x and -x at equal masses, and maybe 0, in any order
+    xs = draw(st.lists(st.floats(min_value=0.0, max_value=1.0, exclude_min=True), min_size=1, max_size=3,
+                       unique=True))
+    weights = draw(st.lists(_mass, min_size=len(xs), max_size=len(xs)))
+    zero = draw(st.lists(_mass, max_size=1))
+    points, weights = [-x for x in xs] + xs + [0.0] * len(zero), weights * 2 + zero
+    order = draw(st.permutations(range(len(points))))
+    total = math.fsum(weights)
+    return [points[i] for i in order], [weights[i] / total for i in order]
+
+
+def _assert_even_moments_are_the_fsums(law):
+    atoms = list(zip(law.points.tolist(), law.masses.tolist()))
+    for moment, r in ((law.moments.m2, 2), (law.moments.m4, 4)):
+        assert abs(moment - math.fsum(m * x**r for x, m in atoms)) <= 1e-15
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_mirrored_laws())
+def test_mirrored_table_has_exactly_zero_odd_moments(law):
+    table = SamplingDistribution.table(*law)
+    assert (table.moments.m1, table.moments.m3) == (0.0, 0.0)
+    _assert_even_moments_are_the_fsums(table)
+
+
+@settings(max_examples=200, deadline=None)
+@given(law=_table_laws())
+def test_table_even_moments_are_the_fsums_over_the_atoms(law):
+    _assert_even_moments_are_the_fsums(SamplingDistribution.table(*law))
+
+
+@pytest.mark.parametrize("y0", [0.0, 0.5, 0.7, 1.0])
+def test_two_point_draws_are_the_two_atom_table_draws(y0):
+    two, table = SamplingDistribution.two_point(y0), SamplingDistribution.table([-y0, y0], [0.5, 0.5])
+    assert two.moments.m2 == table.moments.m2
+    draws = [law.sample(stream(5, 3), (300, 17)) for law in (two, table)]
+    assert draws[0].tobytes() == draws[1].tobytes()
+
+
+@st.composite
+def _sample_args(draw):
+    # a random small `sample` configuration on a period or a line, over the built-in laws
+    periodic, size = draw(st.booleans()), draw(st.integers(2, 40))
+    args = ["--period" if periodic else "--cells", str(size), "--trials", str(draw(st.integers(1, 300))),
+            "--seed", str(draw(_uint64)),
+            "--dist", draw(st.sampled_from(["uniform", "two-point:0", "two-point:0.5", "two-point:1"]))]
+    if periodic:
+        ns, Ns = st.integers(1, size), st.integers(0, (size - 1) // 2)
+        epsilon = draw(st.lists(st.floats(min_value=0.01, max_value=0.99), max_size=1))
+        args += [f"--epsilon={e!r}" for e in epsilon]
+    else:
+        ns, Ns = st.integers(-100, 100), st.integers(0, 100)
+    for flag, values in (("--n", ns), ("--N", Ns), ("--r", st.sampled_from([0.0, 1.0, 2.5]))):
+        chosen = draw(st.lists(values, max_size=3))
+        args += [f"{flag}={','.join(map(str, chosen))}"] if chosen else []
+    return args
+
+
+@settings(max_examples=40, deadline=None)
+@given(args=_sample_args())
+def test_sample_json_is_strict_json(args):
+    from click.testing import CliRunner
+
+    from anticip.cli import main
+
+    def reject(constant):
+        raise ValueError(f"non-RFC 8259 constant {constant}")
+
+    res = CliRunner().invoke(main, ["sample", *args, "--format", "json"])
+    assert res.exit_code in (0, 1), res.output
+    results = json.loads(res.output, parse_constant=reject)["results"]
+    assert results and all(row["trials"] == int(args[3]) for row in results)

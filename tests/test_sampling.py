@@ -144,22 +144,19 @@ class TestDistributions:
             SamplingDistribution.table([0.0, 2.0], [0.5, 0.5])
         with pytest.raises(ValueError):
             SamplingDistribution.table([0.0, 1.0], [0.9, 0.3])
-        with pytest.raises(ValueError):
-            SamplingDistribution.table([0.0, 1.0], [0.5, 0.5], symmetric=True)
 
     @pytest.mark.parametrize("points, masses", [
         ([-0.9, -0.2, 0.2, 0.9], [0.25] * 4),  # float sums give m1 = -2.8e-17
+        ([-0.9, -0.2, 0.2, 0.9], [0.1, 0.4, 0.4, 0.1]),  # float sums give m1 = -1.4e-17
         ([-0.5022385584334831, 0.5022385584334831], [0.5, 0.5]),  # (-x)**3 one ulp off -(x**3)
     ])
-    def test_mirrored_table_declared_symmetric_has_zero_odd_moments(self, points, masses):
-        plain = SamplingDistribution.table(points, masses)
-        assert (plain.moments.m1, plain.moments.m3) != (0.0, 0.0)  # undeclared: the float sums stand
-        sym = SamplingDistribution.table(points[::-1], masses, symmetric=True)
-        assert (sym.moments.m1, sym.moments.m3) == (0.0, 0.0)
-        assert (sym.moments.m2, sym.moments.m4) == (plain.moments.m2, plain.moments.m4)
-        uneven = np.arange(1.0, len(points) + 1)
-        with pytest.raises(ValueError, match="m1 = m3 = 0"):  # mirrored points, unequal masses
-            SamplingDistribution.table(points, uneven / uneven.sum(), symmetric=True)
+    def test_mirrored_table_has_zero_odd_moments(self, points, masses):
+        law = SamplingDistribution.table(points, masses)
+        assert (law.moments.m1, law.moments.m3) == (0.0, 0.0)
+        assert law.moments == SamplingDistribution.table(points[::-1], masses[::-1]).moments
+        uneven = np.arange(1.0, len(points) + 1)  # mirrored points, unequal masses: the sums stand
+        skewed = SamplingDistribution.table(points, uneven / uneven.sum()).moments
+        assert skewed.m1 > 0.0 and skewed.m3 > 0.0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_table_rejects_non_finite(self, bad):
@@ -221,7 +218,7 @@ class TestDistributions:
             assert dist.sample(stream(9, 2), shape, out=buf) is buf
             assert np.array_equal(buf.view(np.uint64), fresh.view(np.uint64))
             # the formulas the draws were first written with
-            if dist.family == "uniform":
+            if dist.points is None:
                 first = stream(9, 2).uniform(-1.0, 1.0, shape)
             else:
                 u = stream(9, 2).random(shape)
@@ -532,7 +529,7 @@ class TestEngine:
         reference = _chunk_reference(cfg, _packed_pn, weights, bins)
         for threads in (1, 3):
             _assert_chunk_bits(cfg, reference, threads=threads)
-        if cfg.dist.family == "two-point":
+        if cfg.dist.label.startswith("two-point"):
             assert run_monte_carlo(cfg).row("p_tot").acc.m2 == 0.0  # the constant-row rule
 
     @pytest.mark.parametrize("p", [7, 8])
@@ -564,9 +561,26 @@ class TestEngine:
                       pred_mean=math.nan, exact_pred=True)
         assert math.isnan(bad.z_mean)
         for rows in ([ok, bad], [bad, ok]):
-            rep = EstimateReport("periodic", 8, "uniform", 0, 10, rows)
-            assert not rep.max_abs_z() <= 5.0
-        assert EstimateReport("periodic", 8, "uniform", 0, 10, [ok]).max_abs_z() == 0.0
+            rep = EstimateReport("periodic", 8, "uniform", 0, rows)
+            assert rep.trials == 10 and not rep.max_abs_z() <= 5.0
+        assert EstimateReport("periodic", 8, "uniform", 0, [ok]).max_abs_z() == 0.0
+
+    def test_score_has_no_z_below_two_trials(self):
+        one = run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, period=8, n_list=(1,)))
+        for row in one.rows:
+            assert row.score() == (row.acc.mean, row.pred_mean, 0.0, None)
+            assert row.score(var=True) == (0.0, row.pred_var, 0.0, None)
+        assert one.trials == 1 and one.max_abs_z() == 0.0
+        # from two trials on SE 0 compares exactly: a point mass meets its predictions
+        point = SamplingDistribution.table([1.0], [1.0])
+        two = run_monte_carlo(MonteCarloConfig(dist=point, trials=2, seed=0, period=8, n_list=(1,),
+                                               N_list=(2,)))
+        assert all(row.score(var)[2:] == (0.0, 0.0) for row in two.rows for var in (False, True))
+        miss = replace(two.row("p_n", 1.0), pred_mean=two.row("p_n", 1.0).pred_mean + 1e-6)
+        assert miss.score() == (miss.acc.mean, miss.pred_mean, 0.0, math.inf)
+        row = run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=300, seed=1, period=8)).row("p_tot")
+        assert row.score() == (row.acc.mean, row.pred_mean, row.acc.std_error, row.z_mean)
+        assert row.score(var=True) == (row.acc.variance, row.pred_var, row.acc.variance_std_error, row.z_var)
 
     def test_std_error_definition(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=500, seed=2, period=8)

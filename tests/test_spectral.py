@@ -21,7 +21,7 @@ from anticip import (
     truncation_window,
 )
 from anticip import spectral
-from anticip.bounds import grid_indices
+from anticip.bounds import grid_residues
 from anticip.spectral import folded_index, line_factor
 from packed_reference import engine_rows, packed_formula
 
@@ -346,4 +346,4 @@ class TestFromMeasure:
         # on the grid, but residue class 0 of period 2 carries 0.75, not 1/2
         m = DiscreteMeasure([0.0, PI], [0.75, 0.25])
         with pytest.raises(OrthogonalityError, match="residue class"):
-            grid_indices(m, 2)
+            grid_residues(m, 2)
