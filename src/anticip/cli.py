@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import math
 import sys
 
@@ -56,6 +55,7 @@ def _emit(rows, config: dict, fmt: str, out: str) -> None:
     with (contextlib.nullcontext(click.get_text_stream("stdout")) if out == "-"
           else open(out, "w", encoding="utf-8", newline="\n")) as fh:
         if fmt == "json":  # RFC 8259 has no NaN or infinity: such floats are written as null
+            import json  # imported here, so a CSV run never loads the encoder
             config, *rows = ({key: None if isinstance(value, float) and not math.isfinite(value)
                               else value for key, value in fields.items()}
                              for fields in (config, *rows))

@@ -16,8 +16,8 @@ import numpy as np
 
 def check_seed(seed: int, name: str = "seed") -> int:
     """`seed` when it is an integer in [0, 2^64), else ValueError: seeds are never
-    wrapped or truncated."""
-    if not isinstance(seed, numbers.Integral):
+    wrapped or truncated, and a bool is no seed."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
         raise ValueError(f"{name}: {seed!r} is not an integer")
     if not 0 <= seed < 1 << 64:
         raise ValueError(f"{name} must lie in [0, 2^64) (got {seed})")

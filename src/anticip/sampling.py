@@ -32,7 +32,6 @@ import math
 import numbers
 import os
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -98,9 +97,8 @@ class SamplingDistribution:
             raise ValueError("table support must lie within [-1, 1]")
         if np.any(ms < 0) or abs(float(ms.sum()) - 1.0) > 1e-9:
             raise ValueError("table masses must be nonnegative and sum to 1")
-        ms = ms / ms.sum()
-        order = np.argsort(pts)
-        pts, ms = pts[order], ms[order]
+        pts, atom = np.unique(pts, return_inverse=True)  # sorted, and a repeated point is one atom
+        ms = np.bincount(atom, weights=ms / ms.sum())
         mom = MomentTuple(*(float((ms * pts**r).sum()) for r in (1, 2, 3, 4)))
         if np.array_equal(pts, -pts[::-1]) and np.array_equal(ms, ms[::-1]):
             mom = replace(mom, m1=0.0, m3=0.0)  # mirrored atoms: exact zeros the float sums can miss
@@ -246,9 +244,10 @@ def merge_accumulators(a: MomentAccumulator, b: MomentAccumulator) -> MomentAccu
 
 def _check_integers(name: str, *values) -> None:
     """ValueError naming the field `name` unless every value is a Python or numpy
-    integer: a float size or index would be truncated or key a row of its own."""
+    integer and no bool: a float size or index would be truncated or key a row of
+    its own, and a bool would run as 1 or 0."""
     for v in values:
-        if not isinstance(v, numbers.Integral):
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral):
             raise ValueError(f"{name}: {v!r} is not an integer")
 
 
@@ -462,6 +461,7 @@ def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
     if n_threads == 1 or hi - lo <= step:
         yield from map(worker, runs)
         return
+    from concurrent.futures import ThreadPoolExecutor  # imported here, so a run with no pool never loads it
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
         pending = deque()
         for run in runs:

@@ -643,3 +643,22 @@ def test_module_invocation_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("n,tilde_n,")
+
+
+def test_pool_and_json_encoder_load_only_in_runs_that_use_them():
+    # a run on one thread, or of one run, starts no pool, and a CSV run encodes no JSON:
+    # a fresh process lists which of the two modules it loaded after each command
+    probe = ("import sys\nfrom anticip.cli import main\ntry:\n    if sys.argv[1:]:\n        main(sys.argv[1:])\n"
+             "finally:\n    print(*sorted({'json', 'concurrent.futures'} & set(sys.modules)), file=sys.stderr)")
+
+    def run(*args):
+        proc = subprocess.run([sys.executable, "-c", probe, *args], capture_output=True, text=True, env=_SRC_ENV)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stderr.splitlines()[-1], proc.stdout
+
+    assert run()[0] == ""  # `import anticip.cli`
+    sample = ("sample", "--period", "64", "--trials", "600", "--n", "1")  # 3 chunks: 2 runs on 2 threads
+    loaded, one_thread = run(*sample, "--threads", "1")
+    assert loaded == ""
+    assert run(*sample, "--threads", "1", "--format", "json")[0] == "json"
+    assert run(*sample, "--threads", "2") == ("concurrent.futures", one_thread)

@@ -23,8 +23,9 @@ from anticip import (
     amplitudes_periodic,
     folded_index,
     probabilities,
+    run_monte_carlo,
 )
-from anticip.sampling import _batch_moments
+from anticip.sampling import CHUNK, _batch_moments
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
 from packed_reference import engine_rows
 
@@ -364,3 +365,48 @@ def test_sample_json_is_strict_json(args):
     assert res.exit_code in (0, 1), res.output
     results = json.loads(res.output, parse_constant=reject)["results"]
     assert results and all(row["trials"] == int(args[3]) for row in results)
+
+
+@st.composite
+def _engine_cases(draw):
+    # a small run on a period or a line of up to 6 chunks, so threads 2 and 3 take the
+    # pool path when it has more than one run, and a cut into two chunk ranges
+    periodic, size = draw(st.booleans()), draw(st.integers(2, 40))
+    if periodic:
+        ns, Ns, epsilon = st.integers(1, size), st.integers(0, (size - 1) // 2), st.floats(0.01, 0.99)
+    else:
+        ns, Ns, epsilon = st.integers(-100, 100), st.integers(0, 100), st.nothing()
+    trials = draw(st.integers(1, 1300))
+    config = MonteCarloConfig(
+        dist=draw(st.sampled_from([SamplingDistribution.uniform(), SamplingDistribution.two_point(0.5)])),
+        trials=trials, seed=draw(_uint64), **{"period" if periodic else "cells": size},
+        n_list=tuple(draw(st.lists(ns, max_size=3))), N_list=tuple(draw(st.lists(Ns, max_size=3))),
+        r_list=tuple(draw(st.lists(st.sampled_from([0.0, 1.0, 2.5]), max_size=2))),
+        epsilon=draw(st.none() | epsilon))
+    return config, draw(st.integers(0, -(-trials // CHUNK)))
+
+
+def _acc_bits(report):
+    return [(r.key, r.acc.count, np.array([r.acc.mean, r.acc.m2, r.acc.m3, r.acc.m4]).tobytes())
+            for r in report.rows]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_engine_cases())
+@example(case=(MonteCarloConfig(dist=SamplingDistribution.uniform(), trials=1300, seed=3, period=16,
+                                n_list=(1, 8), N_list=(0, 3), r_list=(1.0,), epsilon=0.2), 2))
+def test_thread_counts_and_chunk_ranges_keep_the_report(case):
+    config, cut = case
+    one, *pooled = (run_monte_carlo(config, threads=t) for t in (1, 2, 3))
+    for report in pooled:
+        assert _acc_bits(report) == _acc_bits(one)
+        assert (report.histogram is None) == (one.histogram is None)
+        assert one.histogram is None or np.array_equal(report.histogram, one.histogram)
+    merged = run_monte_carlo(config, chunk_range=(0, cut)).merge(
+        run_monte_carlo(config, chunk_range=(cut, -(-config.trials // CHUNK))))
+    assert merged.trials == one.trials == config.trials
+    for a, b in zip(one.rows, merged.rows, strict=True):
+        assert a.key == b.key
+        assert math.isclose(a.acc.mean, b.acc.mean, rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(a.acc.variance, b.acc.variance, rel_tol=1e-12, abs_tol=1e-12)
+    assert one.histogram is None or np.array_equal(merged.histogram, one.histogram)

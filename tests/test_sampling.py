@@ -27,6 +27,7 @@ from anticip import (
     stream,
     tail_exceedance,
 )
+from anticip import rng as rng_mod
 from anticip.sampling import (
     CHUNK,
     RUN,
@@ -157,6 +158,16 @@ class TestDistributions:
         uneven = np.arange(1.0, len(points) + 1)  # mirrored points, unequal masses: the sums stand
         skewed = SamplingDistribution.table(points, uneven / uneven.sum()).moments
         assert skewed.m1 > 0.0 and skewed.m3 > 0.0
+
+    def test_repeated_points_are_one_atom(self):
+        # -0.2 listed twice: once m1 = -2.78e-17, now the law of the four distinct atoms
+        repeated = SamplingDistribution.table([-0.9, -0.2, -0.2, 0.2, 0.9], [0.25, 0.125, 0.125, 0.25, 0.25])
+        distinct = SamplingDistribution.table([-0.9, -0.2, 0.2, 0.9], [0.25] * 4)
+        assert repeated.moments == distinct.moments and repeated.moments.m1 == repeated.moments.m3 == 0.0
+        assert repeated.points.tolist() == distinct.points.tolist() == [-0.9, -0.2, 0.2, 0.9]
+        assert repeated.masses.tolist() == distinct.masses.tolist() == [0.25] * 4
+        draws = [law.sample(stream(7, 2), (300, 17)) for law in (repeated, distinct)]
+        assert draws[0].tobytes() == draws[1].tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_table_rejects_non_finite(self, bad):
@@ -325,6 +336,12 @@ class TestEngine:
         ("trials", {"period": 8, "trials": 300.5}),
         ("period", {"period": 8.0}),
         ("cells", {"cells": 8.5}),
+        ("trials", {"period": 8, "trials": True}),  # once an unnamed TypeError in the worker
+        ("n_list", {"period": 8, "n_list": (True,)}),  # once run as p_1
+        ("N_list", {"period": 8, "N_list": (False,)}),
+        ("N_list", {"cells": 8, "N_list": (2, True)}),
+        ("period", {"period": True}),
+        ("cells", {"cells": False}),
     ])
     def test_non_integral_sizes_and_indices_rejected(self, field, fields):
         with pytest.raises(ValueError, match=f"^{field}: .* is not an integer$"):
@@ -346,6 +363,15 @@ class TestEngine:
     def test_non_integral_seed_rejected(self):
         with pytest.raises(ValueError, match="^seed: 1.5 is not an integer$"):
             run_monte_carlo(MonteCarloConfig(dist=UNIFORM, trials=10, seed=1.5, period=8))
+
+    def test_bool_thread_count_and_seed_rejected(self):
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=600, seed=0, period=8)
+        with pytest.raises(ValueError, match="^threads: True is not an integer$"):
+            run_monte_carlo(cfg, threads=True)  # once run on one thread
+        with pytest.raises(ValueError, match="^seed: True is not an integer$"):
+            run_monte_carlo(replace(cfg, seed=True))  # once run as seed 1
+        with pytest.raises(ValueError, match="^seed of C1: False is not an integer$"):
+            rng_mod.check_seed(False, "seed of C1")
 
     def test_determinism(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=2000, seed=11, period=16,
