@@ -21,7 +21,8 @@ count, through a mask of its rows, into a (statistic, row) block and its p_n
 columns into the stage, from which the other per-row statistics join the block
 once per stage. BLAS rounds a row by the row count of its product, so products
 keep their rows: y @ W and the moment and line p_N dgemv's are one product per
-block, and the configuration alone fixes the blocks. One call reduces a run's
+block. The configuration alone fixes the blocks, bins, path and weights, which
+`_Plan(config)` holds and its `stages(run)` runs. One call reduces a run's
 rows to each chunk's mean and central moments up to order four; the per-chunk
 accumulators merge associatively, in ordinal order, which makes chunked,
 threaded and single-pass runs agree to rounding.
@@ -296,6 +297,8 @@ class MonteCarloConfig:
                 if abs(n) > 1 << 53:
                     raise ValueError(f"line index {n} outside |n| <= 2^53")
         for r in self.r_list:
+            if isinstance(r, bool) or not isinstance(r, numbers.Real):  # True would run as the moment 1.0
+                raise ValueError(f"r_list: {r!r} is not a number")
             if not (math.isfinite(r) and r >= 0):
                 raise ValueError(f"moment orders must be finite and nonnegative (got {r})")
         if self.epsilon is not None:
@@ -451,6 +454,7 @@ def _run_chunked(worker, trials: int, threads: int | None, chunk_range):
     any trials."""
     count = -(-trials // CHUNK)
     lo, hi = (0, count) if chunk_range is None else chunk_range
+    _check_integers("chunk_range", lo, hi)
     if not 0 <= lo <= hi <= count:
         raise ValueError(f"chunk range {(lo, hi)} outside 0..{count}")
     n_threads = resolve_threads(threads)
@@ -481,17 +485,6 @@ _BLOCK_BYTES = 1 << 20  # a block halves its rows while its bytes pass this, to 
 _FOLD_BLOCK = 1 << 16  # indices per block of `_fold`
 
 
-def _spectrum_bins(config: MonteCarloConfig):
-    """(bins, W): the sorted half bins whose p_n a chunk returns, 1..min(max N,
-    ceil(size/2)) and those of the n's, with W their `half_step_phase_matrix`; for
-    a moment or over `_MATRIX_BINS` bins, all ceil(size/2) of them and W None (the FFT)."""
-    top = min(max(config.N_list, default=0), (config.size + 1) // 2)
-    bins = sorted({*range(1, top + 1), *(int(cf._half_bin(config.size, n)) for n in config.n_list)})
-    if config.r_list or len(bins) > _MATRIX_BINS:
-        return range(1, (config.size + 1) // 2 + 1), None
-    return bins, half_step_phase_matrix(config.size, bins)
-
-
 def _fold(size: int, stop: int, term) -> np.ndarray:
     """Weights over the half bins 1..ceil(size/2): term(n) added into the half bin
     of n for n = stop down to 1 (the line's terms, ~1/n^2, smallest first), in
@@ -503,121 +496,124 @@ def _fold(size: int, stop: int, term) -> np.ndarray:
     return g
 
 
-def _rows(config: MonteCarloConfig, bins) -> tuple[dict, dict]:
-    """Fixed weights over the p_n columns of the half `bins`, and the closed-form
-    pairings (mean, var, note, exact), by key in row order: p_tot, p_n, p_N, moment,
-    near-zero count. A moment folds tilde(n)^r over a period, on the line (n^r +
-    (n-1)^r) w_n over n = 1.._MOMENT_TOP (p_{1-n} = p_n); a line p_n row takes w_n
-    = |line_factor|^2, a p_N row g_N, the fold of w_n over n = 1..N."""
-    size, m = config.size, config.dist.moments
-    preds = {("p_tot", None): (cf.expected_ptot(m), cf.var_pN(size, 0, m), None, True)}
-    if config.period is not None:
-        weights = {("moment", float(r)): _fold(size, size, lambda n: folded_index(n, size).astype(float) ** r)
-                   for r in config.r_list}
-        for n in config.n_list:
-            preds[("p_n", float(n))] = (cf.expected_pn(size, n, m), cf.var_pn(size, n, m), None, True)
-        for N in config.N_list:
-            preds[("p_N", float(N))] = (cf.expected_pN(size, N, m), cf.var_pN(size, N, m), None, True)
-        for r in config.r_list:
-            lead = cf.expected_moment_observable(size, r, m)
-            preds[("moment", float(r))] = (lead.value, None, f"leading order, error {lead.error_order}", False)
-    else:
-        def w(n):
-            return np.abs(line_factor(size, n)) ** 2
+class _Plan:
+    """What a run of `config` computes and how, fixed by the configuration alone, so one
+    plan serves every run and thread. `preds`: the closed-form pairings (mean, var, note,
+    exact) by key, in row order: p_tot, p_n, p_N, moment, near-zero count. `bins`: the
+    sorted half bins whose p_n a chunk returns, 1..min(max N, ceil(size/2)) and those of
+    the n's, with `W` their `half_step_phase_matrix`; for a moment or over `_MATRIX_BINS`
+    bins, all ceil(size/2), with W None and the FFT's `twiddle`. `weights` over the p_n
+    columns: a moment folds tilde(n)^r over a period, on the line (n^r + (n-1)^r) w_n over
+    n = 1.._MOMENT_TOP (p_{1-n} = p_n); a line p_n row takes w_n = |line_factor|^2, a p_N
+    row g_N, the fold of w_n over n = 1..N. Chunks go in blocks of `rows` rows, runs in
+    stages of at most `stage`; by row, `picks` are each p_n's column and weight, `dots` the
+    weights of moments and line p_N's, `tails` each p_N's N and `sums` a period's windows."""
 
-        # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
-        weights = {}
-        for n, wn, mn in zip(config.n_list, w(config.n_list).tolist(),
-                             cf.expected_pn(size, np.array(config.n_list, np.int64), m).tolist()):
-            weights[("p_n", float(n))] = wn
-            preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(size, n, m), None, True)
-        half = cf.expected_pn(size, np.array(bins, np.int64), m)
-        for N in config.N_list:  # no variance prediction until an oracle checks one
-            key = ("p_N", float(N))
-            weights[key] = _fold(size, N, w)[np.array(bins, dtype=np.intp) - 1]
-            preds[key] = (m.m2 - 2.0 * float(weights[key] @ half), None, None, True)
-        for r in config.r_list:
-            weights[("moment", float(r))] = _fold(size, _MOMENT_TOP, lambda n: (n**r + (n - 1.0) ** r) * w(n))
-            preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
-    if config.epsilon is not None:
-        q = config.dist.mass_within(config.epsilon)
-        note = f"epsilon={config.epsilon:g} q={q:.17g}"
-        preds[("near_zero_count", float(config.epsilon))] = (size * q, size * q * (1.0 - q), note, True)
-    return weights, preds
+    def __init__(self, config: MonteCarloConfig):
+        size, m, line = config.size, config.dist.moments, config.period is None
+        top = min(max(config.N_list, default=0), (size + 1) // 2)
+        bins = sorted({*range(1, top + 1), *(int(cf._half_bin(size, n)) for n in config.n_list)})
+        if config.r_list or len(bins) > _MATRIX_BINS:
+            bins, W = range(1, (size + 1) // 2 + 1), None
+        else:
+            W = half_step_phase_matrix(size, bins)
+        preds = {("p_tot", None): (cf.expected_ptot(m), cf.var_pN(size, 0, m), None, True)}
+        if not line:
+            weights = {("moment", float(r)): _fold(size, size, lambda n: folded_index(n, size).astype(float) ** r)
+                       for r in config.r_list}
+            for n in config.n_list:
+                preds[("p_n", float(n))] = (cf.expected_pn(size, n, m), cf.var_pn(size, n, m), None, True)
+            for N in config.N_list:
+                preds[("p_N", float(N))] = (cf.expected_pN(size, N, m), cf.var_pN(size, N, m), None, True)
+            for r in config.r_list:
+                lead = cf.expected_moment_observable(size, r, m)
+                preds[("moment", float(r))] = (lead.value, None, f"leading order, error {lead.error_order}", False)
+        else:
+            def w(n):
+                return np.abs(line_factor(size, n)) ** 2
 
+            # p_n = w_n p_c and p_N = p_tot - 2 p_half @ g_N, so E(p_N) = m2 - 2 g_N @ E(p_half)
+            weights = {}
+            for n, wn, mn in zip(config.n_list, w(config.n_list).tolist(),
+                                 cf.expected_pn(size, np.array(config.n_list, np.int64), m).tolist()):
+                weights[("p_n", float(n))] = wn
+                preds[("p_n", float(n))] = (wn * mn, wn * wn * cf.var_pn(size, n, m), None, True)
+            half = cf.expected_pn(size, np.array(bins, np.int64), m)
+            for N in config.N_list:  # no variance prediction until an oracle checks one
+                key = ("p_N", float(N))
+                weights[key] = _fold(size, N, w)[np.array(bins, dtype=np.intp) - 1]
+                preds[key] = (m.m2 - 2.0 * float(weights[key] @ half), None, None, True)
+            for r in config.r_list:
+                weights[("moment", float(r))] = _fold(size, _MOMENT_TOP, lambda n: (n**r + (n - 1.0) ** r) * w(n))
+                preds[("moment", float(r))] = (None, None, "window partial sum of a divergent series", False)
+        if config.epsilon is not None:
+            q = config.dist.mass_within(config.epsilon)
+            note = f"epsilon={config.epsilon:g} q={q:.17g}"
+            preds[("near_zero_count", float(config.epsilon))] = (size * q, size * q * (1.0 - q), note, True)
+        rows, K, keys = CHUNK, len(bins), [*preds]
+        row_bytes = 24 * size if W is None else 8 * size + 24 * K  # matrix: a row of y, of [Re|Im] and of p_n
+        while rows > 16 and row_bytes * rows > _BLOCK_BYTES:
+            rows //= 2
+        self.config, self.preds, self.weights, self.bins, self.W, self.rows = config, preds, weights, bins, W, rows
+        self.stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _BLOCK_BYTES // (8 * max(K, 1) * CHUNK)))
+        self.twiddle = half_step_roots(size, size // 2) / size if W is None else None
+        self.picks = [(k, bins.index(int(cf._half_bin(size, int(key[1])))), weights.get(key, 1.0))
+                      for k, key in enumerate(keys) if key[0] == "p_n"]
+        self.dots = [(k, weights[key]) for k, key in enumerate(keys) if key[0] == "moment" or line and key[0] == "p_N"]
+        self.tails = [(k, int(key[1])) for k, key in enumerate(keys) if key[0] == "p_N"]
+        self.sums = [] if line else self.tails  # bins start 1..N
 
-def _stages(config: MonteCarloConfig):
-    """(stages, preds): the `_rows` pairings by key, and `stages(run)`, which writes the
-    per-trial statistics of a run of (ordinal, n_trials) chunks into the run's own (key, row)
-    block, p_tot first and the near-zero count last, yielding (block, lo, hi) per stage of
-    rows lo..hi-1. The run allocates its buffers and one generator, which chunk c re-keys
-    to stream (seed, c). A block writes p_tot and the count from its spent draws, with no
-    temporary of their size, its squared p_n columns into the stage (odd p reverses A's
-    bins, p_n = |A[(p+1)/2-n]|^2; even p interleaves the odd bins with the mirrored rest)
-    and its moment and line p_N dgemv's; each stage adds the p_n picks and p_N = p_tot - 2*sum."""
-    bins, W = _spectrum_bins(config)
-    weights, preds = _rows(config, bins)
-    keys, size, eps, line = [*preds], config.size, config.epsilon, config.period is None
-    rows, K = CHUNK, len(bins)
-    row_bytes = 24 * size if W is None else 8 * size + 24 * K  # matrix: a row of y, of [Re|Im] and of p_n
-    while rows > 16 and row_bytes * rows > _BLOCK_BYTES:
-        rows //= 2
-    stage = rows if rows < CHUNK else CHUNK * max(1, min(RUN, _BLOCK_BYTES // (8 * max(K, 1) * CHUNK)))
-    q, twiddle = (size // 2 + 1) // 2, half_step_roots(size, size // 2) / size if W is None else None
-    # the plan, by row: each statistic's p_n column and weight, or its near window
-    col = {b: j for j, b in enumerate(bins)}
-    picks = [(k, col[int(cf._half_bin(size, int(key[1])))], weights.get(key, 1.0))
-             for k, key in enumerate(keys) if key[0] == "p_n"]
-    dots = [(k, weights[key]) for k, key in enumerate(keys) if key[0] == "moment" or line and key[0] == "p_N"]
-    tails = [(k, int(key[1])) for k, key in enumerate(keys) if key[0] == "p_N"]
-    sums = [] if line else tails  # bins start 1..N
-
-    def block(y, z, pn, stats, mask):  # the block's draws, transform, stage p_n rows and statistic columns
-        v = (half_step_bins(y, z, twiddle) if W is None else np.matmul(y, W, out=z)).view(float)
-        if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
-            np.less(np.abs(y, out=y), eps, out=mask[:len(y)]).sum(axis=1, out=stats[-1])
-        ptot = np.add.reduce(np.multiply(y, y, out=y), axis=1, out=stats[0])
-        ptot /= size  # the bits of .mean(axis=1)
-        v *= v  # the squares in one contiguous pass; conjugation flips none
-        re, im = (v[:, 0::2], v[:, 1::2]) if W is None else (v[:, :K], v[:, K:])
-        if W is not None:
-            np.add(re, im, out=pn)
-        elif size % 2:
-            np.add(re[:, ::-1], im[:, ::-1], out=pn)
-        else:  # p_{2m+2} = p_{2(h-1-m)+1}
-            np.add(re[:, :q], im[:, :q], out=pn[:, 0::2])
-            np.add(re[:, q:][:, ::-1], im[:, q:][:, ::-1], out=pn[:, 1::2])
-        for k, w in dots:
-            np.matmul(pn, w, out=stats[k])
-
-    def finish(pn, stats):  # the stage's p_n rows and statistic columns
-        for k, j, w in picks:
-            np.multiply(pn[:, j], w, out=stats[k])
-        for k, N in sums:
-            pn[:, :N].sum(axis=1, out=stats[k])
-        for k, _ in tails:  # the row holds the near window's sum, or the line's product
-            np.subtract(stats[0], np.multiply(stats[k], 2.0, out=stats[k]), out=stats[k])
-
-    def stages(run):  # the run owns its buffers and its one generator
+    def stages(self, run):
+        """Write the per-trial statistics of a run of (ordinal, n_trials) chunks into the run's
+        own (key, row) block, p_tot first and the near-zero count last, yielding (block, lo, hi)
+        per stage of rows lo..hi-1. The run allocates its buffers and one generator, which chunk
+        c re-keys to stream (seed, c). A block writes p_tot and the count from its spent draws,
+        with no temporary of their size, its squared p_n columns into the stage (odd p reverses
+        A's bins, p_n = |A[(p+1)/2-n]|^2; even p interleaves the odd bins with the mirrored rest)
+        and its `dots`; each stage adds the `picks` and p_N = p_tot - 2*sum."""
+        config, W, twiddle, rows, stage = self.config, self.W, self.twiddle, self.rows, self.stage
+        size, eps, K = config.size, config.epsilon, len(self.bins)
+        q = (size // 2 + 1) // 2
         lo, at, end, gen = 0, 0, sum(n for _, n in run), None
         m = min(rows, end)
-        y, pn, stats = np.empty((m, size)), np.empty((min(stage, end), K)), np.empty((len(keys), end))
+        y, pn, stats = np.empty((m, size)), np.empty((min(stage, end), K)), np.empty((len(self.preds), end))
         z = np.empty((m, 2 * K)) if W is not None else np.empty((m, (size + 1) // 2), complex)
         mask = None if eps is None else np.empty((m, size), bool)  # one block's rows
         for c, n in run:
             gen = rng_mod.stream(config.seed, c, reuse=gen)
             # no 1-row last block: numpy takes a 1-row moment product by dot, not dgemv's row kernel
             starts = [i - 4 * (i == n - 1 > 0) for i in range(0, n, rows)]
-            for i, j in zip(starts, starts[1:] + [n]):
-                block(config.dist.sample(gen, (j - i, size), out=y[:j - i]), z[:j - i],
-                      pn[at - lo:at - lo + j - i], stats[:, at:at + j - i], mask)
-                at += j - i
-                if at - lo + rows > stage or at == end:
-                    finish(pn[:at - lo], stats[:, lo:at])
+            for i, j in zip(starts, starts[1:] + [n]):  # a block: its draws, transform, p_n and statistics
+                d = j - i
+                yb = config.dist.sample(gen, (d, size), out=y[:d])
+                pb, s = pn[at - lo:at - lo + d], stats[:, at:at + d]
+                v = (half_step_bins(yb, z[:d], twiddle) if W is None else np.matmul(yb, W, out=z[:d])).view(float)
+                if eps is not None:  # the transform has read y: |y|, then y*y = |y|^2, in place
+                    np.less(np.abs(yb, out=yb), eps, out=mask[:d]).sum(axis=1, out=s[-1])
+                ptot = np.add.reduce(np.multiply(yb, yb, out=yb), axis=1, out=s[0])
+                ptot /= size  # the bits of .mean(axis=1)
+                v *= v  # the squares in one contiguous pass; conjugation flips none
+                re, im = (v[:, 0::2], v[:, 1::2]) if W is None else (v[:, :K], v[:, K:])
+                if W is not None:
+                    np.add(re, im, out=pb)
+                elif size % 2:
+                    np.add(re[:, ::-1], im[:, ::-1], out=pb)
+                else:  # p_{2m+2} = p_{2(h-1-m)+1}
+                    np.add(re[:, :q], im[:, :q], out=pb[:, 0::2])
+                    np.add(re[:, q:][:, ::-1], im[:, q:][:, ::-1], out=pb[:, 1::2])
+                for k, w in self.dots:
+                    np.matmul(pb, w, out=s[k])
+                at += d
+                if at - lo + rows > stage or at == end:  # the stage's p_n rows and statistic columns
+                    pb, s = pn[:at - lo], stats[:, lo:at]
+                    for k, col, w in self.picks:
+                        np.multiply(pb[:, col], w, out=s[k])
+                    for k, N in self.sums:
+                        pb[:, :N].sum(axis=1, out=s[k])
+                    for k, _ in self.tails:  # the row holds the near window's sum, or the line's product
+                        np.subtract(s[0], np.multiply(s[k], 2.0, out=s[k]), out=s[k])
                     yield stats, lo, at
                     lo = at
-
-    return stages, preds
 
 
 def run_monte_carlo(
@@ -631,12 +627,12 @@ def run_monte_carlo(
     `chunk_range` restricts the run to chunk ordinals [lo, hi); partial
     reports over disjoint ranges merge back to the single-pass report.
     """
-    stages, preds = _stages(config)
-    keys, width, hist_size = list(preds), min(CHUNK, config.trials), config.size + 1
+    plan = _Plan(config)
+    keys, width, hist_size = list(plan.preds), min(CHUNK, config.trials), config.size + 1
 
     def worker(run):  # the run's accumulators, chunk by chunk, and its one near-zero histogram
         hist = None if config.epsilon is None else np.zeros(hist_size, dtype=np.int64)
-        for stats, lo, hi in stages(run):
+        for stats, lo, hi in plan.stages(run):
             if hist is not None:
                 hist += np.bincount(stats[-1, lo:hi].astype(np.intp), minlength=hist_size)
         n_last = run[-1][1]  # only the last chunk of all can be partial; it is reduced on its own
@@ -655,8 +651,8 @@ def run_monte_carlo(
         if hist is not None:
             histogram += hist
 
-    # preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
-    rows = [StatRow(*key, totals[key], *preds[key]) for key in keys]
+    # plan.preds[key] is (pred_mean, pred_var, note, exact_pred), in StatRow's field order
+    rows = [StatRow(*key, totals[key], *plan.preds[key]) for key in keys]
     return EstimateReport(
         mode=config.mode,
         size=config.size,
@@ -679,10 +675,11 @@ def tail_exceedance(
     config = MonteCarloConfig(dist=dist, trials=trials, seed=seed, period=p, N_list=(N,))
     if not math.isfinite(delta):
         raise ValueError(f"delta must be finite (got {delta})")
-    stages = _stages(config)[0]
+    plan = _Plan(config)
+    k = [*plan.preds].index(("p_N", float(N)))
 
-    def worker(run):  # the run's count, summed over its stages; row 1 is p_N
-        return sum(int(np.count_nonzero(stats[1, lo:hi] > delta)) for stats, lo, hi in stages(run))
+    def worker(run):  # the run's count, summed over its stages
+        return sum(int(np.count_nonzero(stats[k, lo:hi] > delta)) for stats, lo, hi in plan.stages(run))
 
     return sum(_run_chunked(worker, trials, None, None)) / trials
 

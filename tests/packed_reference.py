@@ -6,7 +6,7 @@ engine's own per-trial rows of a run of chunks, to compare with them."""
 import numpy as np
 
 from anticip.closed_form import _half_bin
-from anticip.sampling import CHUNK, _stages
+from anticip.sampling import CHUNK, _Plan
 
 
 def packed_formula(y):
@@ -34,7 +34,7 @@ def chunk_sizes(trials):
 
 def trial_stats(cfg, y, ptot, pn, weights, bins):
     """Per-trial statistics from freshly allocated arrays, by key: pn holds p_n over
-    the half `bins`, weighted by the `_rows` weights on the line; p_N is p_tot less
+    the half `bins`, weighted by the plan's `weights` on the line; p_N is p_tot less
     twice the near window (a period's bins 1..N, the line's weights); a moment is pn @ w;
     the near-zero count is #{k : |y_k| < epsilon}."""
     out = {("p_tot", None): ptot}
@@ -55,7 +55,7 @@ def trial_stats(cfg, y, ptot, pn, weights, bins):
 def engine_rows(cfg, run=None):
     """The engine's per-trial statistic rows, by key, of the (ordinal, n_trials) chunks
     of `run`, by default chunk 0 holding every trial."""
-    stages, preds = _stages(cfg)
-    for stats, _, hi in stages(run or [(0, cfg.trials)]):
+    plan = _Plan(cfg)
+    for stats, _, hi in plan.stages(run or [(0, cfg.trials)]):
         pass
-    return {key: row[:hi].copy() for key, row in zip(preds, stats)}
+    return {key: row[:hi].copy() for key, row in zip(plan.preds, stats)}

@@ -32,10 +32,8 @@ from anticip.sampling import (
     CHUNK,
     RUN,
     StatRow,
-    _rows,
+    _Plan,
     _run_chunked,
-    _spectrum_bins,
-    _stages,
     resolve_threads,
 )
 from anticip.spectral import half_step_bins, half_step_phase_matrix, half_step_roots, line_factor
@@ -315,7 +313,7 @@ class TestEngine:
         # reaches |n| = 2^53 = 2 mod 3, and `model` reaches line_factor at 2^62 - 1 = 3 mod 3
         top = 1 << 53
         cfg = MonteCarloConfig(dist=UNIFORM, trials=10, seed=0, cells=3, n_list=(top, 1 - top, 2))
-        weights = _rows(cfg, _spectrum_bins(cfg)[0])[0]
+        weights = _Plan(cfg).weights
         scaled = [weights[("p_n", float(n))] * (n - 0.5) ** 2 for n in (top, 1 - top)]
         assert scaled == pytest.approx([weights[("p_n", 2.0)] * 1.5**2] * 2, rel=1e-14)
         top = (1 << 62) - 1
@@ -372,6 +370,10 @@ class TestEngine:
             run_monte_carlo(replace(cfg, seed=True))  # once run as seed 1
         with pytest.raises(ValueError, match="^seed of C1: False is not an integer$"):
             rng_mod.check_seed(False, "seed of C1")
+        with pytest.raises(ValueError, match=r"^chunk_range: False is not an integer$"):
+            run_monte_carlo(cfg, chunk_range=(False, True))  # once run as chunk 0
+        with pytest.raises(ValueError, match="^r_list: True is not a number$"):
+            replace(cfg, r_list=(True,))  # once a ('moment', 1.0) row
 
     def test_determinism(self):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=2000, seed=11, period=16,
@@ -461,10 +463,62 @@ class TestEngine:
         # a stage holds whole chunks up to the run while 8 bytes per p_n column fit
         # _BLOCK_BYTES, the blocks' own budget, or one block where blocks are cut below a chunk
         cfg = MonteCarloConfig(dist=UNIFORM, trials=16 * 256 + 1, seed=1, **size, **stats)
-        stages = _stages(cfg)[0]
+        plan = _Plan(cfg)
+        assert plan.stage == rows
+        stages = plan.stages
         spans = [(lo, hi) for _, lo, hi in stages([(c, 256) for c in range(RUN)])]
         assert spans == [(lo, lo + rows) for lo in range(0, RUN * 256, rows)]
         assert [(lo, hi) for _, lo, hi in stages([(RUN, 1)])] == [(0, 1)]
+
+    @pytest.mark.parametrize("size, stats", [
+        ({"period": 64}, {"n_list": (1, 32), "N_list": (0, 4), "epsilon": 0.1}),  # the matrix path
+        ({"period": 63}, {"n_list": (1,), "N_list": (0, 4), "r_list": (1.0,), "epsilon": 0.1}),  # the FFT
+        ({"cells": 24}, {"n_list": (1, -5), "N_list": (0, 3, 12, 1000)}),  # a line on the matrix path
+        ({"cells": 24}, {"n_list": (1, -5), "N_list": (0, 3, 1000), "r_list": (1.0,)}),  # a line on the FFT
+    ], ids=["p64-matrix", "p63-fft", "line-matrix", "line-fft"])
+    def test_plan_depends_only_on_the_config(self, size, stats):
+        # seed, trials and the thread count leave the plan alone, and one plan shared by three
+        # threads gives the bytes of one: each run owns its buffers and its generator
+        import anticip.sampling as sampling
+
+        def facts(plan):
+            W = None if plan.W is None else plan.W.view(np.uint64).tolist()
+            dots = [(k, w.view(np.uint64).tolist()) for k, w in plan.dots]
+            return [*plan.preds], [*plan.bins], W, plan.rows, plan.stage, plan.picks, dots, plan.tails
+
+        cfg = MonteCarloConfig(dist=UNIFORM, trials=600, seed=1, **size, **stats)
+        plans = [_Plan(replace(cfg, seed=9)), _Plan(replace(cfg, trials=16 * 256 + 1))]
+        with mock.patch.object(sampling, "_Plan", lambda c: plans.append(_Plan(c)) or plans[-1]):
+            for threads in (1, 2):
+                run_monte_carlo(cfg, threads=threads)
+        want = facts(_Plan(cfg))
+        assert len(plans) == 4 and all(facts(plan) == want for plan in plans)
+
+        plan, runs = _Plan(cfg), [[(c, 256) for c in range(r, r + 8)] for r in (0, 8, 16)]
+        start = threading.Barrier(len(runs))
+
+        def rows_of(run, out, wait=False):
+            if wait:  # the threads start drawing together
+                start.wait(timeout=60)
+            out.extend(stats[:, lo:hi].copy() for stats, lo, hi in plan.stages(run))
+
+        alone, shared = [[] for _ in runs], [[] for _ in runs]
+        for run, out in zip(runs, alone):
+            rows_of(run, out)
+        workers = [threading.Thread(target=rows_of, args=(*args, True)) for args in zip(runs, shared)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for one, out in zip(alone, shared):
+            assert len(out) == len(one)
+            assert all(np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in zip(one, out))
 
     def test_two_chunks_of_a_huge_run_allocate_for_two(self):
         # chunk sizes come by arithmetic: a list over the 2^32 chunks of 2^40 trials
@@ -549,9 +603,10 @@ class TestEngine:
     def test_rows_equal_per_statistic_reduction(self, cfg):
         # one add_batch per statistic per chunk; p_n from the allocating period-size
         # transform, squared, with the index-by-index line weights
-        bins, W = _spectrum_bins(cfg)  # a moment: all ceil(size/2) half bins, from the FFT
-        assert W is None and bins == range(1, (cfg.size + 1) // 2 + 1)
-        weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
+        plan = _Plan(cfg)
+        bins = plan.bins  # a moment: all ceil(size/2) half bins, from the FFT
+        assert plan.W is None and bins == range(1, (cfg.size + 1) // 2 + 1)
+        weights = plan.weights if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
         reference = _chunk_reference(cfg, _packed_pn, weights, bins)
         for threads in (1, 3):
             _assert_chunk_bits(cfg, reference, threads=threads)
@@ -951,7 +1006,7 @@ class TestChunkBuffers:
     @staticmethod
     def _reference(cfg):
         bins = range(1, (cfg.period + 1) // 2 + 1)
-        return _chunk_reference(cfg, _packed_pn, _rows(cfg, bins)[0], bins)
+        return _chunk_reference(cfg, _packed_pn, _Plan(cfg).weights, bins)
 
     @pytest.mark.parametrize("p, trials", [
         (2, 513), (3, 300), (4, 257), (5, 300), (6, 300), (8, 600), (33, 300), (64, 3 * 256 + 17),
@@ -990,7 +1045,9 @@ class TestChunkBuffers:
     def test_chunks_reuse_their_thread_buffers(self, p):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, n_list=(1,), r_list=(1.0,),
                                epsilon=0.3)
-        stages, rows = _stages(cfg)[0], _block_rows(24 * p)
+        plan, rows = _Plan(cfg), _block_rows(24 * p)
+        assert plan.rows == rows
+        stages = plan.stages
 
         def run(c):  # per stage: its rows, the block, and a copy of its rows taken before the next stage
             return [(lo, hi, stats, stats[:, lo:hi].copy()) for stats, lo, hi in stages([(c, 256)])]
@@ -1031,8 +1088,9 @@ class TestChunkBuffers:
     @pytest.mark.parametrize("trials", [481, 777, 801, 808])  # last chunks of 225, 9, 33 and 40 rows
     def test_fft_blocks_equal_a_whole_chunk(self, p, trials):
         cfg = self._config(UNIFORM, p, trials)
-        bins, W = _spectrum_bins(cfg)
-        weights, stages, rows = _rows(cfg, bins)[0], _stages(cfg)[0], _block_rows(24 * p)
+        plan, rows = _Plan(cfg), _block_rows(24 * p)
+        bins, weights, stages = plan.bins, plan.weights, plan.stages
+        assert plan.W is None and plan.rows == rows
         for c, n in enumerate(chunk_sizes(trials)):
             # a stage is one block: 32 rows at p = 1024, 16 from p = 1366; no 1-row block,
             # whose moment numpy takes by dot, so 33 rows go as 16 + 12 + 5 at p = 4096
@@ -1054,8 +1112,10 @@ class TestChunkBuffers:
     ])
     def test_fft_buffers_are_bounded_in_p(self, p, rows):
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, r_list=(1.0,))
-        [*_stages(replace(cfg, trials=1))[0]([(0, 1)])]  # FFT plans and twiddles, untraced
-        stages = _stages(cfg)[0]
+        [*_Plan(replace(cfg, trials=1)).stages([(0, 1)])]  # FFT plans and twiddles, untraced
+        plan = _Plan(cfg)
+        assert plan.rows == rows and (plan.stage == rows or rows == 256)  # whole chunks only at 256 rows
+        stages = plan.stages
         tracemalloc.start()
         try:
             run = stages([(0, 256)])
@@ -1076,9 +1136,10 @@ class TestChunkBuffers:
     def test_few_bin_buffers_are_bounded_in_p(self, p, stats, rows):
         # the matrix path blocks by the FFT's rule, at 8 bytes per component and 24 per bin
         cfg = MonteCarloConfig(dist=UNIFORM, trials=3 * 256, seed=0, period=p, **stats)
-        [*_stages(replace(cfg, trials=1))[0]([(0, 1)])]  # first calls, untraced
-        stages = _stages(cfg)[0]  # W is the plan's, made here, untraced
-        K = len(_spectrum_bins(cfg)[0])
+        [*_Plan(replace(cfg, trials=1)).stages([(0, 1)])]  # first calls, untraced
+        plan = _Plan(cfg)  # W is the plan's, made here, untraced
+        stages, K = plan.stages, len(plan.bins)
+        assert plan.W is not None and plan.rows == rows and plan.stage == (rows if rows < 256 else 16 * 256)
         tracemalloc.start()
         try:
             run = stages([(0, 256)])
@@ -1101,14 +1162,14 @@ class TestChunkBuffers:
         # OpenBLAS threads, off the groups of 4 at 225 rows on two threads
         p = 4096
         if path == "fft":
-            cfg, row_bytes = self._config(UNIFORM, p, 256), 24 * p
+            cfg = self._config(UNIFORM, p, 256)
         else:
             cfg = MonteCarloConfig(dist=UNIFORM, trials=256, seed=11, period=p, n_list=(1, 2048),
                                    N_list=(0, 4), epsilon=0.3)
-            row_bytes = 8 * p + 24 * len(_spectrum_bins(cfg)[0])
-        bins, W = _spectrum_bins(cfg)
-        assert (W is None) == (path == "fft") and _block_rows(row_bytes) == 16
-        weights, stages = _rows(cfg, bins)[0], _stages(cfg)[0]
+        plan = _Plan(cfg)
+        bins, W, weights, stages = plan.bins, plan.W, plan.weights, plan.stages
+        row_bytes = 24 * p if path == "fft" else 8 * p + 24 * len(bins)
+        assert (W is None) == (path == "fft") and _block_rows(row_bytes) == 16 == plan.rows == plan.stage
         for n in sorted({*range(1, 257, 16), 5, 17}):
             spans = [(lo, hi) for _, lo, hi in stages([(0, n)])]
             assert [lo for lo, _ in spans] == _block_starts(n, 16)
@@ -1151,9 +1212,10 @@ class TestPhaseMatrixPath:
     def _reference(cfg):
         """The `_chunk_reference` with p_n from an allocating y @ W, W the phase matrix
         of period `size`, on the line too, whose rows take `_folded_line_weights`."""
-        bins = _spectrum_bins(cfg)[0]
+        plan = _Plan(cfg)
+        bins = plan.bins
         W, K = half_step_phase_matrix(cfg.size, bins), len(bins)
-        weights = _rows(cfg, bins)[0] if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
+        weights = plan.weights if cfg.mode == "periodic" else _folded_line_weights(cfg, bins)
         return _chunk_reference(cfg, _blocked_gemm_pn(W, _block_rows(8 * cfg.size + 24 * K)), weights, bins)
 
     # the trailing fields: moment orders, and whether `size` counts cells on
@@ -1189,7 +1251,7 @@ class TestPhaseMatrixPath:
         cfg = MonteCarloConfig(dist=dist, trials=trials, seed=size + 3, n_list=n_list,
                                N_list=N_list, r_list=r_list, epsilon=epsilon,
                                **{"cells" if line else "period": size})
-        assert _spectrum_bins(cfg)[1] is not None
+        assert _Plan(cfg).W is not None
         reference, count = self._reference(cfg), len(chunk_sizes(trials))
         for threads in (1, 2, 4):
             _assert_chunk_bits(cfg, reference, threads=threads)
@@ -1207,14 +1269,15 @@ class TestPhaseMatrixPath:
         cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=seed, period=4096,
                                n_list=n_list, N_list=N_list)
         # 8*p + 24*K bytes a row pass 1 MiB at 32 rows: each stage is one 16-row block
-        assert [(lo, hi) for _, lo, hi in _stages(cfg)[0]([(0, 256), (1, 256)])] == \
+        plan = _Plan(cfg)
+        assert [(lo, hi) for _, lo, hi in plan.stages([(0, 256), (1, 256)])] == \
             [(lo, lo + 16) for lo in range(0, 512, 16)]
+        assert plan.rows == plan.stage == 16
         reference = self._reference(cfg)
         for threads in (1, 2):
             _assert_chunk_bits(cfg, reference, threads=threads)
         # against one 256-row product per chunk, the rows' means and variances move by rounding only
-        bins, W = _spectrum_bins(cfg)
-        whole = _chunk_reference(cfg, _blocked_gemm_pn(W, 256), _rows(cfg, bins)[0], bins)[0]
+        whole = _chunk_reference(cfg, _blocked_gemm_pn(plan.W, 256), plan.weights, plan.bins)[0]
         for row in run_monte_carlo(cfg).rows:
             total = MomentAccumulator()
             for chunk in whole:
@@ -1235,9 +1298,9 @@ class TestPhaseMatrixPath:
         for K in (1, 5, 32):
             n_list = tuple(int(n) for n in np.linspace(1, (p + 1) // 2, K))
             cfg = MonteCarloConfig(dist=UNIFORM, trials=trials, seed=p, period=p, n_list=n_list)
-            bins, W = _spectrum_bins(cfg)
-            assert W is not None and len(bins) == K and _block_rows(8 * p + 24 * K) == rows < 256
-            assert [lo for _, lo, _ in _stages(cfg)[0]([(0, trials)])] == [0, rows]
+            plan = _Plan(cfg)
+            assert plan.W is not None and len(plan.bins) == K and _block_rows(8 * p + 24 * K) == rows < 256
+            assert [lo for _, lo, _ in plan.stages([(0, trials)])] == [0, rows] and plan.rows == rows
             got = engine_rows(cfg)
             for t, pn in exact.items():
                 for n in n_list:
@@ -1247,7 +1310,8 @@ class TestPhaseMatrixPath:
         def bins(n_list=(), N_list=(), r_list=(), **size):
             cfg = MonteCarloConfig(dist=UNIFORM, trials=1, seed=0, n_list=n_list, N_list=N_list,
                                    r_list=r_list, **size)
-            bins, W = _spectrum_bins(cfg)
+            plan = _Plan(cfg)
+            bins, W = plan.bins, plan.W
             if W is None:  # the FFT returns every half bin
                 assert bins == range(1, (cfg.size + 1) // 2 + 1)
                 return "FFT"
@@ -1281,8 +1345,9 @@ class TestPhaseMatrixPath:
 
         monkeypatch.setattr(sampling, "half_step_phase_matrix", lambda p, bins: ("W", p, bins))
         for cells in (2, 3, 8, 64, 1023, 1 << 20):
-            bins, W = _spectrum_bins(MonteCarloConfig(dist=UNIFORM, trials=300, seed=0, cells=cells,
-                                                      n_list=n_list, N_list=N_list, r_list=r_list))
+            plan = _Plan(MonteCarloConfig(dist=UNIFORM, trials=300, seed=0, cells=cells,
+                                          n_list=n_list, N_list=N_list, r_list=r_list))
+            bins, W = plan.bins, plan.W
             if W is None:
                 assert r_list or min(max(N_list, default=0), (cells + 1) // 2) > 32
                 assert bins == range(1, (cells + 1) // 2 + 1)
@@ -1291,9 +1356,9 @@ class TestPhaseMatrixPath:
             assert len(bins) <= min(32, (cells + 1) // 2)
             assert set(bins) <= set(range(1, (cells + 1) // 2 + 1))
             if max(N_list, default=0) < cells / 2:  # the period-M run of the same rows reads them too
-                assert bins == _spectrum_bins(MonteCarloConfig(
+                assert bins == _Plan(MonteCarloConfig(
                     dist=UNIFORM, trials=300, seed=0, period=cells, N_list=N_list,
-                    n_list=tuple((n - 1) % cells + 1 for n in n_list)))[0]
+                    n_list=tuple((n - 1) % cells + 1 for n in n_list))).bins
 
     @pytest.mark.parametrize("p, stats, path", [
         (64, {"n_list": (32,), "N_list": (31,)}, "matrix"),  # K = 32
